@@ -17,23 +17,22 @@ use std::sync::Arc;
 use pup_ckpt::chaos::FaultPlan;
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_data::SplitRatios;
-use pup_models::{train_bpr, BprMf, TrainConfig, TrainData};
+use pup_models::{train_bpr, BprMf, Frozen, Recommender, TrainConfig, TrainData};
 use pup_serve::engine::handle_now;
 use pup_serve::{
     Deadline, Fallback, GenScorerFactory, RecommenderScorer, Request, Scorer, ServeConfig,
     ServiceShared, Source, SwapConfig, SwapController, WorkerModel,
 };
 
-struct Fixture {
-    shared: ServiceShared,
-    /// Same pipeline, but with a cost hint no deadline can fit, so every
-    /// request takes the degraded fallback branch.
-    degraded: ServiceShared,
-    scorer: RecommenderScorer,
+/// The benchmark catalog and a BPR-MF trained on it, frozen.
+struct Catalog {
+    fallback: Fallback,
     n_users: usize,
+    n_items: usize,
+    model: Frozen,
 }
 
-fn fixture() -> Fixture {
+fn catalog() -> Catalog {
     let dataset = generate(&GeneratorConfig {
         n_users: 300,
         n_items: 250,
@@ -50,26 +49,35 @@ fn fixture() -> Fixture {
     let cfg = TrainConfig { epochs: 2, batch_size: 1024, ..Default::default() };
     let mut model = BprMf::new(&data, 64, 7);
     train_bpr(&mut model, data.n_users, data.n_items, data.train, &cfg).expect("train");
-
     let fallback =
         Fallback::from_train(split.n_users, split.n_items, &split.train).expect("fallback");
-    let shared = ServiceShared::new(ServeConfig::default(), fallback.clone(), split.n_users);
-    let degraded_cfg = ServeConfig { primary_cost_hint_ns: u64::MAX, ..Default::default() };
-    let degraded = ServiceShared::new(degraded_cfg, fallback, split.n_users);
-    let scorer = RecommenderScorer::new(Box::new(model), split.n_items);
-    Fixture { shared, degraded, scorer, n_users: split.n_users }
+    Catalog { fallback, n_users: split.n_users, n_items: split.n_items, model: model.freeze() }
+}
+
+impl Catalog {
+    /// A factory serving the trained model as every generation.
+    fn factory(&self) -> GenScorerFactory {
+        let (model, n_items) = (self.model.freeze(), self.n_items);
+        Arc::new(move |_gen| Ok(Box::new(RecommenderScorer::new(model.freeze(), n_items))))
+    }
 }
 
 fn bench_serving(c: &mut Criterion) {
-    let f = fixture();
+    let cat = catalog();
+    let shared = ServiceShared::new(ServeConfig::default(), cat.fallback.clone(), cat.n_users);
+    // Same pipeline, but with a cost hint no deadline can fit, so every
+    // request takes the degraded fallback branch.
+    let degraded_cfg = ServeConfig { primary_cost_hint_ns: u64::MAX, ..Default::default() };
+    let degraded = ServiceShared::new(degraded_cfg, cat.fallback, cat.n_users);
+    let scorer = RecommenderScorer::new(cat.model, cat.n_items);
     let mut group = c.benchmark_group("serving");
     group.sample_size(30);
 
     let mut user = 0usize;
     group.bench_function("primary_request", |b| {
         b.iter(|| {
-            user = (user + 1) % f.n_users;
-            let resp = handle_now(&f.shared, &f.scorer, Request { user, k: 10 })
+            user = (user + 1) % cat.n_users;
+            let resp = handle_now(&shared, &scorer, Request { user, k: 10 })
                 .expect("primary request answered");
             assert_eq!(resp.source, Source::Primary);
             black_box(resp)
@@ -78,8 +86,8 @@ fn bench_serving(c: &mut Criterion) {
 
     group.bench_function("degraded_fallback_request", |b| {
         b.iter(|| {
-            user = (user + 1) % f.n_users;
-            let resp = handle_now(&f.degraded, &f.scorer, Request { user, k: 10 })
+            user = (user + 1) % cat.n_users;
+            let resp = handle_now(&degraded, &scorer, Request { user, k: 10 })
                 .expect("degraded request answered");
             assert!(resp.source.is_degraded());
             black_box(resp)
@@ -88,50 +96,27 @@ fn bench_serving(c: &mut Criterion) {
 
     group.bench_function("raw_score_pass", |b| {
         b.iter(|| {
-            user = (user + 1) % f.n_users;
-            black_box(f.scorer.score(black_box(user)).expect("score"))
+            user = (user + 1) % cat.n_users;
+            black_box(scorer.score(black_box(user)).expect("score"))
         })
     });
     group.finish();
 }
 
 fn bench_swap(c: &mut Criterion) {
-    let dataset = generate(&GeneratorConfig {
-        n_users: 300,
-        n_items: 250,
-        n_categories: 12,
-        n_price_levels: 8,
-        n_interactions: 8_000,
-        kcore: 0,
-        seed: 5,
-        ..Default::default()
-    })
-    .dataset;
-    let split = pup_data::split::temporal_split(&dataset, SplitRatios::PAPER);
-    let n_users = split.n_users;
-    let n_items = split.n_items;
-    let fallback = Fallback::from_train(n_users, n_items, &split.train).expect("fallback");
-    // Replicas are trained on demand (setup cost only: one primary build
-    // plus one shadow build across the whole group).
-    let factory: GenScorerFactory = Arc::new(move |_gen| {
-        let data = TrainData::new(&dataset, &split);
-        let cfg = TrainConfig { epochs: 2, batch_size: 1024, ..Default::default() };
-        let mut model = BprMf::new(&data, 64, 7);
-        train_bpr(&mut model, data.n_users, data.n_items, data.train, &cfg)
-            .map_err(|e| e.to_string())?;
-        Ok(Box::new(RecommenderScorer::new(Box::new(model), n_items)) as Box<dyn Scorer>)
-    });
+    let cat = catalog();
+    let (factory, n_users) = (cat.factory(), cat.n_users);
     // An effectively unbounded shadow window: the swap never resolves, so
     // every iteration pays the full shadow-compare cost.
     let swap_cfg = SwapConfig { shadow_requests: u64::MAX, min_overlap: 0.0, probe_users: 0 };
     let shared = ServiceShared::with_swap(
         ServeConfig::default(),
-        fallback,
+        cat.fallback,
         n_users,
         FaultPlan::none(),
         SwapController::new(0, swap_cfg),
     );
-    let mut model = WorkerModel::build(&shared, factory).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     let mut group = c.benchmark_group("serving_swap");
     group.sample_size(30);
@@ -150,7 +135,8 @@ fn bench_swap(c: &mut Criterion) {
         })
     });
 
-    shared.swap.begin_shadow(&shared.faults, 0, 1, false).expect("shadow window opens");
+    let candidate: Arc<dyn Scorer> = Arc::from(factory(1).expect("candidate builds"));
+    shared.swap.begin_shadow(&shared.faults, 0, 1, candidate, false).expect("shadow window opens");
     group.bench_function("shadowed_request", |b| {
         b.iter(|| {
             user = (user + 1) % n_users;
@@ -167,35 +153,15 @@ fn bench_swap(c: &mut Criterion) {
 }
 
 fn bench_net(c: &mut Criterion) {
-    let dataset = generate(&GeneratorConfig {
-        n_users: 300,
-        n_items: 250,
-        n_categories: 12,
-        n_price_levels: 8,
-        n_interactions: 8_000,
-        kcore: 0,
-        seed: 5,
-        ..Default::default()
-    })
-    .dataset;
-    let split = pup_data::split::temporal_split(&dataset, SplitRatios::PAPER);
-    let n_users = split.n_users;
-    let n_items = split.n_items;
-    let fallback = Fallback::from_train(n_users, n_items, &split.train).expect("fallback");
+    let cat = catalog();
+    let n_users = cat.n_users;
     let shared = Arc::new(ServiceShared::new(
         ServeConfig { workers: 1, ..Default::default() },
-        fallback,
+        cat.fallback.clone(),
         n_users,
     ));
-    let factory: pup_serve::ScorerFactory = Arc::new(move || {
-        let data = TrainData::new(&dataset, &split);
-        let cfg = TrainConfig { epochs: 2, batch_size: 1024, ..Default::default() };
-        let mut model = BprMf::new(&data, 64, 7);
-        train_bpr(&mut model, data.n_users, data.n_items, data.train, &cfg)
-            .map_err(|e| e.to_string())?;
-        Ok(Box::new(RecommenderScorer::new(Box::new(model), n_items)))
-    });
-    let server = pup_serve::Server::start(shared, factory).expect("server starts");
+    let server =
+        pup_serve::Server::start_with_generations(shared, cat.factory()).expect("server starts");
     let tenants = pup_serve::net::TenantConfig::parse_list("bench:bench-key:1000000000:1000000000")
         .expect("tenant spec");
     // One connection serves every iteration: keep-alive must outlast the

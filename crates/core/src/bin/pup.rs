@@ -769,26 +769,16 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let report = match registry {
         Some(reg) => {
-            // Validate the serving generation once up front for a clear error.
-            let serving = shared.swap.active_gen();
             eprintln!(
-                "restoring {} from registry generation {serving} in {} ...",
+                "restoring {} from registry generation {} in {} ...",
                 kind.name(),
+                shared.swap.active_gen(),
                 reg.dir().display()
             );
-            reg.load(serving).map_err(|e| format!("generation {serving}: {e}"))?;
-            let factory: pup_serve::GenScorerFactory = {
-                let pipeline = Arc::clone(&pipeline);
+            let factory = scorer_factory(Arc::clone(&pipeline), kind, cfg, n_items, {
                 let reg = reg.clone();
-                Arc::new(move |gen| {
-                    let ckpt = reg.load(gen).map_err(|e| e.to_string())?;
-                    let model = pipeline
-                        .restore_from_checkpoint(kind.clone(), &cfg, &ckpt)
-                        .map_err(|e| e.to_string())?;
-                    Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items))
-                        as Box<dyn pup_serve::Scorer>)
-                })
-            };
+                move |gen| reg.load(gen).map_err(|e| format!("generation {gen}: {e}"))
+            });
             let swap = match swap_at {
                 Some(at) => {
                     let to_gen: u64 = match flags.get("swap-to") {
@@ -807,28 +797,17 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
                 }
                 None => None,
             };
-            pup_serve::run_closed_loop_with_swap(Arc::clone(&shared), factory, bench, swap)
+            pup_serve::run_closed_loop(Arc::clone(&shared), factory, bench, swap)
                 .map_err(|e| e.to_string())?
         }
         None => {
             // Checked above: --checkpoint-dir is present when --registry is not.
             let ckpt_dir = ckpt_dir.ok_or("either --checkpoint-dir or --registry is required")?;
-            // Each worker restores its own replica from the checkpoint (models
-            // are not Send); validate once up front for a clear error.
             eprintln!("restoring {} from checkpoints in {} ...", kind.name(), ckpt_dir.display());
-            pipeline
-                .load_checkpointed(kind.clone(), &cfg, &ckpt_dir)
-                .map_err(|e| format!("--checkpoint-dir {}: {e}", ckpt_dir.display()))?;
-            let factory: pup_serve::ScorerFactory = {
-                let pipeline = Arc::clone(&pipeline);
-                Arc::new(move || {
-                    let model = pipeline
-                        .load_checkpointed(kind.clone(), &cfg, &ckpt_dir)
-                        .map_err(|e| e.to_string())?;
-                    Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items)))
-                })
-            };
-            pup_serve::run_closed_loop(Arc::clone(&shared), factory, bench)
+            let factory = scorer_factory(Arc::clone(&pipeline), kind, cfg, n_items, move |_gen| {
+                latest_checkpoint(&ckpt_dir)
+            });
+            pup_serve::run_closed_loop(Arc::clone(&shared), factory, bench, None)
                 .map_err(|e| e.to_string())?
         }
     };
@@ -858,6 +837,31 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// A scorer factory restoring `kind` from the checkpoint `load` returns
+/// for the generation asked for.
+fn scorer_factory(
+    pipeline: Arc<Pipeline>,
+    kind: ModelKind,
+    cfg: FitConfig,
+    n_items: usize,
+    load: impl Fn(u64) -> Result<pup_ckpt::Checkpoint, String> + Send + Sync + 'static,
+) -> pup_serve::GenScorerFactory {
+    Arc::new(move |gen| {
+        let model = pipeline
+            .restore_from_checkpoint(kind.clone(), &cfg, &load(gen)?)
+            .map_err(|e| e.to_string())?;
+        Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items)))
+    })
+}
+
+/// The newest valid checkpoint in `ckpt_dir`: the one generation a server
+/// without a registry serves.
+fn latest_checkpoint(ckpt_dir: &Path) -> Result<pup_ckpt::Checkpoint, String> {
+    pup_ckpt::store::load_latest(ckpt_dir)
+        .map(|latest| latest.checkpoint)
+        .map_err(|e| format!("--checkpoint-dir {}: {e}", ckpt_dir.display()))
 }
 
 /// Builds a [`pup_serve::NetConfig`] from the network flags; unset flags
@@ -945,20 +949,14 @@ fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway,
 
     let server = match registry {
         Some(reg) => {
-            let serving = shared.swap.active_gen();
             eprintln!(
-                "restoring {} from registry generation {serving} in {} ...",
+                "restoring {} from registry generation {} in {} ...",
                 kind.name(),
+                shared.swap.active_gen(),
                 reg.dir().display()
             );
-            reg.load(serving).map_err(|e| format!("generation {serving}: {e}"))?;
-            let factory: pup_serve::GenScorerFactory = Arc::new(move |gen| {
-                let ckpt = reg.load(gen).map_err(|e| e.to_string())?;
-                let model = pipeline
-                    .restore_from_checkpoint(kind.clone(), &cfg, &ckpt)
-                    .map_err(|e| e.to_string())?;
-                Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items))
-                    as Box<dyn pup_serve::Scorer>)
+            let factory = scorer_factory(pipeline, kind, cfg, n_items, move |gen| {
+                reg.load(gen).map_err(|e| format!("generation {gen}: {e}"))
             });
             pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
                 .map_err(|e| e.to_string())?
@@ -970,16 +968,11 @@ fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway,
                     .ok_or("either --checkpoint-dir or --registry is required")?,
             );
             eprintln!("restoring {} from checkpoints in {} ...", kind.name(), ckpt_dir.display());
-            pipeline
-                .load_checkpointed(kind.clone(), &cfg, &ckpt_dir)
-                .map_err(|e| format!("--checkpoint-dir {}: {e}", ckpt_dir.display()))?;
-            let factory: pup_serve::ScorerFactory = Arc::new(move || {
-                let model = pipeline
-                    .load_checkpointed(kind.clone(), &cfg, &ckpt_dir)
-                    .map_err(|e| e.to_string())?;
-                Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items)))
+            let factory = scorer_factory(pipeline, kind, cfg, n_items, move |_gen| {
+                latest_checkpoint(&ckpt_dir)
             });
-            pup_serve::Server::start(Arc::clone(&shared), factory).map_err(|e| e.to_string())?
+            pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
+                .map_err(|e| e.to_string())?
         }
     };
     let net = build_net_config(flags)?;

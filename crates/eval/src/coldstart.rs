@@ -188,6 +188,7 @@ mod tests {
 
     #[test]
     fn evaluation_runs_on_task() {
+        #[derive(Clone)]
         struct Uniform;
         impl Recommender for Uniform {
             fn name(&self) -> &str {
@@ -198,6 +199,9 @@ mod tests {
             }
             fn n_users(&self) -> usize {
                 usize::MAX
+            }
+            fn freeze(&self) -> pup_models::Frozen {
+                Box::new(self.clone())
             }
         }
         let (d, s) = fixture();

@@ -241,6 +241,7 @@ mod tests {
     use super::*;
 
     /// Oracle that scores a fixed preference list.
+    #[derive(Clone)]
     struct Fixed {
         prefs: Vec<f64>,
     }
@@ -254,6 +255,9 @@ mod tests {
         }
         fn n_users(&self) -> usize {
             usize::MAX
+        }
+        fn freeze(&self) -> pup_models::Frozen {
+            Box::new(self.clone())
         }
     }
 

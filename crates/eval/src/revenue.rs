@@ -101,6 +101,7 @@ pub fn evaluate_revenue(
 mod tests {
     use super::*;
 
+    #[derive(Clone)]
     struct Fixed(Vec<f64>);
     impl Recommender for Fixed {
         fn name(&self) -> &str {
@@ -111,6 +112,9 @@ mod tests {
         }
         fn n_users(&self) -> usize {
             usize::MAX
+        }
+        fn freeze(&self) -> pup_models::Frozen {
+            Box::new(self.clone())
         }
     }
 

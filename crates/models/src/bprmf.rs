@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use pup_tensor::{init, ops, Var};
 
 use crate::common::{NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::{dot_scores, DotScorer, Frozen};
 use crate::trainer::BprModel;
 
 /// Matrix factorization: `s(u, i) = e_u · e_i`.
@@ -65,13 +66,15 @@ impl Recommender for BprMf {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        let u = self.user_emb.value().gather_rows(&[user]);
-        let items = self.item_emb.value();
-        u.matmul_t(&items).into_vec()
+        dot_scores(&self.user_emb.value(), &self.item_emb.value(), user)
     }
 
     fn n_users(&self) -> usize {
         self.user_emb.shape().0
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(DotScorer::new("BPR-MF", self.user_emb.value_clone(), self.item_emb.value_clone()))
     }
 }
 
@@ -79,28 +82,6 @@ impl Recommender for BprMf {
 mod tests {
     use super::*;
     use crate::trainer::{train_bpr, TrainConfig};
-
-    #[test]
-    fn score_items_matches_score_batch() {
-        let price = vec![0usize; 5];
-        let cat = vec![0usize; 5];
-        let train = vec![(0, 0)];
-        let data = TrainData {
-            n_users: 3,
-            n_items: 5,
-            n_categories: 1,
-            n_price_levels: 1,
-            item_price_level: &price,
-            item_category: &cat,
-            train: &train,
-        };
-        let mut m = BprMf::new(&data, 4, 0);
-        let batch = m.score_batch(&[1, 1, 1, 1, 1], &[0, 1, 2, 3, 4]);
-        let all = m.score_items(1);
-        for (k, &s) in all.iter().enumerate() {
-            assert!((batch.value().get(k, 0) - s).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn learns_block_structure() {
@@ -134,28 +115,5 @@ mod tests {
         let in_block = scores[3]; // (0,3) untrained but in-block
         let best_out = scores[4..].iter().cloned().fold(f64::MIN, f64::max);
         assert!(in_block > best_out, "MF failed to learn CF blocks");
-    }
-
-    #[test]
-    fn try_score_items_rejects_malformed_user_id() {
-        use crate::common::ScoreError;
-        let price = vec![0usize; 5];
-        let cat = vec![0usize; 5];
-        let train = vec![(0, 0)];
-        let data = TrainData {
-            n_users: 3,
-            n_items: 5,
-            n_categories: 1,
-            n_price_levels: 1,
-            item_price_level: &price,
-            item_category: &cat,
-            train: &train,
-        };
-        let m = BprMf::new(&data, 4, 0);
-        assert_eq!(m.try_score_items(2).map(|s| s.len()), Ok(5));
-        assert_eq!(
-            m.try_score_items(3).unwrap_err(),
-            ScoreError::UserOutOfRange { user: 3, n_users: 3 }
-        );
     }
 }

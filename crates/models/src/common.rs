@@ -8,6 +8,8 @@ use std::fmt;
 use pup_data::{Dataset, Split};
 use pup_tensor::{ops, Var};
 
+use crate::frozen::Frozen;
+
 /// A malformed id reached the scoring path.
 ///
 /// Online traffic carries ids the training set never saw — a user created
@@ -66,6 +68,11 @@ pub trait Recommender {
     /// `0..n_users()`. Models that genuinely score any user (e.g. a pure
     /// popularity baseline) return `usize::MAX`.
     fn n_users(&self) -> usize;
+
+    /// The model's frozen scoring form: its parameter values as plain
+    /// data, `Send + Sync`, scoring every user bit for bit as
+    /// [`score_items`](Self::score_items) does (see [`crate::frozen`]).
+    fn freeze(&self) -> Frozen;
 
     /// Bounds-checked scoring for untrusted ids: returns a typed
     /// [`ScoreError`] instead of panicking on an out-of-range user.

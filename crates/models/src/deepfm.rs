@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use pup_tensor::{init, ops, Matrix, Var};
 
 use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
-use crate::fm::Fm;
+use crate::fm::{Fm, FmMeta, FrozenFm};
+use crate::frozen::Frozen;
 use crate::trainer::BprModel;
 
 /// DeepFM: `s = s_FM + MLP(concat of field embeddings)`.
@@ -70,13 +71,7 @@ impl BprModel for DeepFm {
 
     fn params(&self) -> Vec<Var> {
         let mut p = self.fm.all_params();
-        p.extend([
-            self.w1.clone(),
-            self.b1.clone(),
-            self.w2.clone(),
-            self.b2.clone(),
-            self.w_out.clone(),
-        ]);
+        p.extend(self.mlp_refs().map(Var::clone));
         p
     }
 
@@ -106,21 +101,94 @@ impl Recommender for DeepFm {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        // Inference over all items in one batch through the same graph
-        // (values only; no gradients are recorded for constants).
-        let n_items = self.fm.dense_scores(user).len();
-        let users = vec![user; n_items];
-        let items: Vec<usize> = (0..n_items).collect();
-        let fields = self.fm.field_embeddings(&users, &items);
-        let fm_part = self.fm.dense_scores(user);
-        let deep = self.deep_component(&fields);
-        let deep_v = deep.value();
-        // pup-audit: allow(hotpath-panic): k < n_items bounds both fm_part and deep_v rows
-        (0..n_items).map(|k| fm_part[k] + deep_v.get(k, 0)).collect()
+        let fm = self.fm.param_refs().map(|p| p.value());
+        let mlp = self.mlp_refs().map(|p| p.value());
+        let (fm, mlp) = (fm.each_ref().map(|m| &**m), mlp.each_ref().map(|m| &**m));
+        deep_scores(&self.fm.meta, fm, mlp, user)
     }
 
     fn n_users(&self) -> usize {
         self.fm.n_users()
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(FrozenDeepFm {
+            fm: self.fm.freeze_fm(),
+            mlp: self.mlp_refs().map(Var::value_clone),
+        })
+    }
+}
+
+impl DeepFm {
+    /// The MLP parameters in `[w1, b1, w2, b2, w_out]` order.
+    fn mlp_refs(&self) -> [&Var; 5] {
+        [&self.w1, &self.b1, &self.w2, &self.b2, &self.w_out]
+    }
+}
+
+/// The negative-side slope of `ops::relu`, kept so inference multiplies
+/// exactly as the autograd op does.
+const RELU_SLOPE: f64 = 0.0;
+
+/// `relu(x W + b)`, with the arithmetic of `ops::add_row_broadcast` and
+/// `ops::relu`.
+fn dense_relu(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
+    let mut h = x.matmul(w);
+    for r in 0..h.rows() {
+        for (v, &bv) in h.row_mut(r).iter_mut().zip(b.row(0)) {
+            *v += bv;
+        }
+    }
+    h.map(|v| if v > 0.0 { v } else { RELU_SLOPE * v })
+}
+
+/// DeepFM inference over all items: the FM scores plus the MLP over the
+/// concatenated (user, item, category, price) field embeddings, in one
+/// batch — the forward pass of `score_batch` on plain values. `fm` is in
+/// [`FmMeta::dense_scores`] order, `mlp` is `[w1, b1, w2, b2, w_out]`.
+fn deep_scores(meta: &FmMeta, fm: [&Matrix; 8], mlp: [&Matrix; 5], user: usize) -> Vec<f64> {
+    let fm_part = meta.dense_scores(fm, user);
+    let n_items = fm_part.len();
+    let [user_emb, item_emb, cat_emb, price_emb, ..] = fm;
+    let items: Vec<usize> = (0..n_items).collect();
+    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+    let cats: Vec<usize> = items.iter().map(|&i| meta.item_category[i]).collect();
+    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+    let prices: Vec<usize> = items.iter().map(|&i| meta.item_price_level[i]).collect();
+    let x = user_emb
+        .gather_rows(&vec![user; n_items])
+        .concat_cols(&item_emb.gather_rows(&items))
+        .concat_cols(&cat_emb.gather_rows(&cats))
+        .concat_cols(&price_emb.gather_rows(&prices));
+    let [w1, b1, w2, b2, w_out] = mlp;
+    let deep = dense_relu(&dense_relu(&x, w1, b1), w2, b2).matmul(w_out);
+    // pup-audit: allow(hotpath-panic): k < n_items bounds both fm_part and deep rows
+    (0..n_items).map(|k| fm_part[k] + deep.get(k, 0)).collect()
+}
+
+/// DeepFM's frozen scoring form: the frozen FM plus plain copies of the
+/// MLP weights.
+#[derive(Clone, Debug)]
+pub struct FrozenDeepFm {
+    fm: FrozenFm,
+    mlp: [Matrix; 5],
+}
+
+impl Recommender for FrozenDeepFm {
+    fn name(&self) -> &str {
+        "DeepFM"
+    }
+
+    fn score_items(&self, user: usize) -> Vec<f64> {
+        deep_scores(&self.fm.meta, self.fm.params.each_ref(), self.mlp.each_ref(), user)
+    }
+
+    fn n_users(&self) -> usize {
+        self.fm.n_users()
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(self.clone())
     }
 }
 
@@ -147,16 +215,22 @@ mod tests {
     }
 
     #[test]
-    fn score_items_matches_score_batch() {
-        let price = vec![0, 1, 1, 0];
-        let cat = vec![0, 1, 0, 1];
+    fn inference_matches_the_autograd_graph_bit_for_bit() {
+        let price = vec![0, 1, 1, 0, 1];
+        let cat = vec![0, 1, 0, 1, 1];
         let train = vec![(0, 0)];
         let data = toy_data(&train, &price, &cat, 3);
-        let mut m = DeepFm::new(&data, 4, 8, 11);
-        let batch = m.score_batch(&[1, 1, 1, 1], &[0, 1, 2, 3]);
-        let all = m.score_items(1);
-        for (k, &s) in all.iter().enumerate().take(4) {
-            assert!((batch.value().get(k, 0) - s).abs() < 1e-10, "mismatch at {k}");
+        let m = DeepFm::new(&data, 4, 8, 5);
+        let frozen = m.freeze();
+        for user in 0..3 {
+            let users = vec![user; 5];
+            let items: Vec<usize> = (0..5).collect();
+            let deep = m.deep_component(&m.fm.field_embeddings(&users, &items)).value_clone();
+            let fm_part = m.fm.score_items(user);
+            let graph: Vec<u64> = (0..5).map(|k| (fm_part[k] + deep.get(k, 0)).to_bits()).collect();
+            let bits = |s: Vec<f64>| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m.score_items(user)), graph, "user {user}");
+            assert_eq!(bits(frozen.score_items(user)), graph, "user {user}");
         }
     }
 

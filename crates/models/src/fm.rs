@@ -11,14 +11,12 @@ use rand::SeedableRng;
 use pup_tensor::{init, ops, Matrix, Var};
 
 use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::Frozen;
 use crate::trainer::BprModel;
 
 /// 2-way FM over (user, item, category, price) fields.
 pub struct Fm {
-    /// Include first-order (linear) weights. Rendle's FM has them; the
-    /// paper describes its FM baseline as "a sum of pairwise inner
-    /// product", i.e. interactions only. Both are supported.
-    linear_terms: bool,
+    pub(crate) meta: FmMeta,
     user_emb: Var,
     item_emb: Var,
     cat_emb: Var,
@@ -27,8 +25,6 @@ pub struct Fm {
     item_w: Var,
     cat_w: Var,
     price_w: Var,
-    item_price_level: Vec<usize>,
-    item_category: Vec<usize>,
 }
 
 impl Fm {
@@ -43,7 +39,11 @@ impl Fm {
         assert!(dim > 0, "embedding dimension must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
-            linear_terms,
+            meta: FmMeta {
+                linear_terms,
+                item_price_level: data.item_price_level.to_vec(),
+                item_category: data.item_category.to_vec(),
+            },
             user_emb: Var::param(init::normal(data.n_users, dim, 0.1, &mut rng)),
             item_emb: Var::param(init::normal(data.n_items, dim, 0.1, &mut rng)),
             cat_emb: Var::param(init::normal(data.n_categories.max(1), dim, 0.1, &mut rng)),
@@ -52,8 +52,6 @@ impl Fm {
             item_w: Var::param(Matrix::zeros(data.n_items, 1)),
             cat_w: Var::param(Matrix::zeros(data.n_categories.max(1), 1)),
             price_w: Var::param(Matrix::zeros(data.n_price_levels.max(1), 1)),
-            item_price_level: data.item_price_level.to_vec(),
-            item_category: data.item_category.to_vec(),
         }
     }
 
@@ -61,9 +59,9 @@ impl Fm {
     /// order. Shared with DeepFM.
     pub(crate) fn field_embeddings(&self, users: &[usize], items: &[usize]) -> [Var; 4] {
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let cats: Vec<usize> = items.iter().map(|&i| self.item_category[i]).collect();
+        let cats: Vec<usize> = items.iter().map(|&i| self.meta.item_category[i]).collect();
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let prices: Vec<usize> = items.iter().map(|&i| self.item_price_level[i]).collect();
+        let prices: Vec<usize> = items.iter().map(|&i| self.meta.item_price_level[i]).collect();
         [
             ops::gather_rows(&self.user_emb, users),
             ops::gather_rows(&self.item_emb, items),
@@ -75,9 +73,9 @@ impl Fm {
     /// Linear-term sum for a batch.
     pub(crate) fn linear_terms(&self, users: &[usize], items: &[usize]) -> Var {
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let cats: Vec<usize> = items.iter().map(|&i| self.item_category[i]).collect();
+        let cats: Vec<usize> = items.iter().map(|&i| self.meta.item_category[i]).collect();
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let prices: Vec<usize> = items.iter().map(|&i| self.item_price_level[i]).collect();
+        let prices: Vec<usize> = items.iter().map(|&i| self.meta.item_price_level[i]).collect();
         let mut s = ops::gather_rows(&self.user_w, users);
         s = ops::add(&s, &ops::gather_rows(&self.item_w, items));
         s = ops::add(&s, &ops::gather_rows(&self.cat_w, &cats));
@@ -85,29 +83,52 @@ impl Fm {
     }
 
     pub(crate) fn all_params(&self) -> Vec<Var> {
-        vec![
-            self.user_emb.clone(),
-            self.item_emb.clone(),
-            self.cat_emb.clone(),
-            self.price_emb.clone(),
-            self.user_w.clone(),
-            self.item_w.clone(),
-            self.cat_w.clone(),
-            self.price_w.clone(),
+        Vec::from(self.param_refs().map(Var::clone))
+    }
+
+    /// The parameters in the order [`FmMeta::dense_scores`] takes them.
+    pub(crate) fn param_refs(&self) -> [&Var; 8] {
+        [
+            &self.user_emb,
+            &self.item_emb,
+            &self.cat_emb,
+            &self.price_emb,
+            &self.user_w,
+            &self.item_w,
+            &self.cat_w,
+            &self.price_w,
         ]
     }
 
-    /// Inference-time scores over all items for a user, computed from the
-    /// current parameter values.
-    pub(crate) fn dense_scores(&self, user: usize) -> Vec<f64> {
-        let ue = self.user_emb.value().gather_rows(&[user]);
-        let items = self.item_emb.value();
-        let cats = self.cat_emb.value();
-        let prices = self.price_emb.value();
+    /// The frozen scoring form, with its concrete type (DeepFM embeds it).
+    pub(crate) fn freeze_fm(&self) -> FrozenFm {
+        FrozenFm { meta: self.meta.clone(), params: self.param_refs().map(Var::value_clone) }
+    }
+}
+
+/// FM's non-learned inputs, shared by [`Fm`] and [`FrozenFm`].
+#[derive(Clone, Debug)]
+pub(crate) struct FmMeta {
+    /// Include first-order (linear) weights. Rendle's FM has them; the
+    /// paper describes its FM baseline as "a sum of pairwise inner
+    /// product", i.e. interactions only. Both are supported.
+    linear_terms: bool,
+    pub(crate) item_price_level: Vec<usize>,
+    pub(crate) item_category: Vec<usize>,
+}
+
+impl FmMeta {
+    /// Inference-time scores over all items for a user — the one FM
+    /// inference routine, over the live parameter values ([`Fm`]) or their
+    /// frozen copies. `params` is `[user_emb, item_emb, cat_emb,
+    /// price_emb, user_w, item_w, cat_w, price_w]`.
+    pub(crate) fn dense_scores(&self, params: [&Matrix; 8], user: usize) -> Vec<f64> {
+        let [user_emb, items, cats, prices, user_w, item_w, cat_w, price_w] = params;
+        let ue = user_emb.gather_rows(&[user]);
         let n_items = items.rows();
         let mut out = Vec::with_capacity(n_items);
         let u_row = ue.row(0);
-        let uw = self.user_w.value().get(user, 0);
+        let uw = user_w.get(user, 0);
         for i in 0..n_items {
             // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
             let c = self.item_category[i];
@@ -125,9 +146,7 @@ impl Fm {
             }
             pair *= 0.5;
             let linear = if self.linear_terms {
-                uw + self.item_w.value().get(i, 0)
-                    + self.cat_w.value().get(c, 0)
-                    + self.price_w.value().get(p, 0)
+                uw + item_w.get(i, 0) + cat_w.get(c, 0) + price_w.get(p, 0)
             } else {
                 0.0
             };
@@ -137,13 +156,39 @@ impl Fm {
     }
 }
 
+/// FM's frozen scoring form: plain copies of its parameter values.
+#[derive(Clone, Debug)]
+pub struct FrozenFm {
+    pub(crate) meta: FmMeta,
+    pub(crate) params: [Matrix; 8],
+}
+
+impl Recommender for FrozenFm {
+    fn name(&self) -> &str {
+        "FM"
+    }
+
+    fn score_items(&self, user: usize) -> Vec<f64> {
+        self.meta.dense_scores(self.params.each_ref(), user)
+    }
+
+    fn n_users(&self) -> usize {
+        let [user_emb, ..] = &self.params;
+        user_emb.rows()
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(self.clone())
+    }
+}
+
 impl BprModel for Fm {
     fn begin_step(&mut self, _rng: &mut StdRng) {}
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
         let fields = self.field_embeddings(users, items);
         let pair = pairwise_interactions(&fields);
-        let scores = if self.linear_terms {
+        let scores = if self.meta.linear_terms {
             ops::add(&pair, &self.linear_terms(users, items))
         } else {
             pair
@@ -180,11 +225,16 @@ impl Recommender for Fm {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        self.dense_scores(user)
+        let values = self.param_refs().map(|p| p.value());
+        self.meta.dense_scores(values.each_ref().map(|v| &**v), user)
     }
 
     fn n_users(&self) -> usize {
         self.user_emb.shape().0
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(self.freeze_fm())
     }
 }
 
@@ -205,22 +255,6 @@ mod tests {
             item_price_level: price,
             item_category: cat,
             train,
-        }
-    }
-
-    #[test]
-    fn dense_scores_match_batch_scores() {
-        let price = vec![0, 1, 2, 0, 1];
-        let cat = vec![0, 0, 1, 1, 0];
-        let train = vec![(0, 0)];
-        let data = toy_data(&train, &price, &cat);
-        let mut m = Fm::new(&data, 6, 5);
-        let users = vec![2usize; 5];
-        let items: Vec<usize> = (0..5).collect();
-        let batch = m.score_batch(&users, &items);
-        let dense = m.score_items(2);
-        for (k, &d) in dense.iter().enumerate().take(5) {
-            assert!((batch.value().get(k, 0) - d).abs() < 1e-10, "mismatch at item {k}");
         }
     }
 

@@ -13,9 +13,10 @@ use rand::SeedableRng;
 
 use pup_graph::normalize::sym_normalized;
 use pup_graph::{build_pup_graph, GraphSpec};
-use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
+use pup_tensor::{init, ops, CsrMatrix, Var};
 
 use crate::common::{NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::{DotScorer, Frozen};
 use crate::trainer::BprModel;
 
 /// GC-MC: `Z = tanh(Â E) W`, `s(u, i) = z_u · z_i`.
@@ -29,7 +30,7 @@ pub struct GcMc {
     /// Propagated representations of the current training step.
     step_repr: Option<Var>,
     /// Dropout-free representations for inference.
-    final_repr: Option<Matrix>,
+    final_repr: Option<DotScorer>,
 }
 
 impl GcMc {
@@ -94,7 +95,9 @@ impl BprModel for GcMc {
     }
 
     fn finalize(&mut self) {
-        self.final_repr = Some(self.propagate(None).value_clone());
+        let repr = self.propagate(None);
+        self.final_repr =
+            Some(DotScorer::from_stacked("GC-MC", &repr.value(), self.n_users, self.n_items));
         self.step_repr = None;
     }
 }
@@ -113,14 +116,16 @@ impl Recommender for GcMc {
     fn score_items(&self, user: usize) -> Vec<f64> {
         // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug; covered by a should_panic test.; pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
         let repr = self.final_repr.as_ref().expect("finalize must run before inference");
-        let u = repr.gather_rows(&[user]);
-        let items_idx: Vec<usize> = (0..self.n_items).map(|i| self.n_users + i).collect();
-        let items = repr.gather_rows(&items_idx);
-        u.matmul_t(&items).into_vec()
+        repr.score_items(user)
     }
 
     fn n_users(&self) -> usize {
         self.n_users
+    }
+
+    fn freeze(&self) -> Frozen {
+        // pup-lint: allow(unwrap-in-lib) — freezing before finalize is a caller bug, as inference is.
+        Box::new(self.final_repr.clone().expect("finalize must run before freezing"))
     }
 }
 
@@ -167,7 +172,7 @@ mod tests {
         for seed in 0..10 {
             let mut m = GcMc::new(&data, 8, 0.0, seed);
             m.finalize();
-            let r = m.final_repr.as_ref().unwrap();
+            let r = m.final_repr.as_ref().unwrap().users();
             let sim = |a: usize, b: usize| {
                 r.gather_rows(&[a]).rowwise_dot(&r.gather_rows(&[b])).get(0, 0)
             };

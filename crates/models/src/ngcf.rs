@@ -20,9 +20,10 @@ use rand::SeedableRng;
 
 use pup_graph::normalize::sym_normalized;
 use pup_graph::{build_pup_graph, GraphSpec};
-use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
+use pup_tensor::{init, ops, CsrMatrix, Var};
 
 use crate::common::{NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::{DotScorer, Frozen};
 use crate::trainer::BprModel;
 
 /// NGCF with price-aware item inputs.
@@ -38,7 +39,7 @@ pub struct Ngcf {
     n_items: usize,
     dropout: f64,
     step_repr: Option<Var>,
-    final_repr: Option<Matrix>,
+    final_repr: Option<DotScorer>,
 }
 
 impl Ngcf {
@@ -134,7 +135,9 @@ impl BprModel for Ngcf {
     }
 
     fn finalize(&mut self) {
-        self.final_repr = Some(self.propagate(None).value_clone());
+        let repr = self.propagate(None);
+        self.final_repr =
+            Some(DotScorer::from_stacked("NGCF", &repr.value(), self.n_users, self.n_items));
         self.step_repr = None;
     }
 }
@@ -160,14 +163,16 @@ impl Recommender for Ngcf {
     fn score_items(&self, user: usize) -> Vec<f64> {
         // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug.; pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
         let repr = self.final_repr.as_ref().expect("finalize must run before inference");
-        let u = repr.gather_rows(&[user]);
-        let items_idx: Vec<usize> = (0..self.n_items).map(|i| self.n_users + i).collect();
-        let items = repr.gather_rows(&items_idx);
-        u.matmul_t(&items).into_vec()
+        repr.score_items(user)
     }
 
     fn n_users(&self) -> usize {
         self.n_users
+    }
+
+    fn freeze(&self) -> Frozen {
+        // pup-lint: allow(unwrap-in-lib) — freezing before finalize is a caller bug, as inference is.
+        Box::new(self.final_repr.clone().expect("finalize must run before freezing"))
     }
 }
 
@@ -208,7 +213,7 @@ mod tests {
         let d = TrainData { item_category: &[0; 8], ..data(&train, &price) };
         let mut m = Ngcf::new(&d, 4, 3, 0.0, 0);
         m.finalize();
-        assert_eq!(m.final_repr.as_ref().unwrap().cols(), 4 * (3 + 1));
+        assert_eq!(m.final_repr.as_ref().unwrap().users().cols(), 4 * (3 + 1));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use pup_tensor::optim::{Adam, Optimizer};
 use pup_tensor::{init, ops, Matrix, Var};
 
 use crate::common::{NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::{dot_scores, DotScorer, Frozen};
 
 /// Hyperparameters for PaDQ's collective factorization.
 #[derive(Clone, Debug)]
@@ -199,12 +200,15 @@ impl Recommender for Padq {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        let u = self.user_emb.value().gather_rows(&[user]);
-        u.matmul_t(&self.item_emb.value()).into_vec()
+        dot_scores(&self.user_emb.value(), &self.item_emb.value(), user)
     }
 
     fn n_users(&self) -> usize {
         self.user_emb.shape().0
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(DotScorer::new("PaDQ", self.user_emb.value_clone(), self.item_emb.value_clone()))
     }
 }
 

@@ -25,6 +25,7 @@ use pup_graph::{build_pup_graph, GraphSpec, Layout, NodeRef};
 use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
 
 use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::frozen::Frozen;
 use crate::trainer::BprModel;
 
 /// Which PUP variant to build (paper Table III / Fig. 6 ablations).
@@ -203,11 +204,10 @@ pub struct Pup {
     category: Option<Branch>,
     item_price_level: Vec<usize>,
     item_category: Vec<usize>,
-    n_items: usize,
     step_global: Option<Var>,
     step_category: Option<Var>,
-    final_global: Option<Matrix>,
-    final_category: Option<Matrix>,
+    /// Inference state, built by `finalize`.
+    frozen: Option<FrozenPup>,
 }
 
 impl Pup {
@@ -260,11 +260,9 @@ impl Pup {
             category,
             item_price_level: data.item_price_level.to_vec(),
             item_category: data.item_category.to_vec(),
-            n_items: data.n_items,
             step_global: None,
             step_category: None,
-            final_global: None,
-            final_category: None,
+            frozen: None,
         }
     }
 
@@ -330,41 +328,10 @@ impl Pup {
         ops::add(&s_global, &ops::scale(&s_cat, self.config.alpha))
     }
 
-    /// Inference scores over all items from the finalized representations.
-    fn dense_scores(&self, user: usize) -> Vec<f64> {
+    /// The finalized inference state.
+    fn finalized(&self) -> &FrozenPup {
         // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug.; pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
-        let repr_g = self.final_global.as_ref().expect("finalize must run before inference");
-        let lay = &self.global.layout;
-        let u = repr_g.gather_rows(&[lay.index(NodeRef::User(user))]);
-        let u_row = u.row(0);
-        let mut out = Vec::with_capacity(self.n_items);
-        for i in 0..self.n_items {
-            let ei = repr_g.row(lay.index(NodeRef::Item(i)));
-            let mut s = match self.config.variant {
-                PupVariant::Bipartite => dot(u_row, ei),
-                PupVariant::CategoryOnly => {
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    let ec = repr_g.row(lay.index(NodeRef::Category(self.item_category[i])));
-                    dot(u_row, ei) + dot(u_row, ec) + dot(ei, ec)
-                }
-                PupVariant::Full | PupVariant::PriceOnly => {
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    let ep = repr_g.row(lay.index(NodeRef::Price(self.item_price_level[i])));
-                    dot(u_row, ei) + dot(u_row, ep) + dot(ei, ep)
-                }
-            };
-            if let (Some(repr_c), Some(branch)) = (&self.final_category, &self.category) {
-                let clay = &branch.layout;
-                let cu = repr_c.row(clay.index(NodeRef::User(user)));
-                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let cp = repr_c.row(clay.index(NodeRef::Price(self.item_price_level[i])));
-                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let cc = repr_c.row(clay.index(NodeRef::Category(self.item_category[i])));
-                s += self.config.alpha * (dot(cu, cc) + dot(cu, cp) + dot(cc, cp));
-            }
-            out.push(s);
-        }
-        out
+        self.frozen.as_ref().expect("finalize must run before inference")
     }
 
     /// Global-branch affinity between a user and each price level
@@ -377,87 +344,17 @@ impl Pup {
             PupVariant::CategoryOnly,
             "category-only PUP has no price nodes"
         );
-        // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug.
-        let repr = self.final_global.as_ref().expect("finalize must run before inference");
+        let repr = &self.finalized().global;
         let lay = &self.global.layout;
         let u = repr.row(lay.index(NodeRef::User(user))).to_vec();
         (0..lay.n_prices()).map(|p| dot(&u, repr.row(lay.index(NodeRef::Price(p))))).collect()
-    }
-
-    /// Serializes the trained parameters (embedding tables of both
-    /// branches) in a stable text format. Re-create the model with the same
-    /// data and config, then [`Pup::import_params`] to restore it.
-    pub fn export_params(&self) -> String {
-        let mut out = String::from("PUP-PARAMS v1\n[global]\n");
-        out.push_str(&self.global.emb.value().to_tsv());
-        if let Some(b) = &self.category {
-            out.push_str("[category]\n");
-            out.push_str(&b.emb.value().to_tsv());
-        }
-        out
-    }
-
-    /// Restores parameters exported by [`Pup::export_params`]. The model
-    /// must have been built from the same data and configuration (shapes
-    /// are validated). Refreshes the inference-time representations.
-    pub fn import_params(&mut self, serialized: &str) -> Result<(), String> {
-        let mut lines = serialized.lines();
-        if lines.next() != Some("PUP-PARAMS v1") {
-            return Err("not a PUP-PARAMS v1 file".into());
-        }
-        let rest: Vec<&str> = lines.collect();
-        let mut sections: Vec<(&str, String)> = Vec::new();
-        for line in rest {
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                sections.push((name, String::new()));
-            } else if let Some((_, body)) = sections.last_mut() {
-                body.push_str(line);
-                body.push('\n');
-            } else if !line.trim().is_empty() {
-                return Err(format!("content before first section: {line:?}"));
-            }
-        }
-        let find = |name: &str| -> Option<&String> {
-            sections.iter().find(|(n, _)| *n == name).map(|(_, b)| b)
-        };
-        let global_tsv = find("global").ok_or("missing [global] section")?;
-        let global = Matrix::from_tsv(global_tsv)?;
-        if global.shape() != self.global.emb.shape() {
-            return Err(format!(
-                "[global] shape {:?} does not match model {:?}",
-                global.shape(),
-                self.global.emb.shape()
-            ));
-        }
-        match (&self.category, find("category")) {
-            (Some(branch), Some(tsv)) => {
-                let cat = Matrix::from_tsv(tsv)?;
-                if cat.shape() != branch.emb.shape() {
-                    return Err(format!(
-                        "[category] shape {:?} does not match model {:?}",
-                        cat.shape(),
-                        branch.emb.shape()
-                    ));
-                }
-                branch.emb.set_value(cat);
-            }
-            (Some(_), None) => return Err("missing [category] section".into()),
-            (None, Some(_)) => return Err("unexpected [category] section".into()),
-            (None, None) => {}
-        }
-        self.global.emb.set_value(global);
-        self.finalize();
-        Ok(())
     }
 
     /// Category-branch affinity between a user and each (category, price)
     /// pair: `e_u·e_c + e_u·e_p + e_c·e_p`. Only for [`PupVariant::Full`].
     pub fn user_category_price_affinity(&self, user: usize, category: usize, price: usize) -> f64 {
         // pup-lint: allow(unwrap-in-lib) — documented precondition: full variant, finalized.
-        let branch = self.category.as_ref().expect("full variant required");
-        // pup-lint: allow(unwrap-in-lib)
-        let repr = self.final_category.as_ref().expect("finalize must run before inference");
-        let lay = &branch.layout;
+        let (repr, lay) = self.finalized().category.as_ref().expect("full variant required");
         let u = repr.row(lay.index(NodeRef::User(user)));
         let c = repr.row(lay.index(NodeRef::Category(category)));
         let p = repr.row(lay.index(NodeRef::Price(price)));
@@ -497,12 +394,19 @@ impl BprModel for Pup {
     }
 
     fn finalize(&mut self) {
-        self.final_global =
-            Some(self.global.propagate(self.config.n_layers, 0.0, None).value_clone());
-        self.final_category = self
-            .category
-            .as_ref()
-            .map(|b| b.propagate(self.config.n_layers, 0.0, None).value_clone());
+        let global = self.global.propagate(self.config.n_layers, 0.0, None).value_clone();
+        let category = self.category.as_ref().map(|b| {
+            (b.propagate(self.config.n_layers, 0.0, None).value_clone(), b.layout.clone())
+        });
+        self.frozen = Some(FrozenPup {
+            variant: self.config.variant,
+            alpha: self.config.alpha,
+            global,
+            global_layout: self.global.layout.clone(),
+            category,
+            item_price_level: self.item_price_level.clone(),
+            item_category: self.item_category.clone(),
+        });
         self.step_global = None;
         self.step_category = None;
     }
@@ -518,22 +422,97 @@ impl ParamRegistry for Pup {
     }
 }
 
-impl Recommender for Pup {
-    fn name(&self) -> &str {
-        match self.config.variant {
+impl PupVariant {
+    /// The variant's name in the paper's tables.
+    fn label(&self) -> &'static str {
+        match self {
             PupVariant::Full => "PUP",
             PupVariant::PriceOnly => "PUP-",
             PupVariant::CategoryOnly => "PUP w/ c",
             PupVariant::Bipartite => "PUP w/o c,p",
         }
     }
+}
+
+impl Recommender for Pup {
+    fn name(&self) -> &str {
+        self.config.variant.label()
+    }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        self.dense_scores(user)
+        self.finalized().score_items(user)
     }
 
     fn n_users(&self) -> usize {
         self.global.layout.n_users()
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(self.finalized().clone())
+    }
+}
+
+/// PUP's frozen scoring form: both branches' propagated representations
+/// and the item metadata the decoder reads.
+#[derive(Clone, Debug)]
+pub struct FrozenPup {
+    variant: PupVariant,
+    alpha: f64,
+    global: Matrix,
+    global_layout: Layout,
+    /// Present only for [`PupVariant::Full`].
+    category: Option<(Matrix, Layout)>,
+    item_price_level: Vec<usize>,
+    item_category: Vec<usize>,
+}
+
+impl Recommender for FrozenPup {
+    fn name(&self) -> &str {
+        self.variant.label()
+    }
+
+    /// Inference scores over all items from the finalized representations.
+    fn score_items(&self, user: usize) -> Vec<f64> {
+        let repr_g = &self.global;
+        let lay = &self.global_layout;
+        let u = repr_g.gather_rows(&[lay.index(NodeRef::User(user))]);
+        let u_row = u.row(0);
+        let n_items = lay.n_items();
+        let mut out = Vec::with_capacity(n_items);
+        for i in 0..n_items {
+            let ei = repr_g.row(lay.index(NodeRef::Item(i)));
+            let mut s = match self.variant {
+                PupVariant::Bipartite => dot(u_row, ei),
+                PupVariant::CategoryOnly => {
+                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                    let ec = repr_g.row(lay.index(NodeRef::Category(self.item_category[i])));
+                    dot(u_row, ei) + dot(u_row, ec) + dot(ei, ec)
+                }
+                PupVariant::Full | PupVariant::PriceOnly => {
+                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                    let ep = repr_g.row(lay.index(NodeRef::Price(self.item_price_level[i])));
+                    dot(u_row, ei) + dot(u_row, ep) + dot(ei, ep)
+                }
+            };
+            if let Some((repr_c, clay)) = &self.category {
+                let cu = repr_c.row(clay.index(NodeRef::User(user)));
+                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                let cp = repr_c.row(clay.index(NodeRef::Price(self.item_price_level[i])));
+                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                let cc = repr_c.row(clay.index(NodeRef::Category(self.item_category[i])));
+                s += self.alpha * (dot(cu, cc) + dot(cu, cp) + dot(cc, cp));
+            }
+            out.push(s);
+        }
+        out
+    }
+
+    fn n_users(&self) -> usize {
+        self.global_layout.n_users()
+    }
+
+    fn freeze(&self) -> Frozen {
+        Box::new(self.clone())
     }
 }
 
@@ -567,34 +546,6 @@ mod tests {
             variant,
             dropout: 0.0,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn dense_scores_match_batch_scores_for_all_variants() {
-        let price = vec![0, 1, 2, 0, 1];
-        let cat = vec![0, 1, 0, 1, 0];
-        let train = vec![(0, 0), (1, 1), (2, 2)];
-        let data = price_data(&train, &price, &cat, 3);
-        for variant in [
-            PupVariant::Full,
-            PupVariant::PriceOnly,
-            PupVariant::CategoryOnly,
-            PupVariant::Bipartite,
-        ] {
-            let mut m = Pup::new(&data, small_config(variant));
-            m.begin_step(&mut StdRng::seed_from_u64(0));
-            let users = vec![1usize; 5];
-            let items: Vec<usize> = (0..5).collect();
-            let batch = m.score_batch(&users, &items);
-            m.finalize();
-            let dense = m.score_items(1);
-            for (k, &d) in dense.iter().enumerate().take(5) {
-                assert!(
-                    (batch.value().get(k, 0) - d).abs() < 1e-10,
-                    "{variant:?}: mismatch at item {k}"
-                );
-            }
         }
     }
 
@@ -651,6 +602,13 @@ mod tests {
         assert!(aff[0] > aff[1], "price affinity not learned: {aff:?}");
     }
 
+    /// Cosine similarity of two nodes' finalized global-branch rows.
+    fn cosine(m: &Pup, a: usize, b: usize) -> f64 {
+        let repr = &m.finalized().global;
+        let (ra, rb) = (repr.row(a), repr.row(b));
+        dot(ra, rb) / (dot(ra, ra).sqrt() * dot(rb, rb).sqrt())
+    }
+
     #[test]
     fn price_awareness_propagates_through_items() {
         // Even with no training, propagation makes a user's representation
@@ -663,13 +621,8 @@ mod tests {
         let data = price_data(&train, &price, &cat, 2);
         let mut m = Pup::new(&data, small_config(PupVariant::PriceOnly));
         m.finalize();
-        let repr = m.final_global.as_ref().unwrap();
         let lay = &m.global.layout;
-        let cos = |a: usize, b: usize| {
-            let ra = repr.row(a);
-            let rb = repr.row(b);
-            dot(ra, rb) / (dot(ra, ra).sqrt() * dot(rb, rb).sqrt())
-        };
+        let cos = |a, b| cosine(&m, a, b);
         let u0 = lay.index(NodeRef::User(0));
         let p0 = lay.index(NodeRef::Price(0));
         let p1 = lay.index(NodeRef::Price(1));
@@ -732,13 +685,8 @@ mod tests {
         }];
         let mut m = Pup::with_extras(&data, small_config(PupVariant::Bipartite), &extras);
         m.finalize();
-        let repr = m.final_global.as_ref().unwrap();
         let lay = &m.global.layout;
-        let cos = |a: usize, b: usize| {
-            let ra = repr.row(a);
-            let rb = repr.row(b);
-            dot(ra, rb) / (dot(ra, ra).sqrt() * dot(rb, rb).sqrt())
-        };
+        let cos = |a, b| cosine(&m, a, b);
         let i0 = lay.index(NodeRef::Item(0));
         let i1 = lay.index(NodeRef::Item(1));
         let i2 = lay.index(NodeRef::Item(2));
@@ -764,13 +712,8 @@ mod tests {
         cfg.n_layers = 2;
         let mut m = Pup::new(&data, cfg);
         m.finalize();
-        let repr = m.final_global.as_ref().unwrap();
         let lay = &m.global.layout;
-        let cos = |a: usize, b: usize| {
-            let ra = repr.row(a);
-            let rb = repr.row(b);
-            dot(ra, rb) / (dot(ra, ra).sqrt() * dot(rb, rb).sqrt())
-        };
+        let cos = |a, b| cosine(&m, a, b);
         let u0 = lay.index(NodeRef::User(0));
         let p0 = lay.index(NodeRef::Price(0));
         let p1 = lay.index(NodeRef::Price(1));
@@ -780,71 +723,6 @@ mod tests {
             cos(u0, p0),
             cos(u0, p1)
         );
-    }
-
-    #[test]
-    fn multi_layer_scores_stay_consistent_between_paths() {
-        let price = vec![0, 1, 2, 0];
-        let cat = vec![0, 1, 0, 1];
-        let train = vec![(0, 0), (1, 1), (2, 2)];
-        let data = price_data(&train, &price, &cat, 3);
-        let mut cfg = small_config(PupVariant::Full);
-        cfg.n_layers = 3;
-        let mut m = Pup::new(&data, cfg);
-        m.begin_step(&mut StdRng::seed_from_u64(1));
-        let batch = m.score_batch(&[2, 2, 2, 2], &[0, 1, 2, 3]);
-        m.finalize();
-        let dense = m.score_items(2);
-        for (k, &d) in dense.iter().enumerate().take(4) {
-            assert!((batch.value().get(k, 0) - d).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn params_roundtrip_preserves_scores() {
-        let price = vec![0, 1, 2, 0];
-        let cat = vec![0, 1, 0, 1];
-        let train = vec![(0, 0), (1, 1), (2, 2)];
-        let data = price_data(&train, &price, &cat, 3);
-        let mut m = Pup::new(&data, small_config(PupVariant::Full));
-        crate::trainer::train_bpr(
-            &mut m,
-            3,
-            4,
-            &train,
-            &crate::trainer::TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
-        )
-        .expect("training");
-        let exported = m.export_params();
-        let before = m.score_items(1);
-
-        // A freshly initialized model scores differently; import restores.
-        let mut fresh = Pup::new(&data, PupConfig { seed: 999, ..small_config(PupVariant::Full) });
-        fresh.finalize();
-        assert_ne!(fresh.score_items(1), before);
-        fresh.import_params(&exported).unwrap();
-        let after = fresh.score_items(1);
-        for (a, b) in before.iter().zip(&after) {
-            assert!((a - b).abs() < 1e-12, "import must restore scores exactly");
-        }
-    }
-
-    #[test]
-    fn import_rejects_mismatched_shapes_and_garbage() {
-        let price = vec![0, 1];
-        let cat = vec![0, 0];
-        let train = vec![(0, 0)];
-        let data = price_data(&train, &price, &cat, 2);
-        let mut m = Pup::new(&data, small_config(PupVariant::Full));
-        assert!(m.import_params("nonsense").is_err());
-        // Export from a different-dimension model must be rejected.
-        let mut big = Pup::new(
-            &data,
-            PupConfig { global_dim: 20, category_dim: 4, ..small_config(PupVariant::Full) },
-        );
-        big.finalize();
-        let err = m.import_params(&big.export_params()).unwrap_err();
-        assert!(err.contains("shape"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::time::Instant;
 use pup_ckpt::chaos::FaultPlan;
 use pup_eval::try_rank_candidates;
 use pup_models::ScoreError;
-use pup_obs::recorder::FlightRecord;
 use pup_obs::slo::SloEngine;
 use pup_obs::trace::{TraceContext, TraceId, TraceSink};
 
@@ -25,9 +24,9 @@ use crate::stats::{ServeReport, ServeStats};
 use crate::swap::{SwapConfig, SwapController};
 use crate::{Request, Response, ServeConfig, ServeError, Source, Stage};
 
-/// Everything the pipeline shares across requests and worker threads.
-/// Models are deliberately absent — scorers are per-worker (see
-/// [`crate::scorer`]); this struct holds only `Send + Sync` state.
+/// Everything the pipeline shares across requests and worker threads;
+/// all of it is `Send + Sync`. The scorers live in the swap controller
+/// (see [`crate::swap`]).
 pub struct ServiceShared {
     /// Pipeline tunables.
     pub cfg: ServeConfig,
@@ -417,22 +416,7 @@ pub fn handle_now(
     let ctx = request_span.ctx();
     let result = process(shared, scorer, req, &mut deadline, &ctx);
     drop(request_span);
-    if let Some(postmortem) = &shared.postmortem {
-        let total_ns = match &result {
-            Ok(resp) => resp.latency_ns,
-            Err(_) => deadline.elapsed_ns(),
-        };
-        postmortem.record(FlightRecord {
-            seq: trace.0,
-            trace: trace.0,
-            source: crate::flight::source_code(&result),
-            queue_ns: 0,
-            total_ns,
-            breaker: crate::flight::breaker_code(shared.breaker.state()),
-            generation: shared.swap.active_gen(),
-        });
-        postmortem.poll(shared);
-    }
+    crate::flight::record_request(shared, trace, 0, &result, &deadline);
     result
 }
 

@@ -20,8 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pup_obs::recorder::{FlightRecord, FlightRecorder};
+use pup_obs::trace::TraceId;
 
 use crate::breaker::BreakerState;
+use crate::deadline::Deadline;
 use crate::engine::ServiceShared;
 use crate::swap::SwapOutcome;
 use crate::{Response, ServeError, Source, Stage};
@@ -75,6 +77,33 @@ pub fn breaker_label(code: u64) -> &'static str {
         2 => "half-open",
         _ => "unknown",
     }
+}
+
+/// Records one finished request in the flight ring and polls the dump
+/// triggers: the post-request step of both the worker loop and
+/// [`crate::engine::handle_now`]. A no-op without a recorder.
+pub(crate) fn record_request(
+    shared: &ServiceShared,
+    trace: TraceId,
+    queue_ns: u64,
+    result: &Result<Response, ServeError>,
+    deadline: &Deadline,
+) {
+    let Some(postmortem) = &shared.postmortem else { return };
+    let total_ns = match result {
+        Ok(resp) => resp.latency_ns,
+        Err(_) => deadline.elapsed_ns(),
+    };
+    postmortem.record(FlightRecord {
+        seq: trace.0,
+        trace: trace.0,
+        source: source_code(result),
+        queue_ns,
+        total_ns,
+        breaker: breaker_code(shared.breaker.state()),
+        generation: shared.swap.active_gen(),
+    });
+    postmortem.poll(shared);
 }
 
 /// One service's flight-recorder policy: the ring, the dump directory,

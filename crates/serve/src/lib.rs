@@ -60,11 +60,11 @@ pub use engine::ServiceShared;
 pub use fallback::Fallback;
 pub use faults::{AttemptFaults, FaultInjector};
 pub use flight::PostMortem;
-pub use loadgen::{run_closed_loop, run_closed_loop_with_swap, BenchConfig, SwapPlan};
+pub use loadgen::{run_closed_loop, BenchConfig, SwapPlan};
 pub use net::{Gateway, NetConfig, NetError, NetReport, TenantConfig};
 pub use pup_models::ScoreError;
 pub use queue::AdmissionQueue;
-pub use scorer::{RecommenderScorer, Scorer, ScorerFactory};
+pub use scorer::{RecommenderScorer, Scorer};
 pub use server::{ResponseHandle, Server};
 pub use stats::{ServeReport, ServeStats};
 pub use swap::{
@@ -117,7 +117,7 @@ pub enum ServeError {
     Score(ScoreError),
     /// The service is shutting down and no longer admits requests.
     Shutdown,
-    /// A worker failed to construct its scorer replica at startup.
+    /// The active generation's scorer could not be built at startup.
     WorkerInit(String),
     /// The worker answering this request died before replying. Indicates a
     /// bug (workers never panic by contract); surfaced instead of hanging.
@@ -135,7 +135,7 @@ impl fmt::Display for ServeError {
             }
             Self::Score(e) => write!(f, "scoring rejected the request: {e}"),
             Self::Shutdown => f.write_str("service is shutting down"),
-            Self::WorkerInit(e) => write!(f, "worker failed to build its scorer: {e}"),
+            Self::WorkerInit(e) => write!(f, "failed to build the serving scorer: {e}"),
             Self::ChannelClosed => f.write_str("worker died before replying"),
         }
     }
@@ -211,7 +211,7 @@ pub struct Response {
 pub struct ServeConfig {
     /// Bounded admission-queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Worker threads, each owning a private scorer replica.
+    /// Worker threads; all of them share one scorer per model generation.
     pub workers: usize,
     /// Per-request deadline budget in nanoseconds.
     pub deadline_ns: u64,

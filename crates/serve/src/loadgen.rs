@@ -26,7 +26,6 @@ use pup_ckpt::registry::ModelRegistry;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::ServiceShared;
-use crate::scorer::ScorerFactory;
 use crate::server::Server;
 use crate::stats::ServeReport;
 use crate::swap::{initiate_swap, wire_registry_promotion, GenScorerFactory};
@@ -64,21 +63,11 @@ pub struct SwapPlan {
 /// Runs the closed loop against a freshly started server and returns the
 /// aggregated report. Every request ends in exactly one bucket: answered
 /// (primary or degraded) or typed-rejected — a panic or hang anywhere in
-/// the pipeline fails the bench.
+/// the pipeline fails the bench. With `swap` set, promotion is wired into
+/// the registry's `CURRENT` pointer, and the client whose submission
+/// counter hits `at_request` initiates the swap while traffic keeps
+/// flowing.
 pub fn run_closed_loop(
-    shared: Arc<ServiceShared>,
-    factory: ScorerFactory,
-    bench: BenchConfig,
-) -> Result<ServeReport, ServeError> {
-    let gen_factory: GenScorerFactory = Arc::new(move |_gen| factory());
-    run_closed_loop_with_swap(shared, gen_factory, bench, None)
-}
-
-/// [`run_closed_loop`] with a generation-aware factory and an optional
-/// mid-load hot swap: when `swap` is set, promotion is wired into the
-/// registry's `CURRENT` pointer, and the client whose submission counter
-/// hits `at_request` initiates the swap while traffic keeps flowing.
-pub fn run_closed_loop_with_swap(
     shared: Arc<ServiceShared>,
     factory: GenScorerFactory,
     bench: BenchConfig,
@@ -96,13 +85,12 @@ pub fn run_closed_loop_with_swap(
     // Scoped threads borrow the server instead of sharing an Arc, so the
     // shutdown below is *unconditional* — the previous Arc::try_unwrap
     // formulation silently skipped it whenever a clone outlived the join,
-    // leaking worker threads (and their scorer replicas) past the bench.
+    // leaking worker threads past the bench.
     std::thread::scope(|scope| {
         for client in 0..clients {
             let server = &server;
             let shared = &shared;
-            // pup-lint: allow(clone-in-loop) — one Arc bump per client thread, at startup only.
-            let factory = factory.clone();
+            let factory = &factory;
             let submitted = &submitted;
             let swap = swap.as_ref();
             let quota = per_client + usize::from(client < remainder);
@@ -116,7 +104,7 @@ pub fn run_closed_loop_with_swap(
                             // Initiation failures (validation, NaN probe) are
                             // already recorded as rolled-back transitions; the
                             // bench keeps serving the old generation.
-                            let _ = initiate_swap(shared, registry, &factory, plan.to_gen);
+                            let _ = initiate_swap(shared, registry, factory, plan.to_gen);
                         }
                     }
                     let user = if n_users == usize::MAX || n_users == 0 {
@@ -333,17 +321,17 @@ mod tests {
     fn closed_loop_answers_every_admitted_request() {
         let fallback = Fallback::from_train(8, 6, &[(0, 1), (1, 2)]).unwrap();
         let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 8));
-        let factory: ScorerFactory = Arc::new(|| Ok(Box::new(Flat)));
+        let factory: GenScorerFactory = Arc::new(|_gen| Ok(Box::new(Flat)));
         let bench = BenchConfig { requests: 50, clients: 3, k: 4, seed: 11 };
-        let report = run_closed_loop(shared, factory, bench).expect("bench runs");
+        let report = run_closed_loop(shared, factory, bench, None).expect("bench runs");
         assert_eq!(report.submitted, 50);
         assert_eq!(report.submitted, report.admitted + report.shed);
         assert_eq!(report.admitted, report.primary + report.degraded());
         assert!(report.availability >= 0.99, "availability {}", report.availability);
     }
 
-    /// A scorer that reports its own liveness: the worker's replica bumps
-    /// the shared counter on creation and decrements it on drop.
+    /// A scorer that reports its own liveness: it bumps the shared counter
+    /// on creation and decrements it on drop.
     struct Counted(Arc<AtomicU64>);
 
     impl Counted {
@@ -373,9 +361,9 @@ mod tests {
 
     /// Regression for the shutdown leak: the bench used to hold the
     /// server in an `Arc` and only shut it down when `Arc::try_unwrap`
-    /// happened to succeed — when it did not, worker threads (and their
-    /// scorer replicas) silently outlived the bench. Scoped clients make
-    /// the shutdown unconditional; zero replicas must survive the return.
+    /// happened to succeed — when it did not, worker threads (and the
+    /// scorer they hold) silently outlived the bench. Scoped clients make
+    /// the shutdown unconditional; no scorer may survive the return.
     #[test]
     fn closed_loop_always_shuts_the_server_down() {
         let live = Arc::new(AtomicU64::new(0));
@@ -386,12 +374,12 @@ mod tests {
             Arc::new(move |_gen| Ok(Box::new(Counted::spawn(&live)) as Box<dyn Scorer>))
         };
         let bench = BenchConfig { requests: 30, clients: 2, k: 4, seed: 3 };
-        let report = run_closed_loop_with_swap(shared, factory, bench, None).expect("bench runs");
+        let report = run_closed_loop(shared, factory, bench, None).expect("bench runs");
         assert_eq!(report.submitted, 30);
         assert_eq!(
             live.load(Ordering::SeqCst),
             0,
-            "every worker's scorer replica must be dropped before the bench returns"
+            "the served scorer must be dropped before the bench returns"
         );
     }
 
@@ -438,8 +426,9 @@ mod tests {
     fn open_loop_accounts_every_arrival_exactly_once() {
         let fallback = Fallback::from_train(8, 6, &[(0, 1), (1, 2)]).unwrap();
         let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 8));
-        let factory: ScorerFactory = Arc::new(|| Ok(Box::new(Flat)));
-        let server = Server::start(Arc::clone(&shared), factory).expect("server starts");
+        let factory: GenScorerFactory = Arc::new(|_gen| Ok(Box::new(Flat)));
+        let server =
+            Server::start_with_generations(Arc::clone(&shared), factory).expect("server starts");
         let plan = open_loop_plan(&OpenLoopConfig { requests: 40, ..Default::default() }, 8);
         let report = run_open_loop(&server, &plan, 5);
         server.shutdown();

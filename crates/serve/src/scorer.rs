@@ -1,17 +1,16 @@
 //! The primary-scorer abstraction and its model adapter.
 //!
-//! `pup-tensor` autograd nodes are `Rc<RefCell<…>>` handles — a trained
-//! model is deliberately **not** `Send`/`Sync`. The service therefore
-//! never shares a model across threads: each worker thread invokes a
-//! [`ScorerFactory`] once at startup and owns a private replica, exactly
-//! the way a real fleet loads one copy of the checkpoint per process.
+//! A [`Scorer`] is `Send + Sync`: the service builds one per model
+//! generation and every worker thread scores on that one copy. Trained
+//! models become scorers through their frozen form
+//! ([`Recommender::freeze`]): plain-data parameters with the model's own
+//! inference code, so the autograd `Var`s (`Rc<RefCell>`) never cross a
+//! thread.
 
-use std::sync::Arc;
+use pup_models::{Frozen, Recommender, ScoreError};
 
-use pup_models::{Recommender, ScoreError};
-
-/// A loaded model replica that scores the full catalog for one user.
-pub trait Scorer {
+/// A loaded model generation that scores the full catalog for one user.
+pub trait Scorer: Send + Sync {
     /// Model name for reports (e.g. `"PUP"`, `"BPR-MF"`).
     fn name(&self) -> &str;
 
@@ -23,22 +22,17 @@ pub trait Scorer {
     fn score(&self, user: usize) -> Result<Vec<f64>, ScoreError>;
 }
 
-/// Builds one scorer replica per worker thread. The factory itself crosses
-/// threads (it is `Send + Sync`); the scorers it builds never do. Errors
-/// are stringly typed because model loading spans several error domains
-/// (checkpoint, training, IO).
-pub type ScorerFactory = Arc<dyn Fn() -> Result<Box<dyn Scorer>, String> + Send + Sync>;
-
-/// Adapts any [`Recommender`] into a [`Scorer`].
+/// Adapts any [`Recommender`] into a [`Scorer`] by freezing it.
 pub struct RecommenderScorer {
-    model: Box<dyn Recommender>,
+    model: Frozen,
     n_items: usize,
 }
 
 impl RecommenderScorer {
-    /// Wraps `model`, which scores a catalog of `n_items` items.
+    /// Freezes `model`, which scores a catalog of `n_items` items; the
+    /// trained model itself is dropped.
     pub fn new(model: Box<dyn Recommender>, n_items: usize) -> Self {
-        Self { model, n_items }
+        Self { model: model.freeze(), n_items }
     }
 }
 

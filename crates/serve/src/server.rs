@@ -1,10 +1,11 @@
 //! The multi-threaded scoring server.
 //!
-//! N worker threads drain one bounded [`AdmissionQueue`]; each worker owns
-//! a private scorer replica built by the [`ScorerFactory`] (autograd
-//! models are not `Send`, so sharing is structurally impossible — see
-//! [`crate::scorer`]). Submission is non-blocking: over-capacity traffic
-//! is shed with a typed error at the call site, and every admitted job is
+//! N worker threads drain one bounded [`AdmissionQueue`] and score on one
+//! shared scorer per model generation: the server builds the active
+//! generation once before it spawns workers, and the swap controller
+//! hands later generations to every worker as an `Arc` (see
+//! [`crate::swap`]). Submission is non-blocking: over-capacity traffic is
+//! shed with a typed error at the call site, and every admitted job is
 //! eventually answered through its reply channel, even during shutdown.
 
 use std::sync::mpsc;
@@ -12,13 +13,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use pup_obs::recorder::FlightRecord;
 use pup_obs::trace::{TraceId, TraceSpan};
 
 use crate::deadline::Deadline;
 use crate::engine::ServiceShared;
 use crate::queue::{AdmissionQueue, PushRefused};
-use crate::scorer::ScorerFactory;
 use crate::swap::{GenScorerFactory, WorkerModel};
 use crate::{Request, Response, ServeError};
 
@@ -60,46 +59,23 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts `shared.cfg.workers` worker threads, each building its own
-    /// scorer via `factory`. Fails (and tears everything down) if any
-    /// worker cannot construct its replica.
-    pub fn start(shared: Arc<ServiceShared>, factory: ScorerFactory) -> Result<Self, ServeError> {
-        // A generation-agnostic factory: every generation scores on the
-        // same replica, which makes the swap controller inert.
-        let gen_factory: GenScorerFactory = Arc::new(move |_gen| factory());
-        Self::start_with_generations(shared, gen_factory)
-    }
-
-    /// Starts the server with a generation-aware factory: each worker owns
-    /// a [`WorkerModel`] that follows the swap controller, scoring on the
-    /// active generation and shadow-scoring candidates during a swap.
+    /// Builds the active generation's scorer once via `factory`, then
+    /// starts `shared.cfg.workers` worker threads that all score on it and
+    /// follow the swap controller through later generations. Fails with
+    /// [`ServeError::WorkerInit`] when the scorer cannot be built.
     pub fn start_with_generations(
         shared: Arc<ServiceShared>,
         factory: GenScorerFactory,
     ) -> Result<Self, ServeError> {
-        let n_workers = shared.cfg.workers.max(1);
+        let model = WorkerModel::build(&shared, &factory).map_err(ServeError::WorkerInit)?;
         let queue = Arc::new(AdmissionQueue::<Job>::new(shared.cfg.queue_capacity));
-        let (init_tx, init_rx) = mpsc::channel::<Result<(), String>>();
-        let mut workers = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
+        let mut workers = Vec::with_capacity(shared.cfg.workers.max(1));
+        for _ in 0..shared.cfg.workers.max(1) {
             let shared = Arc::clone(&shared);
             let queue = Arc::clone(&queue);
-            let factory = Arc::clone(&factory);
-            // pup-lint: allow(clone-in-loop) — one sender handle per worker, at startup only.
-            let init_tx = init_tx.clone();
+            // pup-lint: allow(clone-in-loop) — two Arc bumps per worker, at startup only.
+            let mut model = model.clone();
             workers.push(std::thread::spawn(move || {
-                // The replicas must be built on this thread: not Send.
-                let mut model = match WorkerModel::build(&shared, factory) {
-                    Ok(m) => {
-                        let _ = init_tx.send(Ok(()));
-                        m
-                    }
-                    Err(e) => {
-                        let _ = init_tx.send(Err(e));
-                        return;
-                    }
-                };
-                drop(init_tx);
                 while let Some(job) = queue.pop() {
                     let Job { req, mut deadline, enqueued, trace, request_span, queue_span, reply } =
                         job;
@@ -111,47 +87,12 @@ impl Server {
                     let ctx = request_span.ctx();
                     let result = model.handle(&shared, req, &mut deadline, &ctx);
                     drop(request_span);
-                    if let Some(postmortem) = &shared.postmortem {
-                        let total_ns = match &result {
-                            Ok(resp) => resp.latency_ns,
-                            Err(_) => deadline.elapsed_ns(),
-                        };
-                        postmortem.record(FlightRecord {
-                            seq: trace.0,
-                            trace: trace.0,
-                            source: crate::flight::source_code(&result),
-                            queue_ns: wait_ns,
-                            total_ns,
-                            breaker: crate::flight::breaker_code(shared.breaker.state()),
-                            generation: shared.swap.active_gen(),
-                        });
-                        postmortem.poll(&shared);
-                    }
+                    crate::flight::record_request(&shared, trace, wait_ns, &result, &deadline);
                     // A dropped receiver means the client stopped waiting;
                     // the work is complete either way.
                     let _ = reply.send(result);
                 }
             }));
-        }
-        drop(init_tx);
-        for _ in 0..n_workers {
-            match init_rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    queue.close();
-                    for w in workers {
-                        let _ = w.join();
-                    }
-                    return Err(ServeError::WorkerInit(e));
-                }
-                Err(_) => {
-                    queue.close();
-                    for w in workers {
-                        let _ = w.join();
-                    }
-                    return Err(ServeError::WorkerInit("worker died during startup".into()));
-                }
-            }
         }
         Ok(Self { shared, queue, workers })
     }
@@ -233,14 +174,10 @@ impl Server {
         }
     }
 
-    /// Stops admitting, drains the queue, and joins every worker. Admitted
-    /// requests are still answered before workers exit.
-    pub fn shutdown(mut self) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
+    /// Stops admitting, drains the queue, and joins every worker (what
+    /// dropping the server does). Admitted requests are still answered
+    /// before workers exit.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Server {
@@ -279,8 +216,8 @@ mod tests {
     fn start_server(cfg: ServeConfig) -> Server {
         let fallback = Fallback::from_train(4, 8, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let shared = Arc::new(ServiceShared::new(cfg, fallback, 4));
-        let factory: ScorerFactory = Arc::new(|| Ok(Box::new(Flat { n_items: 8 })));
-        Server::start(shared, factory).expect("server start")
+        let factory: GenScorerFactory = Arc::new(|_gen| Ok(Box::new(Flat { n_items: 8 })));
+        Server::start_with_generations(shared, factory).expect("server start")
     }
 
     #[test]
@@ -314,8 +251,8 @@ mod tests {
     fn worker_init_failure_is_typed_and_clean() {
         let fallback = Fallback::from_train(2, 4, &[]).unwrap();
         let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 2));
-        let factory: ScorerFactory = Arc::new(|| Err("no checkpoint".to_string()));
-        match Server::start(shared, factory) {
+        let factory: GenScorerFactory = Arc::new(|_gen| Err("no checkpoint".to_string()));
+        match Server::start_with_generations(shared, factory) {
             Err(ServeError::WorkerInit(msg)) => assert!(msg.contains("no checkpoint")),
             Err(e) => panic!("expected WorkerInit, got {e}"),
             Ok(_) => panic!("expected WorkerInit, got a running server"),

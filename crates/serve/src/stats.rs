@@ -36,7 +36,6 @@ pub struct ServeStats {
     swaps_started: AtomicU64,
     shadow_scored: AtomicU64,
     shadow_errors: AtomicU64,
-    swap_rebuild_failures: AtomicU64,
     total_ns: Mutex<Histogram>,
     queue_wait_ns: Mutex<Histogram>,
     primary_ns: Mutex<Histogram>,
@@ -90,7 +89,6 @@ impl ServeStats {
         note_swap_started => swaps_started,
         note_shadow_scored => shadow_scored,
         note_shadow_error => shadow_errors,
-        note_swap_rebuild_failure => swap_rebuild_failures,
     }
 
     /// Records an observed queue depth (keeps the maximum).
@@ -190,7 +188,6 @@ impl ServeStats {
             swaps_started: get(&self.swaps_started),
             shadow_scored: get(&self.shadow_scored),
             shadow_errors: get(&self.shadow_errors),
-            swap_rebuild_failures: get(&self.swap_rebuild_failures),
             shadow_overlap,
             shadow_delta,
             active_gen: 0,
@@ -226,7 +223,6 @@ impl ServeStats {
         pup_obs::counter_add("swap.started", r.swaps_started);
         pup_obs::counter_add("swap.shadow_scored", r.shadow_scored);
         pup_obs::counter_add("swap.shadow_errors", r.shadow_errors);
-        pup_obs::counter_add("swap.rebuild_failures", r.swap_rebuild_failures);
         for (name, summary) in [
             ("serve.latency.total_ns", &r.total_ns),
             ("serve.latency.queue_wait_ns", &r.queue_wait_ns),
@@ -297,10 +293,8 @@ pub struct ServeReport {
     pub swaps_started: u64,
     /// Shadow comparisons attempted (successful or not).
     pub shadow_scored: u64,
-    /// Shadow scoring failures (build/score errors, NaN scores).
+    /// Shadow scoring failures (score errors, NaN scores).
     pub shadow_errors: u64,
-    /// Worker replica rebuilds that failed (old replica kept serving).
-    pub swap_rebuild_failures: u64,
     /// Shadow top-K overlap distribution (0..=1).
     pub shadow_overlap: Option<HistSummary>,
     /// Shadow mean-absolute score-delta distribution.
@@ -417,14 +411,13 @@ impl ServeReport {
                 .count();
             out.push_str(&format!(
                 "swap:         serving gen {} | {} attempts | {} promoted | {} rolled back | \
-                 {} shadowed ({} errors) | {} rebuild failures\n",
+                 {} shadowed ({} errors)\n",
                 self.active_gen,
                 self.swaps_started,
                 promoted,
                 self.swap_transitions.len() - promoted,
                 self.shadow_scored,
-                self.shadow_errors,
-                self.swap_rebuild_failures
+                self.shadow_errors
             ));
             if let Some(s) = &self.shadow_overlap {
                 out.push_str(&format!(

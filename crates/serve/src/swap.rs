@@ -20,14 +20,16 @@
 //!    PROMOTE (flip CURRENT)  ROLLBACK (N keeps serving)
 //! ```
 //!
-//! Workers never block on a swap: each [`WorkerModel`] checks one atomic
-//! version counter per request and only rebuilds replicas *between*
-//! requests, so in-flight work always drains on the scorer it started
-//! with and not a single request is dropped by a swap — promotion failure
-//! included. Every resolved attempt appends a [`SwapTransition`] to the
-//! controller's trace; with the same seed and the same
-//! `pup_ckpt::chaos::FaultPlan` swap faults (consume-once, keyed by swap
-//! attempt), the trace replays identically.
+//! Each generation is built once and shared: [`initiate_swap`]'s probe
+//! build becomes the candidate the controller holds, and promotion moves
+//! it into the active slot as an `Arc`. Workers never block on a swap:
+//! each [`WorkerModel`] checks one atomic version counter per request and
+//! re-reads the shared scorers only *between* requests, so in-flight work
+//! always drains on the scorer it started with and not a single request
+//! is dropped by a swap — promotion failure included. Every resolved
+//! attempt appends a [`SwapTransition`] to the controller's trace; with
+//! the same seed and the same `pup_ckpt::chaos::FaultPlan` swap faults
+//! (consume-once, keyed by swap attempt), the trace replays identically.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -39,9 +41,9 @@ use crate::faults::FaultInjector;
 use crate::scorer::Scorer;
 use crate::{Request, Response};
 
-/// Builds one scorer replica for a *specific* model generation. The
-/// generation-agnostic [`crate::scorer::ScorerFactory`] is the degenerate
-/// case (it ignores the argument).
+/// Builds the scorer of a *specific* model generation: once for the
+/// active generation when the server starts, and once per swap for the
+/// candidate.
 pub type GenScorerFactory = Arc<dyn Fn(u64) -> Result<Box<dyn Scorer>, String> + Send + Sync>;
 
 /// Decides whether a shadow-validated generation actually becomes
@@ -62,7 +64,7 @@ pub enum RollbackReason {
     NanProbe,
     /// Shadow top-K overlap fell below the configured floor.
     ShadowDivergence,
-    /// Shadow scoring itself failed (replica build or score error).
+    /// Shadow scoring itself failed (a score error).
     ShadowError,
     /// The process died mid pointer-flip; the old generation still serves.
     KilledMidFlip,
@@ -190,6 +192,9 @@ impl Default for SwapConfig {
 struct Pending {
     seq: u64,
     to_gen: u64,
+    /// The candidate's scorer, built once by [`initiate_swap`] and shared
+    /// by every worker's shadow pass.
+    candidate: Arc<dyn Scorer>,
     budget: u64,
     remaining: u64,
     shadowed: u64,
@@ -199,6 +204,8 @@ struct Pending {
 }
 
 struct Inner {
+    /// The active generation's scorer; `None` until the server installs it.
+    active_scorer: Option<Arc<dyn Scorer>>,
     pending: Option<Pending>,
     transitions: Vec<SwapTransition>,
     promote_hook: Option<PromoteHook>,
@@ -208,9 +215,9 @@ struct Inner {
 ///
 /// The serving generation and a version counter live in atomics so the
 /// per-request fast path is a single relaxed load; everything stateful
-/// (the pending shadow window, the transition trace, the promote hook)
-/// sits behind one mutex that is only touched on version changes and
-/// shadow observations.
+/// (the active and candidate scorers, the pending shadow window, the
+/// transition trace, the promote hook) sits behind one mutex that is only
+/// touched on version changes and shadow observations.
 pub struct SwapController {
     cfg: SwapConfig,
     active: AtomicU64,
@@ -237,7 +244,12 @@ impl SwapController {
             active: AtomicU64::new(active_gen),
             version: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
-            inner: Mutex::new(Inner { pending: None, transitions: Vec::new(), promote_hook: None }),
+            inner: Mutex::new(Inner {
+                active_scorer: None,
+                pending: None,
+                transitions: Vec::new(),
+                promote_hook: None,
+            }),
         }
     }
 
@@ -248,8 +260,9 @@ impl SwapController {
         AtomicU64::load(&self.active, Ordering::Acquire)
     }
 
-    /// Monotonic counter bumped on every shadow start / promote /
-    /// rollback; workers resync their replicas when it moves.
+    /// Monotonic counter bumped on every scorer install / shadow start /
+    /// promote / rollback; workers re-read the shared scorers when it
+    /// moves.
     pub fn version(&self) -> u64 {
         AtomicU64::load(&self.version, Ordering::Acquire)
     }
@@ -268,6 +281,24 @@ impl SwapController {
     /// Installs the durable promotion hook (registry pointer flip).
     pub fn set_promote_hook(&self, hook: PromoteHook) {
         locked(&self.inner).promote_hook = Some(hook);
+    }
+
+    /// Installs the active generation's scorer (server start-up).
+    fn install(&self, scorer: Arc<dyn Scorer>) {
+        locked(&self.inner).active_scorer = Some(scorer);
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
+    /// A worker view of the shared scorers, read under one lock so the
+    /// version and both scorers agree; `None` before [`Self::install`].
+    fn worker_view(&self) -> Option<WorkerModel> {
+        let inner = locked(&self.inner);
+        Some(WorkerModel {
+            version: self.version(),
+            primary_gen: self.active_gen(),
+            primary: Arc::clone(inner.active_scorer.as_ref()?),
+            shadow: inner.pending.as_ref().map(|p| (p.to_gen, Arc::clone(&p.candidate))),
+        })
     }
 
     /// The candidate generation currently being shadowed, if any.
@@ -295,15 +326,17 @@ impl SwapController {
         AtomicU64::fetch_add(&self.rollbacks, 1, Ordering::Release);
     }
 
-    /// Opens the shadow window for `to_gen`. With a zero shadow budget the
-    /// attempt resolves immediately (promotion on validation alone).
-    /// `forced_divergence` is the injected shadow-divergence fault: every
-    /// shadow observation in this window reads as zero overlap.
+    /// Opens the shadow window for `to_gen`, scored by `candidate`. With a
+    /// zero shadow budget the attempt resolves immediately (promotion on
+    /// validation alone). `forced_divergence` is the injected
+    /// shadow-divergence fault: every shadow observation in this window
+    /// reads as zero overlap.
     pub fn begin_shadow(
         &self,
         faults: &FaultInjector,
         seq: u64,
         to_gen: u64,
+        candidate: Arc<dyn Scorer>,
         forced_divergence: bool,
     ) -> Result<(), SwapError> {
         let mut inner = locked(&self.inner);
@@ -317,6 +350,7 @@ impl SwapController {
         inner.pending = Some(Pending {
             seq,
             to_gen,
+            candidate,
             budget,
             remaining: budget,
             shadowed: 0,
@@ -327,7 +361,7 @@ impl SwapController {
         if budget == 0 {
             self.resolve(&mut inner, faults);
         }
-        // Workers see the bump and build their shadow replicas.
+        // Workers see the bump and pick up the shared candidate.
         self.version.fetch_add(1, Ordering::Release);
         pup_obs::counter_add("swap.shadow_windows", 1);
         Ok(())
@@ -354,9 +388,9 @@ impl SwapController {
         }
     }
 
-    /// Marks the pending window as failed (shadow scoring error, NaN,
-    /// replica build failure) and resolves it immediately — instant
-    /// rollback, the serving generation never changes.
+    /// Marks the pending window as failed (shadow scoring error, NaN) and
+    /// resolves it immediately — instant rollback, the serving generation
+    /// never changes.
     pub fn record_shadow_failure(
         &self,
         faults: &FaultInjector,
@@ -383,8 +417,9 @@ impl SwapController {
     }
 
     /// Resolves the pending attempt: decides promote vs. rollback, runs
-    /// the durable hook, updates the serving generation, and appends to
-    /// the trace. Caller holds the lock; `pending` must be `Some`.
+    /// the durable hook, moves a promoted candidate into the active slot,
+    /// and appends to the trace. Caller holds the lock; `pending` must be
+    /// `Some`.
     fn resolve(&self, inner: &mut Inner, faults: &FaultInjector) {
         // Qualified call: a bare `.take(…)` would alias to the checkpoint
         // reader's `take` in the token-based call-graph audit.
@@ -410,6 +445,7 @@ impl SwapController {
         };
         if outcome == SwapOutcome::Promoted {
             self.active.store(p.to_gen, Ordering::Release);
+            inner.active_scorer = Some(p.candidate);
         } else {
             AtomicU64::fetch_add(&self.rollbacks, 1, Ordering::Release);
         }
@@ -418,45 +454,41 @@ impl SwapController {
     }
 }
 
-/// One worker thread's view of the model lifecycle: the primary replica
-/// it scores admissions on, plus (while a swap is shadowing) a candidate
-/// replica scored alongside it.
+/// One worker thread's view of the model lifecycle: the shared scorer of
+/// the active generation, plus (while a swap is shadowing) the shared
+/// candidate scored alongside it.
 ///
-/// Replicas are rebuilt only *between* requests, on a version change —
-/// in-flight work drains on the scorer it started with. A replica build
-/// failure keeps the old scorer serving (counted, never fatal), so a swap
-/// can never take availability down.
+/// The view is re-read only *between* requests, on a version change —
+/// in-flight work drains on the scorer it started with. Every worker
+/// holds `Arc`s to the same scorers; none builds its own.
+#[derive(Clone)]
 pub struct WorkerModel {
-    factory: GenScorerFactory,
     version: u64,
     primary_gen: u64,
-    primary: Box<dyn Scorer>,
-    shadow: Option<(u64, Box<dyn Scorer>)>,
+    primary: Arc<dyn Scorer>,
+    shadow: Option<(u64, Arc<dyn Scorer>)>,
 }
 
 impl WorkerModel {
-    /// Builds the worker's primary replica for the currently active
-    /// generation. Must run on the worker's own thread (scorers are not
-    /// `Send`).
-    pub fn build(shared: &ServiceShared, factory: GenScorerFactory) -> Result<Self, String> {
-        let version = shared.swap.version();
-        let primary_gen = shared.swap.active_gen();
-        let primary = (factory)(primary_gen)?;
-        Ok(Self { factory, version, primary_gen, primary, shadow: None })
+    /// Builds the active generation's scorer — once — and installs it in
+    /// the controller. Clone the returned view for every further worker.
+    pub fn build(shared: &ServiceShared, factory: &GenScorerFactory) -> Result<Self, String> {
+        shared.swap.install(Arc::from(factory(shared.swap.active_gen())?));
+        shared.swap.worker_view().ok_or_else(|| "no scorer installed".to_string())
     }
 
-    /// The generation this worker's primary replica was built from.
+    /// The generation this worker's primary scorer belongs to.
     pub fn primary_gen(&self) -> u64 {
         self.primary_gen
     }
 
-    /// Runs one admitted request: resyncs replicas if the swap version
-    /// moved, scores on the primary, and (while shadowing) scores the
-    /// candidate alongside — outside the request's deadline, so shadowing
-    /// can never reject or slow the caller's answer. `ctx` is the
-    /// request's carried trace context; the shadow pass shows up in the
-    /// stitched tree as a `shadow` span so its (off-deadline) cost stays
-    /// visible.
+    /// Runs one admitted request: re-reads the shared scorers if the swap
+    /// version moved, scores on the primary, and (while shadowing) scores
+    /// the candidate alongside — outside the request's deadline, so
+    /// shadowing can never reject or slow the caller's answer. `ctx` is
+    /// the request's carried trace context; the shadow pass shows up in
+    /// the stitched tree as a `shadow` span so its (off-deadline) cost
+    /// stays visible.
     // pup-hot: swap-request
     pub fn handle(
         &mut self,
@@ -465,9 +497,10 @@ impl WorkerModel {
         deadline: &mut crate::deadline::Deadline,
         ctx: &pup_obs::trace::TraceContext,
     ) -> Result<Response, crate::ServeError> {
-        let version = shared.swap.version();
-        if version != self.version {
-            self.resync(shared, version);
+        if shared.swap.version() != self.version {
+            if let Some(view) = shared.swap.worker_view() {
+                *self = view;
+            }
         }
         let result = crate::engine::process(shared, self.primary.as_ref(), req, deadline, ctx);
         if self.shadow.is_some() {
@@ -481,65 +514,13 @@ impl WorkerModel {
         result
     }
 
-    /// Brings replicas in line with the controller: adopts the local
-    /// shadow as primary when its generation was promoted (no rebuild),
-    /// rebuilds otherwise, and opens/closes the shadow replica to match
-    /// the pending window.
-    fn resync(&mut self, shared: &ServiceShared, version: u64) {
-        self.version = version;
-        let active = shared.swap.active_gen();
-        if active != self.primary_gen {
-            // Qualified call: a bare `.take(…)` would alias to the
-            // checkpoint reader's `take` in the call-graph audit.
-            if let Some((shadow_gen, replica)) = Option::take(&mut self.shadow) {
-                if shadow_gen == active {
-                    self.primary = replica;
-                    self.primary_gen = active;
-                }
-            }
-            if self.primary_gen != active {
-                match (self.factory)(active) {
-                    Ok(replica) => {
-                        self.primary = replica;
-                        self.primary_gen = active;
-                    }
-                    Err(_) => {
-                        // Keep answering on the old replica: a failed
-                        // rebuild must cost observability, not availability.
-                        shared.stats.note_swap_rebuild_failure();
-                    }
-                }
-            }
-        }
-        match shared.swap.shadow_pending() {
-            Some(to_gen) => {
-                let have = self.shadow.as_ref().map(|(g, _)| *g);
-                if have != Some(to_gen) {
-                    match (self.factory)(to_gen) {
-                        Ok(replica) => self.shadow = Some((to_gen, replica)),
-                        Err(_) => {
-                            shared.stats.note_swap_rebuild_failure();
-                            shared.swap.record_shadow_failure(
-                                &shared.faults,
-                                to_gen,
-                                RollbackReason::ShadowError,
-                            );
-                            self.shadow = None;
-                        }
-                    }
-                }
-            }
-            None => self.shadow = None,
-        }
-    }
-
-    /// Scores the shadow replica for a primary-answered request, diffs the
-    /// rankings, and reports the observation to the controller + stats.
-    fn shadow_observe(&mut self, shared: &ServiceShared, req: Request, resp: &Response) {
-        let Some((to_gen, replica)) = &self.shadow else { return };
+    /// Scores the shadow candidate for a primary-answered request, diffs
+    /// the rankings, and reports the observation to the controller + stats.
+    fn shadow_observe(&self, shared: &ServiceShared, req: Request, resp: &Response) {
+        let Some((to_gen, candidate)) = &self.shadow else { return };
         let to_gen = *to_gen;
         shared.stats.note_shadow_scored();
-        let shadow_scores = match replica.score(req.user) {
+        let shadow_scores = match candidate.score(req.user) {
             Ok(s) => s,
             Err(_) => {
                 shared.stats.note_shadow_error();
@@ -556,7 +537,7 @@ impl WorkerModel {
             shared.swap.record_shadow_failure(&shared.faults, to_gen, RollbackReason::NanProbe);
             return;
         }
-        let shadow_ranked = match rank_unseen(shared, replica.as_ref(), &shadow_scores, req) {
+        let shadow_ranked = match rank_unseen(shared, candidate.as_ref(), &shadow_scores, req) {
             Ok(r) => r,
             Err(_) => {
                 shared.stats.note_shadow_error();
@@ -619,9 +600,10 @@ fn mean_abs_delta(served: &[u32], primary: &[f64], shadow: &[f64]) -> f64 {
 
 /// Kicks off a swap to `to_gen` against `registry`: consumes this
 /// attempt's chaos faults, validates the candidate (manifest, checksum,
-/// payload decode, NaN probe), and opens the shadow window. A validation
-/// failure is an *instant* rollback — recorded in the trace, surfaced as
-/// a typed [`SwapError`], serving generation untouched.
+/// payload decode, NaN probe), and opens the shadow window with the
+/// probed scorer as the shared candidate. A validation failure is an
+/// *instant* rollback — recorded in the trace, surfaced as a typed
+/// [`SwapError`], serving generation untouched.
 pub fn initiate_swap(
     shared: &ServiceShared,
     registry: &ModelRegistry,
@@ -641,8 +623,8 @@ pub fn initiate_swap(
         shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
         return Err(SwapError::Validation { gen: to_gen, detail: e.to_string() });
     }
-    let probe = match (factory)(to_gen) {
-        Ok(p) => p,
+    let probe: Arc<dyn Scorer> = match (factory)(to_gen) {
+        Ok(p) => Arc::from(p),
         Err(detail) => {
             shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
             return Err(SwapError::Validation { gen: to_gen, detail });
@@ -667,7 +649,7 @@ pub fn initiate_swap(
             }
         }
     }
-    shared.swap.begin_shadow(&shared.faults, seq, to_gen, forced_divergence)
+    shared.swap.begin_shadow(&shared.faults, seq, to_gen, probe, forced_divergence)
 }
 
 /// Installs the standard durable promotion hook: the registry's atomic

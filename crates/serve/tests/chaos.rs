@@ -13,8 +13,8 @@ use pup_ckpt::chaos::FaultPlan;
 use pup_serve::breaker::Transition;
 use pup_serve::engine::handle_now;
 use pup_serve::{
-    run_closed_loop, BenchConfig, BreakerConfig, BreakerState, Fallback, Request, ScoreError,
-    Scorer, ScorerFactory, ServeConfig, ServeError, ServiceShared, Source,
+    run_closed_loop, BenchConfig, BreakerConfig, BreakerState, Fallback, GenScorerFactory, Request,
+    ScoreError, Scorer, ServeConfig, ServeError, ServiceShared, Source,
 };
 
 /// Deterministic stand-in for a model replica: favors high item ids.
@@ -146,10 +146,10 @@ fn closed_loop_chaos_run_is_reproducible_and_meets_slo() {
             ..Default::default()
         };
         let shared = Arc::new(ServiceShared::with_faults(cfg, fallback(), N_USERS, plan));
-        let factory: ScorerFactory =
-            Arc::new(|| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
+        let factory: GenScorerFactory =
+            Arc::new(|_gen| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
         let bench = BenchConfig { requests: 60, clients: 1, k: 3, seed: 42 };
-        run_closed_loop(Arc::clone(&shared), factory, bench).expect("chaos bench must finish")
+        run_closed_loop(Arc::clone(&shared), factory, bench, None).expect("chaos bench must finish")
     };
     let a = run();
     let b = run();
@@ -220,9 +220,9 @@ fn over_capacity_submissions_are_shed_with_typed_rejections() {
     let shared = Arc::new(ServiceShared::new(cfg, fallback(), N_USERS));
     let (started_tx, started_rx) = std::sync::mpsc::channel();
     let release = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-    let factory: ScorerFactory = {
+    let factory: GenScorerFactory = {
         let release = Arc::clone(&release);
-        Arc::new(move || {
+        Arc::new(move |_gen| {
             Ok(Box::new(Gated {
                 inner: Linear { n_users: N_USERS, n_items: N_ITEMS },
                 started: started_tx.clone(),
@@ -230,7 +230,8 @@ fn over_capacity_submissions_are_shed_with_typed_rejections() {
             }))
         })
     };
-    let server = pup_serve::Server::start(Arc::clone(&shared), factory).expect("start");
+    let server =
+        pup_serve::Server::start_with_generations(Arc::clone(&shared), factory).expect("start");
 
     // First request: the lone worker picks it up and parks inside score().
     let h1 = server.submit(Request { user: 0, k: 2 }).expect("admitted");

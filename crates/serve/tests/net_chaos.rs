@@ -17,7 +17,7 @@ use pup_serve::net::{
     handle_connection, HttpClient, MemTransport, NetConfig, NetShared, TenantConfig,
 };
 use pup_serve::{
-    Fallback, Gateway, ScoreError, Scorer, ScorerFactory, ServeConfig, Server, ServiceShared,
+    Fallback, Gateway, GenScorerFactory, ScoreError, Scorer, ServeConfig, Server, ServiceShared,
 };
 
 const N_USERS: usize = 8;
@@ -44,8 +44,9 @@ fn fallback() -> Fallback {
     Fallback::from_train(N_USERS, N_ITEMS, &[(0, 1), (1, 2), (2, 3), (3, 2)]).expect("fallback")
 }
 
-fn factory() -> ScorerFactory {
-    Arc::new(|| Ok(Box::new(Linear)))
+fn start(shared: &Arc<ServiceShared>) -> Server {
+    let factory: GenScorerFactory = Arc::new(|_gen| Ok(Box::new(Linear)));
+    Server::start_with_generations(Arc::clone(shared), factory).expect("server starts")
 }
 
 fn tenant(rate: u64, burst: u64) -> TenantConfig {
@@ -65,7 +66,7 @@ fn request_bytes(user: usize) -> Vec<u8> {
 fn run_mem_chaos(plan: FaultPlan, conns: u64, seed: u64) -> (Vec<String>, f64) {
     let cfg = ServeConfig { workers: 2, ..ServeConfig::default() };
     let shared = Arc::new(ServiceShared::with_faults(cfg, fallback(), N_USERS, plan));
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let net_cfg = NetConfig {
         idle_timeout_ns: 1_000_000, // 1ms idle budget: scripted stalls exceed it
         tenants: vec![tenant(1_000, 64)],
@@ -135,7 +136,7 @@ fn different_fault_plans_produce_different_outcome_sequences() {
 fn rate_limiter_sheds_bursts_deterministically() {
     let run = || {
         let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback(), N_USERS));
-        let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+        let server = start(&shared);
         let net_cfg = NetConfig {
             tenants: vec![tenant(10, 3)], // 10 rps, burst 3
             ..NetConfig::default()
@@ -174,7 +175,7 @@ fn network_requests_stitch_one_trace_tree() {
     );
     shared.enable_tracing(TraceSink::new());
     let shared = Arc::new(shared);
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let net = NetShared::new(NetConfig::default(), Arc::clone(&shared));
     let mut t = MemTransport::request(&request_bytes(1), shared.faults.next_conn());
     let report = handle_connection(&net, &server, &mut t, 0, 0);
@@ -196,7 +197,7 @@ fn network_requests_stitch_one_trace_tree() {
 #[test]
 fn graceful_drain_drops_no_in_flight_request() {
     let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback(), N_USERS));
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let gateway = Gateway::start(NetConfig::default(), server).expect("gateway binds");
     let addr = gateway.local_addr();
 
@@ -245,7 +246,7 @@ fn graceful_drain_drops_no_in_flight_request() {
 #[test]
 fn drain_via_admin_endpoint_unblocks_shutdown() {
     let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback(), N_USERS));
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let gateway = Gateway::start(NetConfig::default(), server).expect("gateway binds");
     let addr = gateway.local_addr();
 
@@ -264,7 +265,7 @@ fn drain_via_admin_endpoint_unblocks_shutdown() {
 #[test]
 fn tcp_loopback_serves_the_full_status_surface() {
     let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback(), N_USERS));
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let net_cfg = NetConfig { tenants: vec![tenant(1_000, 100)], ..NetConfig::default() };
     let gateway = Gateway::start(net_cfg, server).expect("gateway binds");
     let addr = gateway.local_addr();
@@ -335,7 +336,7 @@ fn tcp_loopback_serves_the_full_status_surface() {
 #[test]
 fn acceptor_sheds_over_capacity_connections_with_503() {
     let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback(), N_USERS));
-    let server = Server::start(Arc::clone(&shared), factory()).expect("server starts");
+    let server = start(&shared);
     let net_cfg = NetConfig {
         max_conns: 1,
         backlog: 1,

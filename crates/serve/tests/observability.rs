@@ -19,7 +19,7 @@ use pup_obs::trace::{tree_shape, TraceSink, TraceSpanRecord};
 use pup_serve::flight::PostMortem;
 use pup_serve::stats::ServeReport;
 use pup_serve::{
-    run_closed_loop, BenchConfig, BreakerConfig, Fallback, ScoreError, Scorer, ScorerFactory,
+    run_closed_loop, BenchConfig, BreakerConfig, Fallback, GenScorerFactory, ScoreError, Scorer,
     ServeConfig, ServiceShared,
 };
 
@@ -92,11 +92,11 @@ fn run_instrumented(tag: &str) -> ObsRun {
     shared.enable_slo(SloEngine::new(spec));
     shared.enable_flight_recorder(PostMortem::new(dir.clone(), 32));
     let shared = Arc::new(shared);
-    let factory: ScorerFactory =
-        Arc::new(|| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
+    let factory: GenScorerFactory =
+        Arc::new(|_gen| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
     let bench = BenchConfig { requests: 60, clients: 1, k: 3, seed: 42 };
-    let report =
-        run_closed_loop(Arc::clone(&shared), factory, bench).expect("chaos bench must finish");
+    let report = run_closed_loop(Arc::clone(&shared), factory, bench, None)
+        .expect("chaos bench must finish");
 
     let spans = shared.tracer.as_ref().expect("tracer attached").snapshot_spans();
     let mut trace_ids: Vec<u64> = spans.iter().map(|s| s.trace).collect();
@@ -225,10 +225,10 @@ fn publish_obs_bridges_traces_events_and_exemplars_into_telemetry() {
         SloSpec::parse("p99-ms=1,fast=4,slow=8,warn=2,page=5,min=2").expect("valid slo spec");
     shared.enable_slo(SloEngine::new(spec));
     let shared = Arc::new(shared);
-    let factory: ScorerFactory =
-        Arc::new(|| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
+    let factory: GenScorerFactory =
+        Arc::new(|_gen| Ok(Box::new(Linear { n_users: N_USERS, n_items: N_ITEMS })));
     let bench = BenchConfig { requests: 40, clients: 1, k: 3, seed: 7 };
-    run_closed_loop(Arc::clone(&shared), factory, bench).expect("bench runs");
+    run_closed_loop(Arc::clone(&shared), factory, bench, None).expect("bench runs");
 
     pup_obs::start();
     shared.publish_obs();

@@ -79,7 +79,7 @@ impl Scorer for GenScorer {
 }
 
 /// Factory that round-trips the generation through the registry: building
-/// a replica *requires* decoding the on-disk checkpoint, so corrupt bytes
+/// a scorer *requires* decoding the on-disk checkpoint, so corrupt bytes
 /// can never become a scorer.
 fn registry_factory(registry: &ModelRegistry) -> GenScorerFactory {
     let registry = registry.clone();
@@ -127,7 +127,7 @@ fn clean_swap_promotes_without_dropping_a_request() {
     let shared = make_shared(FaultPlan::none(), swap_cfg(3));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     // Steady state on generation 0.
     let before = serve(&mut model, &shared, 0);
@@ -146,7 +146,7 @@ fn clean_swap_promotes_without_dropping_a_request() {
     assert_eq!(shared.swap.active_gen(), 1, "window filled: candidate promoted");
     assert_eq!(reg.current().expect("current"), Some(1), "CURRENT flipped durably");
 
-    // The worker adopts its shadow replica as primary — and keeps serving.
+    // The worker adopts the promoted candidate as primary — and keeps serving.
     let after = serve(&mut model, &shared, 0);
     assert_eq!(after.source, Source::Primary);
     assert_eq!(model.primary_gen(), 1);
@@ -168,7 +168,7 @@ fn corrupt_candidate_never_serves_and_rolls_back_instantly() {
     let shared = make_shared(FaultPlan::none().with_swap_corruption([0]), swap_cfg(3));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     let baseline: Vec<Response> = (0..N_USERS).map(|u| serve(&mut model, &shared, u)).collect();
 
@@ -200,7 +200,7 @@ fn kill_mid_pointer_flip_keeps_old_generation_serving_and_durable() {
     let shared = make_shared(FaultPlan::none().with_swap_kill_flips([0]), swap_cfg(2));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     initiate_swap(&shared, &reg, &factory, 1).expect("swap initiates");
     for user in 0..2 {
@@ -245,7 +245,7 @@ fn forced_shadow_divergence_rolls_back_with_identical_rankings() {
     let shared = make_shared(FaultPlan::none().with_shadow_divergence([0]), swap_cfg(2));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     let baseline: Vec<Response> = (0..N_USERS).map(|u| serve(&mut model, &shared, u)).collect();
 
@@ -276,7 +276,7 @@ fn kill_mid_swap_dump_names_the_rolled_back_generation() {
     shared.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 16));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     initiate_swap(&shared, &reg, &factory, 1).expect("swap initiates");
     for user in 0..2 {
@@ -316,7 +316,7 @@ fn run_schedule(tag: &str, plan: FaultPlan) -> Vec<pup_serve::SwapTransition> {
     let shared = make_shared(plan, swap_cfg(2));
     wire_registry_promotion(&shared, reg.clone());
     let factory = registry_factory(&reg);
-    let mut model = WorkerModel::build(&shared, factory.clone()).expect("worker build");
+    let mut model = WorkerModel::build(&shared, &factory).expect("worker build");
 
     // Attempt 0: swap to gen 1 (corrupted by the plan → instant rollback).
     let _ = initiate_swap(&shared, &reg, &factory, 1);

@@ -428,57 +428,6 @@ impl Matrix {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
-
-    /// Serializes to tab-separated values (one row per line, full `f64`
-    /// round-trip precision). Used to persist trained embedding tables.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::with_capacity(self.data.len() * 8);
-        for r in 0..self.rows {
-            for (c, v) in self.row(r).iter().enumerate() {
-                if c > 0 {
-                    out.push('\t');
-                }
-                // `{:?}` prints the shortest representation that round-trips.
-                out.push_str(&format!("{v:?}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a matrix from the TSV format of [`Matrix::to_tsv`].
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed line (ragged rows, bad
-    /// floats, empty input).
-    pub fn from_tsv(tsv: &str) -> Result<Matrix, String> {
-        let mut data = Vec::new();
-        let mut cols = None;
-        let mut rows = 0;
-        for (lineno, line) in tsv.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut count = 0;
-            for field in line.split('\t') {
-                let v: f64 = field
-                    .parse()
-                    .map_err(|_| format!("line {}: bad float {field:?}", lineno + 1))?;
-                data.push(v);
-                count += 1;
-            }
-            match cols {
-                None => cols = Some(count),
-                Some(c) if c != count => {
-                    return Err(format!("line {}: expected {c} columns, got {count}", lineno + 1))
-                }
-                _ => {}
-            }
-            rows += 1;
-        }
-        let cols = cols.ok_or_else(|| "empty matrix".to_string())?;
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
 }
 
 #[cfg(test)]
@@ -586,27 +535,6 @@ mod tests {
         assert_eq!(cat.shape(), (3, 6));
         assert_eq!(cat.slice_cols(0, 2), a);
         assert_eq!(cat.slice_cols(2, 6), b);
-    }
-
-    #[test]
-    fn tsv_roundtrip_is_exact() {
-        let m = Matrix::from_fn(5, 3, |r, c| ((r * 31 + c * 7) as f64).sin() * 1e-7 + r as f64);
-        let parsed = Matrix::from_tsv(&m.to_tsv()).unwrap();
-        assert_eq!(parsed, m, "TSV roundtrip must be bit-exact");
-    }
-
-    #[test]
-    fn tsv_rejects_ragged_and_garbage() {
-        assert!(Matrix::from_tsv("1.0\t2.0\n3.0\n").unwrap_err().contains("columns"));
-        assert!(Matrix::from_tsv("1.0\tpotato\n").unwrap_err().contains("bad float"));
-        assert!(Matrix::from_tsv("").unwrap_err().contains("empty"));
-    }
-
-    #[test]
-    fn tsv_handles_special_values() {
-        let m = Matrix::from_vec(1, 3, vec![f64::MAX, f64::MIN_POSITIVE, -0.0]);
-        let parsed = Matrix::from_tsv(&m.to_tsv()).unwrap();
-        assert_eq!(parsed, m);
     }
 
     #[test]

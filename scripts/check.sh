@@ -25,6 +25,11 @@ step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo run -p pup-analysis --quiet -- audit-graph
 if [[ $fast -eq 0 ]]; then
     step cargo test --workspace -q
+    # Benchmark build: perfbench/ builds the library crates as path
+    # dependencies from its own manifest, so a public-API change that breaks
+    # the benchmark fails here rather than in the benchmark run.
+    step env CARGO_TARGET_DIR=.bench_build \
+        cargo build --release --manifest-path perfbench/Cargo.toml
     # Chaos gate: the fault-injection + kill/resume suites, run explicitly so
     # a recovery regression is named in the output even when buried in the
     # workspace run above.
