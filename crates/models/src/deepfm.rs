@@ -169,7 +169,7 @@ fn deep_scores(meta: &FmMeta, fm: [&Matrix; 8], mlp: [&Matrix; 5], user: usize) 
 /// DeepFM's frozen scoring form: the frozen FM plus plain copies of the
 /// MLP weights.
 #[derive(Clone, Debug)]
-pub struct FrozenDeepFm {
+pub(crate) struct FrozenDeepFm {
     fm: FrozenFm,
     mlp: [Matrix; 5],
 }

@@ -158,7 +158,7 @@ impl FmMeta {
 
 /// FM's frozen scoring form: plain copies of its parameter values.
 #[derive(Clone, Debug)]
-pub struct FrozenFm {
+pub(crate) struct FrozenFm {
     pub(crate) meta: FmMeta,
     pub(crate) params: [Matrix; 8],
 }

@@ -24,30 +24,31 @@ pub(crate) fn dot_scores(users: &Matrix, items: &Matrix, user: usize) -> Vec<f64
 /// The frozen dot-product decoder `s(u, i) = e_u · e_i` over final user
 /// and item representations.
 #[derive(Clone, Debug)]
-pub struct DotScorer {
+pub(crate) struct DotScorer {
     name: &'static str,
-    users: Matrix,
+    /// The user representations, one row per user.
+    pub(crate) users: Matrix,
     items: Matrix,
 }
 
 impl DotScorer {
     /// A decoder named `name` over `users` (one row per user) and `items`
     /// (one row per item).
-    pub fn new(name: &'static str, users: Matrix, items: Matrix) -> Self {
+    pub(crate) fn new(name: &'static str, users: Matrix, items: Matrix) -> Self {
         Self { name, users, items }
     }
 
     /// A decoder over `repr`, which stacks `n_users` user rows on top of
     /// `n_items` item rows (GC-MC's and NGCF's propagated representations).
-    pub fn from_stacked(name: &'static str, repr: &Matrix, n_users: usize, n_items: usize) -> Self {
+    pub(crate) fn from_stacked(
+        name: &'static str,
+        repr: &Matrix,
+        n_users: usize,
+        n_items: usize,
+    ) -> Self {
         let users: Vec<usize> = (0..n_users).collect();
         let items: Vec<usize> = (n_users..n_users + n_items).collect();
         Self::new(name, repr.gather_rows(&users), repr.gather_rows(&items))
-    }
-
-    /// The user representations, one row per user.
-    pub fn users(&self) -> &Matrix {
-        &self.users
     }
 }
 

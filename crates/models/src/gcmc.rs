@@ -172,7 +172,7 @@ mod tests {
         for seed in 0..10 {
             let mut m = GcMc::new(&data, 8, 0.0, seed);
             m.finalize();
-            let r = m.final_repr.as_ref().unwrap().users();
+            let r = &m.final_repr.as_ref().unwrap().users;
             let sim = |a: usize, b: usize| {
                 r.gather_rows(&[a]).rowwise_dot(&r.gather_rows(&[b])).get(0, 0)
             };

@@ -34,14 +34,14 @@ pub mod trainer;
 
 pub use bprmf::BprMf;
 pub use common::{NamedParam, ParamRegistry, Recommender, ScoreError, TrainData};
-pub use deepfm::{DeepFm, FrozenDeepFm};
-pub use fm::{Fm, FrozenFm};
-pub use frozen::{DotScorer, Frozen};
+pub use deepfm::DeepFm;
+pub use fm::Fm;
+pub use frozen::Frozen;
 pub use gcmc::GcMc;
 pub use itempop::ItemPop;
 pub use ngcf::Ngcf;
 pub use padq::{Padq, PadqConfig};
-pub use pup::{AttributeTarget, ExtraAttribute, FrozenPup, Pup, PupConfig, PupVariant};
+pub use pup::{AttributeTarget, ExtraAttribute, Pup, PupConfig, PupVariant};
 pub use resilient::{train_bpr_resilient, train_bpr_resilient_with_faults, RecoveryPolicy};
 pub use trainer::{
     restore_params, train_bpr, BprModel, BprTrainer, RecoveryEvent, TrainConfig, TrainError,

@@ -213,7 +213,7 @@ mod tests {
         let d = TrainData { item_category: &[0; 8], ..data(&train, &price) };
         let mut m = Ngcf::new(&d, 4, 3, 0.0, 0);
         m.finalize();
-        assert_eq!(m.final_repr.as_ref().unwrap().users().cols(), 4 * (3 + 1));
+        assert_eq!(m.final_repr.as_ref().unwrap().users.cols(), 4 * (3 + 1));
     }
 
     #[test]

@@ -455,7 +455,7 @@ impl Recommender for Pup {
 /// PUP's frozen scoring form: both branches' propagated representations
 /// and the item metadata the decoder reads.
 #[derive(Clone, Debug)]
-pub struct FrozenPup {
+pub(crate) struct FrozenPup {
     variant: PupVariant,
     alpha: f64,
     global: Matrix,
