@@ -675,13 +675,7 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let cfg = fit_config(flags)?;
     let kind = model_kind(flags)?;
-
-    let mut serve_cfg = pup_serve::ServeConfig::default();
-    serve_cfg.queue_capacity = get_parsed(flags, "queue", serve_cfg.queue_capacity)?;
-    serve_cfg.workers = get_parsed(flags, "workers", serve_cfg.workers)?;
     let deadline_ms: f64 = get_parsed(flags, "deadline-ms", 50.0)?;
-    serve_cfg.deadline_ns = (deadline_ms * 1e6) as u64;
-    serve_cfg.max_retries = get_parsed(flags, "retries", serve_cfg.max_retries)?;
     let bench = pup_serve::BenchConfig {
         requests: get_parsed(flags, "requests", 200)?,
         clients: get_parsed(flags, "clients", 4)?,
@@ -717,51 +711,13 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     };
 
     let telemetry_out = flags.get("telemetry").map(PathBuf::from);
-    if telemetry_out.is_some() {
-        pup_obs::start();
-    }
-    let slo_spec = match flags.get("slo").map(String::as_str) {
-        None => None,
-        Some("default") => Some(pup_obs::slo::SloSpec::default()),
-        Some(spec) => Some(pup_obs::slo::SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
+    let swap_cfg = pup_serve::SwapConfig {
+        shadow_requests: get_parsed(flags, "shadow", 32)?,
+        min_overlap: get_parsed(flags, "min-overlap", 0.5)?,
+        probe_users: 4,
     };
-
-    let split = pipeline.split();
-    let n_users = split.n_users;
-    let n_items = split.n_items;
-    let fallback = pup_serve::Fallback::from_train(n_users, n_items, &split.train)
-        .map_err(|e| e.to_string())?;
-    let mut shared = match &registry {
-        Some(reg) => {
-            let serving = reg.serving_generation().map_err(|e| e.to_string())?.gen;
-            let swap_cfg = pup_serve::SwapConfig {
-                shadow_requests: get_parsed(flags, "shadow", 32)?,
-                min_overlap: get_parsed(flags, "min-overlap", 0.5)?,
-                probe_users: 4,
-            };
-            pup_serve::ServiceShared::with_swap(
-                serve_cfg,
-                fallback,
-                n_users,
-                plan,
-                pup_serve::SwapController::new(serving, swap_cfg),
-            )
-        }
-        None => pup_serve::ServiceShared::with_faults(serve_cfg, fallback, n_users, plan),
-    };
-    if slo_spec.is_some() || telemetry_out.is_some() {
-        shared.enable_tracing(pup_obs::trace::TraceSink::new());
-    }
-    if let Some(spec) = slo_spec {
-        shared.enable_slo(pup_obs::slo::SloEngine::new(spec));
-        let flight_dir = flags
-            .get("flight-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/flight-recorder"));
-        shared.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 256));
-    }
-    let shared = Arc::new(shared);
-
+    let shared = Arc::new(serving_state(flags, &pipeline, registry.as_ref(), plan, swap_cfg)?);
+    let n_items = pipeline.split().n_items;
     let pipeline = Arc::new(pipeline);
     eprintln!(
         "serving {} requests from {} closed-loop clients ({} workers, queue {}, deadline {deadline_ms}ms) ...",
@@ -839,6 +795,65 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The scoring engine's shared state over `pipeline`'s split, configured
+/// from the serving flags (`--queue`, `--workers`, `--deadline-ms`,
+/// `--retries`, `--telemetry`, `--slo`, `--flight-dir`). Serving from a
+/// registry adds a swap controller on its serving generation.
+fn serving_state(
+    flags: &HashMap<String, String>,
+    pipeline: &Pipeline,
+    registry: Option<&pup_ckpt::registry::ModelRegistry>,
+    plan: pup_ckpt::chaos::FaultPlan,
+    swap_cfg: pup_serve::SwapConfig,
+) -> Result<pup_serve::ServiceShared, String> {
+    let mut serve_cfg = pup_serve::ServeConfig::default();
+    serve_cfg.queue_capacity = get_parsed(flags, "queue", serve_cfg.queue_capacity)?;
+    serve_cfg.workers = get_parsed(flags, "workers", serve_cfg.workers)?;
+    let deadline_ms: f64 = get_parsed(flags, "deadline-ms", 50.0)?;
+    serve_cfg.deadline_ns = (deadline_ms * 1e6) as u64;
+    serve_cfg.max_retries = get_parsed(flags, "retries", serve_cfg.max_retries)?;
+
+    let telemetry_on = flags.contains_key("telemetry");
+    if telemetry_on {
+        pup_obs::start();
+    }
+    let slo_spec = match flags.get("slo").map(String::as_str) {
+        None => None,
+        Some("default") => Some(pup_obs::slo::SloSpec::default()),
+        Some(spec) => Some(pup_obs::slo::SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
+    };
+
+    let split = pipeline.split();
+    let n_users = split.n_users;
+    let fallback = pup_serve::Fallback::from_train(n_users, split.n_items, &split.train)
+        .map_err(|e| e.to_string())?;
+    let mut shared = match registry {
+        Some(reg) => {
+            let serving = reg.serving_generation().map_err(|e| e.to_string())?.gen;
+            pup_serve::ServiceShared::with_swap(
+                serve_cfg,
+                fallback,
+                n_users,
+                plan,
+                pup_serve::SwapController::new(serving, swap_cfg),
+            )
+        }
+        None => pup_serve::ServiceShared::with_faults(serve_cfg, fallback, n_users, plan),
+    };
+    if slo_spec.is_some() || telemetry_on {
+        shared.enable_tracing(pup_obs::trace::TraceSink::new());
+    }
+    if let Some(spec) = slo_spec {
+        shared.enable_slo(pup_obs::slo::SloEngine::new(spec));
+        let flight_dir = flags
+            .get("flight-dir")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| PathBuf::from("target/flight-recorder"));
+        shared.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 256));
+    }
+    Ok(shared)
+}
+
 /// A scorer factory restoring `kind` from the checkpoint `load` returns
 /// for the generation asked for.
 fn scorer_factory(
@@ -894,60 +909,13 @@ fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway,
     let registry = if flags.contains_key("registry") { Some(open_registry(flags)?) } else { None };
     let cfg = fit_config(flags)?;
     let kind = model_kind(flags)?;
-
-    let mut serve_cfg = pup_serve::ServeConfig::default();
-    serve_cfg.queue_capacity = get_parsed(flags, "queue", serve_cfg.queue_capacity)?;
-    serve_cfg.workers = get_parsed(flags, "workers", serve_cfg.workers)?;
-    let deadline_ms: f64 = get_parsed(flags, "deadline-ms", 50.0)?;
-    serve_cfg.deadline_ns = (deadline_ms * 1e6) as u64;
-    serve_cfg.max_retries = get_parsed(flags, "retries", serve_cfg.max_retries)?;
-
-    let telemetry_on = flags.contains_key("telemetry");
-    if telemetry_on {
-        pup_obs::start();
-    }
-    let slo_spec = match flags.get("slo").map(String::as_str) {
-        None => None,
-        Some("default") => Some(pup_obs::slo::SloSpec::default()),
-        Some(spec) => Some(pup_obs::slo::SloSpec::parse(spec).map_err(|e| format!("--slo: {e}"))?),
-    };
-
-    let split = pipeline.split();
-    let n_users = split.n_users;
-    let n_items = split.n_items;
-    let fallback = pup_serve::Fallback::from_train(n_users, n_items, &split.train)
-        .map_err(|e| e.to_string())?;
     let plan = pup_ckpt::chaos::FaultPlan::none();
-    let mut shared = match &registry {
-        Some(reg) => {
-            let serving = reg.serving_generation().map_err(|e| e.to_string())?.gen;
-            let swap_cfg =
-                pup_serve::SwapConfig { shadow_requests: 32, min_overlap: 0.5, probe_users: 4 };
-            pup_serve::ServiceShared::with_swap(
-                serve_cfg,
-                fallback,
-                n_users,
-                plan,
-                pup_serve::SwapController::new(serving, swap_cfg),
-            )
-        }
-        None => pup_serve::ServiceShared::with_faults(serve_cfg, fallback, n_users, plan),
-    };
-    if slo_spec.is_some() || telemetry_on {
-        shared.enable_tracing(pup_obs::trace::TraceSink::new());
-    }
-    if let Some(spec) = slo_spec {
-        shared.enable_slo(pup_obs::slo::SloEngine::new(spec));
-        let flight_dir = flags
-            .get("flight-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/flight-recorder"));
-        shared.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 256));
-    }
-    let shared = Arc::new(shared);
+    let swap_cfg = pup_serve::SwapConfig { shadow_requests: 32, min_overlap: 0.5, probe_users: 4 };
+    let shared = Arc::new(serving_state(flags, &pipeline, registry.as_ref(), plan, swap_cfg)?);
+    let (n_users, n_items) = (shared.n_users, pipeline.split().n_items);
     let pipeline = Arc::new(pipeline);
 
-    let server = match registry {
+    let factory = match registry {
         Some(reg) => {
             eprintln!(
                 "restoring {} from registry generation {} in {} ...",
@@ -955,11 +923,9 @@ fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway,
                 shared.swap.active_gen(),
                 reg.dir().display()
             );
-            let factory = scorer_factory(pipeline, kind, cfg, n_items, move |gen| {
+            scorer_factory(pipeline, kind, cfg, n_items, move |gen| {
                 reg.load(gen).map_err(|e| format!("generation {gen}: {e}"))
-            });
-            pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
-                .map_err(|e| e.to_string())?
+            })
         }
         None => {
             let ckpt_dir = PathBuf::from(
@@ -968,13 +934,11 @@ fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway,
                     .ok_or("either --checkpoint-dir or --registry is required")?,
             );
             eprintln!("restoring {} from checkpoints in {} ...", kind.name(), ckpt_dir.display());
-            let factory = scorer_factory(pipeline, kind, cfg, n_items, move |_gen| {
-                latest_checkpoint(&ckpt_dir)
-            });
-            pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
-                .map_err(|e| e.to_string())?
+            scorer_factory(pipeline, kind, cfg, n_items, move |_gen| latest_checkpoint(&ckpt_dir))
         }
     };
+    let server = pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
+        .map_err(|e| e.to_string())?;
     let net = build_net_config(flags)?;
     let gateway = pup_serve::Gateway::start(net, server).map_err(|e| e.to_string())?;
     Ok((gateway, n_users))

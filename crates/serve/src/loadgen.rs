@@ -300,6 +300,7 @@ mod tests {
     use super::*;
     use crate::fallback::Fallback;
     use crate::scorer::Scorer;
+    use crate::swap::{RollbackReason, SwapOutcome};
     use crate::ServeConfig;
     use pup_models::ScoreError;
 
@@ -359,27 +360,54 @@ mod tests {
         }
     }
 
+    /// A service whose factory builds [`Counted`] scorers on `live`.
+    fn counted_service(live: &Arc<AtomicU64>) -> (Arc<ServiceShared>, GenScorerFactory) {
+        let fallback = Fallback::from_train(8, 6, &[(0, 1), (1, 2)]).unwrap();
+        let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 8));
+        let live = Arc::clone(live);
+        (shared, Arc::new(move |_gen| Ok(Box::new(Counted::spawn(&live)) as Box<dyn Scorer>)))
+    }
+
     /// Regression for the shutdown leak: the bench used to hold the
     /// server in an `Arc` and only shut it down when `Arc::try_unwrap`
     /// happened to succeed — when it did not, worker threads (and the
     /// scorer they hold) silently outlived the bench. Scoped clients make
-    /// the shutdown unconditional; no scorer may survive the return.
+    /// the shutdown unconditional; no scorer may survive the return, even
+    /// while the caller still holds the shared state.
     #[test]
     fn closed_loop_always_shuts_the_server_down() {
         let live = Arc::new(AtomicU64::new(0));
-        let fallback = Fallback::from_train(8, 6, &[(0, 1), (1, 2)]).unwrap();
-        let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 8));
-        let factory: GenScorerFactory = {
-            let live = Arc::clone(&live);
-            Arc::new(move |_gen| Ok(Box::new(Counted::spawn(&live)) as Box<dyn Scorer>))
-        };
+        let (shared, factory) = counted_service(&live);
         let bench = BenchConfig { requests: 30, clients: 2, k: 4, seed: 3 };
-        let report = run_closed_loop(shared, factory, bench, None).expect("bench runs");
+        let report =
+            run_closed_loop(Arc::clone(&shared), factory, bench, None).expect("bench runs");
         assert_eq!(report.submitted, 30);
         assert_eq!(
             live.load(Ordering::SeqCst),
             0,
             "the served scorer must be dropped before the bench returns"
+        );
+        assert_eq!(shared.report().submitted, 30, "the caller's shared state is still live");
+    }
+
+    /// A swap still shadowing at shutdown loses its candidate scorer with
+    /// the server, but its window stays open and resolves afterwards.
+    #[test]
+    fn server_shutdown_releases_a_pending_candidate() {
+        let live = Arc::new(AtomicU64::new(0));
+        let (shared, factory) = counted_service(&live);
+        let server = Server::start_with_generations(Arc::clone(&shared), factory).expect("starts");
+        let candidate = Arc::new(Counted::spawn(&live));
+        shared.swap.begin_shadow(&shared.faults, 0, 1, candidate, false).expect("shadows");
+        assert_eq!(live.load(Ordering::SeqCst), 2);
+        server.shutdown();
+        assert_eq!(live.load(Ordering::SeqCst), 0, "no scorer may outlive the server");
+        assert_eq!(shared.swap.shadow_pending(), Some(1));
+        shared.swap.resolve_now(&shared.faults);
+        let expired = SwapOutcome::RolledBack(RollbackReason::WindowExpired);
+        assert_eq!(
+            shared.swap.transitions().iter().map(|t| t.outcome).collect::<Vec<_>>(),
+            [expired]
         );
     }
 

@@ -8,6 +8,7 @@
 //! shed with a typed error at the call site, and every admitted job is
 //! eventually answered through its reply channel, even during shutdown.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -69,10 +70,13 @@ impl Server {
     ) -> Result<Self, ServeError> {
         let model = WorkerModel::build(&shared, &factory).map_err(ServeError::WorkerInit)?;
         let queue = Arc::new(AdmissionQueue::<Job>::new(shared.cfg.queue_capacity));
-        let mut workers = Vec::with_capacity(shared.cfg.workers.max(1));
-        for _ in 0..shared.cfg.workers.max(1) {
+        let n_workers = shared.cfg.workers.max(1);
+        let running = Arc::new(AtomicUsize::new(n_workers));
+        let mut workers = Vec::with_capacity(n_workers);
+        for _ in 0..n_workers {
             let shared = Arc::clone(&shared);
             let queue = Arc::clone(&queue);
+            let running = Arc::clone(&running);
             // pup-lint: allow(clone-in-loop) — two Arc bumps per worker, at startup only.
             let mut model = model.clone();
             workers.push(std::thread::spawn(move || {
@@ -91,6 +95,12 @@ impl Server {
                     // A dropped receiver means the client stopped waiting;
                     // the work is complete either way.
                     let _ = reply.send(result);
+                }
+                // The queue is closed and drained. The last worker out drops
+                // the controller's scorers, so a model does not outlive the
+                // server through a still-shared `ServiceShared`.
+                if running.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    shared.swap.release_scorers();
                 }
             }));
         }
@@ -176,7 +186,8 @@ impl Server {
 
     /// Stops admitting, drains the queue, and joins every worker (what
     /// dropping the server does). Admitted requests are still answered
-    /// before workers exit.
+    /// before workers exit; the last worker out releases the shared
+    /// scorers.
     pub fn shutdown(self) {}
 }
 

@@ -193,8 +193,8 @@ struct Pending {
     seq: u64,
     to_gen: u64,
     /// The candidate's scorer, built once by [`initiate_swap`] and shared
-    /// by every worker's shadow pass.
-    candidate: Arc<dyn Scorer>,
+    /// by every worker's shadow pass; `None` once the server has shut down.
+    candidate: Option<Arc<dyn Scorer>>,
     budget: u64,
     remaining: u64,
     shadowed: u64,
@@ -297,8 +297,23 @@ impl SwapController {
             version: self.version(),
             primary_gen: self.active_gen(),
             primary: Arc::clone(inner.active_scorer.as_ref()?),
-            shadow: inner.pending.as_ref().map(|p| (p.to_gen, Arc::clone(&p.candidate))),
+            shadow: inner
+                .pending
+                .as_ref()
+                .and_then(|p| Some((p.to_gen, Arc::clone(p.candidate.as_ref()?)))),
         })
+    }
+
+    /// Drops the active and candidate scorers once no worker reads them
+    /// (the last server worker exits), so a model does not outlive the
+    /// server through a still-shared [`ServiceShared`]. A pending window
+    /// stays open, without its candidate, for [`Self::resolve_now`].
+    pub(crate) fn release_scorers(&self) {
+        let mut inner = locked(&self.inner);
+        inner.active_scorer = None;
+        if let Some(p) = &mut inner.pending {
+            p.candidate = None;
+        }
     }
 
     /// The candidate generation currently being shadowed, if any.
@@ -350,7 +365,7 @@ impl SwapController {
         inner.pending = Some(Pending {
             seq,
             to_gen,
-            candidate,
+            candidate: Some(candidate),
             budget,
             remaining: budget,
             shadowed: 0,
@@ -445,7 +460,7 @@ impl SwapController {
         };
         if outcome == SwapOutcome::Promoted {
             self.active.store(p.to_gen, Ordering::Release);
-            inner.active_scorer = Some(p.candidate);
+            inner.active_scorer = p.candidate;
         } else {
             AtomicU64::fetch_add(&self.rollbacks, 1, Ordering::Release);
         }
@@ -519,35 +534,19 @@ impl WorkerModel {
     fn shadow_observe(&self, shared: &ServiceShared, req: Request, resp: &Response) {
         let Some((to_gen, candidate)) = &self.shadow else { return };
         let to_gen = *to_gen;
+        let fail = |reason| {
+            shared.stats.note_shadow_error();
+            shared.swap.record_shadow_failure(&shared.faults, to_gen, reason);
+        };
         shared.stats.note_shadow_scored();
-        let shadow_scores = match candidate.score(req.user) {
-            Ok(s) => s,
-            Err(_) => {
-                shared.stats.note_shadow_error();
-                shared.swap.record_shadow_failure(
-                    &shared.faults,
-                    to_gen,
-                    RollbackReason::ShadowError,
-                );
-                return;
-            }
+        let Ok(shadow_scores) = candidate.score(req.user) else {
+            return fail(RollbackReason::ShadowError);
         };
         if shadow_scores.iter().any(|s| s.is_nan()) {
-            shared.stats.note_shadow_error();
-            shared.swap.record_shadow_failure(&shared.faults, to_gen, RollbackReason::NanProbe);
-            return;
+            return fail(RollbackReason::NanProbe);
         }
-        let shadow_ranked = match rank_unseen(shared, candidate.as_ref(), &shadow_scores, req) {
-            Ok(r) => r,
-            Err(_) => {
-                shared.stats.note_shadow_error();
-                shared.swap.record_shadow_failure(
-                    &shared.faults,
-                    to_gen,
-                    RollbackReason::ShadowError,
-                );
-                return;
-            }
+        let Ok(shadow_ranked) = rank_unseen(shared, candidate.as_ref(), &shadow_scores, req) else {
+            return fail(RollbackReason::ShadowError);
         };
         let overlap = topk_overlap(&resp.items, &shadow_ranked);
         // Score deltas need the primary's scores, which the response does
@@ -619,16 +618,16 @@ pub fn initiate_swap(
         let _ = registry.corrupt_generation_for_chaos(to_gen);
     }
     let forced_divergence = shared.faults.fire_shadow_divergence(seq);
-    if let Err(e) = registry.validate(to_gen) {
+    let invalid = |detail: String| {
         shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
-        return Err(SwapError::Validation { gen: to_gen, detail: e.to_string() });
+        Err(SwapError::Validation { gen: to_gen, detail })
+    };
+    if let Err(e) = registry.validate(to_gen) {
+        return invalid(e.to_string());
     }
-    let probe: Arc<dyn Scorer> = match (factory)(to_gen) {
+    let probe: Arc<dyn Scorer> = match factory(to_gen) {
         Ok(p) => Arc::from(p),
-        Err(detail) => {
-            shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
-            return Err(SwapError::Validation { gen: to_gen, detail });
-        }
+        Err(detail) => return invalid(detail),
     };
     let n_probes = if shared.n_users == usize::MAX {
         shared.swap.config().probe_users
@@ -643,10 +642,7 @@ pub fn initiate_swap(
                     return Err(SwapError::NanProbe { gen: to_gen, user });
                 }
             }
-            Err(e) => {
-                shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
-                return Err(SwapError::Validation { gen: to_gen, detail: e.to_string() });
-            }
+            Err(e) => return invalid(e.to_string()),
         }
     }
     shared.swap.begin_shadow(&shared.faults, seq, to_gen, probe, forced_divergence)
