@@ -1,19 +1,16 @@
-//! Concurrency-safety audit: the static gate for the arena-tape migration.
+//! Concurrency-safety audit for the crates whose state crosses threads.
 //!
 //! The serving stack (`pup-serve`, `pup-obs`, `pup-ckpt`) shares scorers
-//! across worker threads, but the autograd tape in `pup-tensor` is built
-//! on `Rc<RefCell<…>>` and is `!Send` — the single blocker for sharing one
-//! model instance across the fleet (ROADMAP item: arena tape). This audit
-//! makes that boundary *checkable* instead of tribal:
+//! and telemetry across worker threads. rustc's `Send`/`Sync` bounds
+//! guard each shared value; this audit adds the checks the compiler
+//! cannot make:
 //!
-//! - **send-sync manifest** — every crate carries a shareability policy.
-//!   `serve`/`obs`/`ckpt` are *must-be-Send*: any `Rc`, `RefCell`, `Cell`,
-//!   `UnsafeCell`, `thread_local!` or `static mut` there is a finding
-//!   unless it carries a reviewed escape
+//! - **send-sync manifest** — `serve`/`obs`/`ckpt` are *must-be-Send*:
+//!   any `Rc`, `RefCell`, `Cell`, `UnsafeCell`, `thread_local!` or
+//!   `static mut` there is a finding unless it carries a reviewed escape
 //!   (`// pup-audit: allow(non-send): <reason>` — the reason is
-//!   mandatory). `tensor` is the *migration target*: its non-Send sites
-//!   are not violations but a **worklist**, counted against a committed
-//!   ratchet (`results/concurrency_ratchet.json`) that may only go down.
+//!   mandatory). Other crates (the single-threaded autograd tape in
+//!   `pup-tensor` included) are unconstrained.
 //! - **lock discipline** — Mutex/RwLock declarations and acquisitions are
 //!   collected into an acquisition-order graph (interprocedural, with
 //!   guard-returning helpers like `locked()` resolved through parameter
@@ -38,9 +35,6 @@ use crate::lex::TokenKind;
 use crate::lint::workspace_rs_files;
 use crate::syntax::{in_any, FnDef, SourceFile};
 
-/// Relative path of the committed ratchet file.
-pub const RATCHET_PATH: &str = "results/concurrency_ratchet.json";
-
 /// Escape kinds this audit owns (reason + staleness are checked here).
 pub const CONCURRENCY_KINDS: &[&str] =
     &["non-send", "lock-order", "guard-across-scoring", "relaxed-handoff"];
@@ -62,8 +56,6 @@ pub enum Pass {
     GuardAcrossScoring,
     /// `Ordering::Relaxed` gating an `AtomicBool` handoff.
     RelaxedHandoff,
-    /// The tensor worklist disagrees with the committed ratchet.
-    Ratchet,
     /// A malformed or stale `// pup-audit: allow(…)` escape.
     Escape,
 }
@@ -76,7 +68,6 @@ impl Pass {
             Pass::LockOrder => "lock-order",
             Pass::GuardAcrossScoring => "guard-across-scoring",
             Pass::RelaxedHandoff => "relaxed-handoff",
-            Pass::Ratchet => "ratchet",
             Pass::Escape => "escape",
         }
     }
@@ -101,30 +92,15 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One tensor-crate migration site (informational, ratchet-counted).
-#[derive(Debug, Clone)]
-pub struct WorkItem {
-    /// File the site is in.
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// The non-Send construct (`Rc`, `RefCell`, `thread_local!`, …).
-    pub construct: String,
-}
-
 /// Result of a full workspace audit.
 #[derive(Debug)]
 pub struct AuditReport {
     /// Violations; non-empty means exit 1.
     pub findings: Vec<Finding>,
-    /// The arena-tape refactor worklist (tensor non-Send sites).
-    pub worklist: Vec<WorkItem>,
     /// Lock ids discovered by the lock-discipline pass.
     pub locks: Vec<String>,
     /// Acquisition-order edges `from -> to` with an example site.
     pub lock_edges: Vec<(String, String, PathBuf, usize)>,
-    /// The ratchet value read from [`RATCHET_PATH`], if present.
-    pub ratchet_recorded: Option<usize>,
     /// Number of `.rs` files scanned.
     pub files_checked: usize,
     /// Stale escapes (a `lint --fix` run may delete them): file, 1-based
@@ -132,23 +108,10 @@ pub struct AuditReport {
     pub stale_escapes: Vec<(PathBuf, usize, String)>,
 }
 
-/// Per-crate shareability policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Policy {
-    /// Shared across worker threads; non-Send constructs are violations.
-    MustBeSend,
-    /// The arena-tape migration target; non-Send sites form the worklist.
-    MigrationTarget,
-    /// No constraint.
-    Unconstrained,
-}
-
-fn crate_policy(crate_name: &str) -> Policy {
-    match crate_name {
-        "serve" | "obs" | "ckpt" => Policy::MustBeSend,
-        "tensor" => Policy::MigrationTarget,
-        _ => Policy::Unconstrained,
-    }
+/// Whether a crate's state is shared across worker threads, making its
+/// non-Send constructs violations.
+fn must_be_send(crate_name: &str) -> bool {
+    matches!(crate_name, "serve" | "obs" | "ckpt")
 }
 
 /// The crate directory name for a workspace file path (`crates/<name>/…`).
@@ -250,10 +213,8 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     }
     let mut report = AuditReport {
         findings: Vec::new(),
-        worklist: Vec::new(),
         locks: Vec::new(),
         lock_edges: Vec::new(),
-        ratchet_recorded: None,
         files_checked: files.len(),
         stale_escapes: Vec::new(),
     };
@@ -275,7 +236,6 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     send_sync_pass(&facts, &mut escapes, &mut report);
     relaxed_pass(&facts, &mut escapes, &mut report);
     lock_pass(&facts, &mut escapes, &mut report);
-    ratchet_pass(root, &mut report);
 
     // Escape hygiene: every escape must name a known pass, carry a reason,
     // and still suppress something. Kinds owned by other audits are left
@@ -312,72 +272,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     }
 
     report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    report.worklist.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)
-}
-
-/// Rewrites the committed ratchet to the current tensor worklist size.
-pub fn update_ratchet(root: &Path, count: usize) -> io::Result<()> {
-    let path = root.join(RATCHET_PATH);
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let body = format!(
-        "{{\n  \"schema\": \"pup-audit-ratchet/1\",\n  \"tensor_non_send_sites\": {count}\n}}\n"
-    );
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, body)?;
-    fs::rename(&tmp, path)
-}
-
-/// Reads the committed ratchet value, if the file exists and parses.
-pub fn read_ratchet(root: &Path) -> Option<usize> {
-    let text = fs::read_to_string(root.join(RATCHET_PATH)).ok()?;
-    let at = text.find("\"tensor_non_send_sites\"")?;
-    let rest = &text[at..];
-    let colon = rest.find(':')?;
-    let digits: String =
-        rest[colon + 1..].trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn ratchet_pass(root: &Path, report: &mut AuditReport) {
-    let count = report.worklist.len();
-    let recorded = read_ratchet(root);
-    report.ratchet_recorded = recorded;
-    let ratchet_file = root.join(RATCHET_PATH);
-    match recorded {
-        None if count == 0 => {}
-        None => report.findings.push(Finding {
-            file: ratchet_file,
-            line: 1,
-            pass: Pass::Ratchet,
-            message: format!(
-                "no ratchet recorded but the tensor worklist has {count} non-Send \
-                 site(s); run `audit-concurrency --update-ratchet` and commit the result"
-            ),
-        }),
-        Some(r) if count > r => report.findings.push(Finding {
-            file: ratchet_file,
-            line: 1,
-            pass: Pass::Ratchet,
-            message: format!(
-                "tensor non-Send worklist grew: {count} site(s) vs ratchet {r}; the \
-                 arena-tape migration only moves forward — remove the new Rc/RefCell \
-                 sites instead"
-            ),
-        }),
-        Some(r) if count < r => report.findings.push(Finding {
-            file: ratchet_file,
-            line: 1,
-            pass: Pass::Ratchet,
-            message: format!(
-                "tensor non-Send worklist shrank: {count} site(s) vs ratchet {r}; \
-                 lock in the progress with `audit-concurrency --update-ratchet`"
-            ),
-        }),
-        Some(_) => {}
-    }
 }
 
 /// Marks a matching escape (same line or the line above) used and returns
@@ -399,35 +294,24 @@ fn suppressed(escapes: &mut [AuditEscape], file: usize, line: usize, kind: &str)
 
 fn send_sync_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut AuditReport) {
     for (fi, f) in facts.iter().enumerate() {
-        match crate_policy(&f.crate_name) {
-            Policy::MustBeSend => {
-                for (line, construct) in &f.non_send_sites {
-                    if suppressed(escapes, fi, *line, "non-send") {
-                        continue;
-                    }
-                    report.findings.push(Finding {
-                        file: f.path.to_path_buf(),
-                        line: *line,
-                        pass: Pass::NonSend,
-                        message: format!(
-                            "`{construct}` in must-be-Send crate `{}`: this state is \
-                             shared across worker threads; use Arc/Mutex/atomics, or \
-                             annotate `// pup-audit: allow(non-send): <reason>`",
-                            f.crate_name
-                        ),
-                    });
-                }
+        if !must_be_send(&f.crate_name) {
+            continue;
+        }
+        for (line, construct) in &f.non_send_sites {
+            if suppressed(escapes, fi, *line, "non-send") {
+                continue;
             }
-            Policy::MigrationTarget => {
-                for (line, construct) in &f.non_send_sites {
-                    report.worklist.push(WorkItem {
-                        file: f.path.to_path_buf(),
-                        line: *line,
-                        construct: construct.to_string(),
-                    });
-                }
-            }
-            Policy::Unconstrained => {}
+            report.findings.push(Finding {
+                file: f.path.to_path_buf(),
+                line: *line,
+                pass: Pass::NonSend,
+                message: format!(
+                    "`{construct}` in must-be-Send crate `{}`: this state is \
+                     shared across worker threads; use Arc/Mutex/atomics, or \
+                     annotate `// pup-audit: allow(non-send): <reason>`",
+                    f.crate_name
+                ),
+            });
         }
     }
 }
@@ -680,10 +564,9 @@ fn find_cycles<'g>(
 
 /// Whether the non-Send type ident at code position `p` is merely the
 /// qualifier of an accessor path such as `Cell::get` passed to
-/// `LocalKey::with`. Those reads are not migration *sites* — the
-/// declaration is — so they are skipped. Constructor-ish members
-/// (`Rc::new`, `Rc::clone`, `RefCell::new`, …) still count: each one is a
-/// place the refactor must touch.
+/// `LocalKey::with`. Those reads are not *sites* — the declaration is —
+/// so they are skipped. Constructor-ish members (`Rc::new`, `Rc::clone`,
+/// `RefCell::new`, …) still count: each one creates non-Send state.
 fn is_accessor_path(file: &SourceFile<'_>, p: usize) -> bool {
     let Some(&c1) = file.code.get(p + 1) else { return false };
     let Some(&c2) = file.code.get(p + 2) else { return false };
@@ -1106,11 +989,11 @@ mod tests {
 
     #[test]
     fn crate_policies() {
-        assert_eq!(crate_policy("serve"), Policy::MustBeSend);
-        assert_eq!(crate_policy("obs"), Policy::MustBeSend);
-        assert_eq!(crate_policy("ckpt"), Policy::MustBeSend);
-        assert_eq!(crate_policy("tensor"), Policy::MigrationTarget);
-        assert_eq!(crate_policy("models"), Policy::Unconstrained);
+        assert!(must_be_send("serve"));
+        assert!(must_be_send("obs"));
+        assert!(must_be_send("ckpt"));
+        assert!(!must_be_send("tensor"));
+        assert!(!must_be_send("models"));
         assert_eq!(crate_of(Path::new("crates/serve/src/lib.rs")), "serve");
     }
 

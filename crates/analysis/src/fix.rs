@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn stale_escape_on_its_own_line_is_deleted_whole() {
-        let src = "fn f() -> u32 {\n    // pup-lint: allow(unwrap-in-lib)\n    42\n}\n";
+        let src = "fn f() -> u32 {\n    // pup-lint: allow(clone-in-loop)\n    42\n}\n";
         let (fixed, removed) = fix_source(Path::new("lib.rs"), src).expect("stale escape");
         assert_eq!(fixed, "fn f() -> u32 {\n    42\n}\n");
         assert_eq!(removed, 1);
@@ -202,18 +202,16 @@ mod tests {
 
     #[test]
     fn live_escapes_are_untouched() {
-        let src = "// pup-lint: allow(unwrap-in-lib)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let src = "// pup-lint: allow(float-eq)\nfn f(p: f64) -> bool { p == 0.0 }\n";
         assert!(fix_source(Path::new("lib.rs"), src).is_none());
     }
 
     #[test]
     fn partially_stale_escape_keeps_live_names() {
-        let src = "// pup-lint: allow(unwrap-in-lib, clone-in-loop)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let src =
+            "// pup-lint: allow(float-eq, clone-in-loop)\nfn f(p: f64) -> bool { p == 0.0 }\n";
         let (fixed, removed) = fix_source(Path::new("lib.rs"), src).expect("half stale");
-        assert_eq!(
-            fixed,
-            "// pup-lint: allow(unwrap-in-lib)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n"
-        );
+        assert_eq!(fixed, "// pup-lint: allow(float-eq)\nfn f(p: f64) -> bool { p == 0.0 }\n");
         assert_eq!(removed, 1);
     }
 
@@ -227,7 +225,7 @@ mod tests {
 
     #[test]
     fn fix_is_idempotent() {
-        let src = "fn f() -> u32 {\n    // pup-lint: allow(unwrap-in-lib)\n    42 // pup-lint: allow(float-eq)\n}\n";
+        let src = "fn f() -> u32 {\n    // pup-lint: allow(clone-in-loop)\n    42 // pup-lint: allow(float-eq)\n}\n";
         let (once, _) = fix_source(Path::new("lib.rs"), src).expect("stale escapes");
         assert!(fix_source(Path::new("lib.rs"), &once).is_none(), "second pass must be a no-op");
     }
@@ -271,7 +269,7 @@ mod tests {
 
     #[test]
     fn fixed_file_lints_clean_in_strict_mode() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // pup-lint: allow(unwrap-in-lib, clone-in-loop)\n    x.unwrap()\n}\n";
+        let src = "fn f(p: f64) -> bool {\n    // pup-lint: allow(float-eq, clone-in-loop)\n    p == 0.0\n}\n";
         let (fixed, _) = fix_source(Path::new("lib.rs"), src).expect("stale name");
         let diags = lint::lint_source_with(Path::new("lib.rs"), &fixed, true);
         assert!(diags.is_empty(), "{diags:?}");

@@ -4,9 +4,9 @@
 //! tape auditor in `pup_tensor::checks`:
 //!
 //! - [`lint`] — a workspace-aware static lint driver enforcing the repo's
-//!   reliability conventions (no `unwrap`/`expect` in non-test library code,
-//!   no `panic!` inside backward closures, documented public tensor ops, no
-//!   matrix clones inside hot loops). Run it with
+//!   reliability conventions that rustc and clippy cannot check (no
+//!   `panic!` inside backward closures, no unguarded logs in loss code, no
+//!   torn in-place writes, no matrix clones inside hot loops). Run it with
 //!   `cargo run -p pup-analysis -- lint`; it exits non-zero when any
 //!   violation is found. Individual sites opt out with a
 //!   `// pup-lint: allow(<rule>)` comment on or directly above the line.
@@ -25,11 +25,10 @@
 //!   statements) are computed by bracket matching on code tokens, so
 //!   needles in strings, comments or wrapped lines can never confuse a
 //!   rule.
-//! - [`concurrency`] — the Send/Sync shareability audit gating the
-//!   arena-tape migration: per-crate manifests of shared-state policy, a
-//!   ratcheted worklist of `Rc`/`RefCell` sites in `pup-tensor`, a
-//!   Mutex/RwLock acquisition-order pass over the serving path, and an
-//!   atomic-ordering lint. Run it with
+//! - [`concurrency`] — the Send/Sync shareability audit: no non-Send
+//!   state in the crates shared across worker threads (`serve`, `obs`,
+//!   `ckpt`), a Mutex/RwLock acquisition-order pass over the serving path,
+//!   and an atomic-ordering lint. Run it with
 //!   `cargo run -p pup-analysis -- audit-concurrency`.
 //! - [`callgraph`] / [`hotpath`] — the workspace-wide interprocedural call
 //!   graph (free fns, methods with conservative trait fan-out, closures

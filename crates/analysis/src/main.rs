@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p pup-analysis -- lint [--strict] [--fix [--force]] [--format json] [ROOT]
-//! cargo run -p pup-analysis -- audit-concurrency [--format json] [--update-ratchet] [ROOT]
+//! cargo run -p pup-analysis -- audit-concurrency [--format json] [ROOT]
 //! cargo run -p pup-analysis -- audit-hotpath [--format json] [--update-ratchet] [ROOT]
 //! cargo run -p pup-analysis -- audit-graph [ROOT]
 //! ```
@@ -19,10 +19,7 @@
 //!
 //! `audit-concurrency` runs the Send/Sync shareability manifest, the
 //! lock-discipline pass and the atomic-ordering lint (see
-//! `pup_analysis::concurrency`), compares the tensor migration worklist
-//! against the committed ratchet in `results/concurrency_ratchet.json`,
-//! and exits with the same 0/1/2 protocol. `--update-ratchet` rewrites the
-//! ratchet to the current worklist size.
+//! `pup_analysis::concurrency`) and exits with the same 0/1/2 protocol.
 //!
 //! `audit-hotpath` builds the workspace call graph, certifies every
 //! `// pup-hot: <label>` root panic-free (modulo reasoned
@@ -81,11 +78,9 @@ fn main() -> ExitCode {
         }
         Some("audit-concurrency") => {
             let mut json = false;
-            let mut update = false;
             let mut root = PathBuf::from(".");
             while let Some(arg) = args.next() {
                 match arg.as_str() {
-                    "--update-ratchet" => update = true,
                     "--format" => match args.next().as_deref() {
                         Some("json") => json = true,
                         Some("text") => json = false,
@@ -97,7 +92,7 @@ fn main() -> ExitCode {
                     _ => root = PathBuf::from(arg),
                 }
             }
-            run_audit_concurrency(&root, json, update)
+            run_audit_concurrency(&root, json)
         }
         Some("audit-hotpath") => {
             let mut json = false;
@@ -127,9 +122,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: pup-analysis lint [--strict] [--fix [--force]] [--format json] [ROOT]"
             );
-            eprintln!(
-                "       pup-analysis audit-concurrency [--format json] [--update-ratchet] [ROOT]"
-            );
+            eprintln!("       pup-analysis audit-concurrency [--format json] [ROOT]");
             eprintln!(
                 "       pup-analysis audit-hotpath [--format json] [--update-ratchet] [ROOT]"
             );
@@ -146,8 +139,7 @@ fn main() -> ExitCode {
             eprintln!("pup-audit escapes from both audits).");
             eprintln!();
             eprintln!("audit-concurrency runs the Send/Sync manifest, lock-discipline and");
-            eprintln!("atomic-ordering passes, and checks the tensor migration worklist");
-            eprintln!("against results/concurrency_ratchet.json.");
+            eprintln!("atomic-ordering passes.");
             eprintln!();
             eprintln!("audit-hotpath builds the workspace call graph and certifies every");
             eprintln!("`// pup-hot: <label>` root panic-free (escapes:");
@@ -243,7 +235,7 @@ fn print_lint_json(report: &lint::LintReport) {
     println!("{out}");
 }
 
-fn run_audit_concurrency(root: &std::path::Path, json: bool, update: bool) -> ExitCode {
+fn run_audit_concurrency(root: &std::path::Path, json: bool) -> ExitCode {
     let report = match concurrency::audit_workspace(root) {
         Ok(r) => r,
         Err(e) => {
@@ -251,18 +243,6 @@ fn run_audit_concurrency(root: &std::path::Path, json: bool, update: bool) -> Ex
             return ExitCode::from(2);
         }
     };
-    if update {
-        if let Err(e) = concurrency::update_ratchet(root, report.worklist.len()) {
-            eprintln!("pup-analysis: cannot update ratchet: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "audit-concurrency: ratchet set to {} tensor non-Send site(s)",
-            report.worklist.len()
-        );
-        // Re-run so the ratchet finding (if any) reflects the new value.
-        return run_audit_concurrency(root, json, false);
-    }
     if json {
         print_audit_json(&report);
     } else {
@@ -270,21 +250,10 @@ fn run_audit_concurrency(root: &std::path::Path, json: bool, update: bool) -> Ex
             println!("{f}");
         }
         println!(
-            "audit-concurrency: {} lock(s), {} ordering edge(s), {} tensor worklist \
-             site(s) (ratchet: {})",
+            "audit-concurrency: {} lock(s), {} ordering edge(s)",
             report.locks.len(),
             report.lock_edges.len(),
-            report.worklist.len(),
-            report.ratchet_recorded.map_or_else(|| "unset".to_string(), |r| r.to_string()),
         );
-        for item in &report.worklist {
-            println!(
-                "audit-concurrency: worklist {}:{}: {}",
-                item.file.display(),
-                item.line,
-                item.construct
-            );
-        }
         if report.findings.is_empty() {
             println!("audit-concurrency: clean ({} files checked)", report.files_checked);
         } else {
@@ -305,10 +274,6 @@ fn run_audit_concurrency(root: &std::path::Path, json: bool, update: bool) -> Ex
 fn print_audit_json(report: &concurrency::AuditReport) {
     let mut out = String::from("{\n  \"schema\": \"pup-audit/1\",\n");
     out.push_str(&format!("  \"files_checked\": {},\n", report.files_checked));
-    out.push_str(&format!(
-        "  \"ratchet_recorded\": {},\n",
-        report.ratchet_recorded.map_or_else(|| "null".to_string(), |r| r.to_string())
-    ));
     out.push_str("  \"findings\": [\n");
     for (i, f) in report.findings.iter().enumerate() {
         let comma = if i + 1 < report.findings.len() { "," } else { "" };
@@ -318,16 +283,6 @@ fn print_audit_json(report: &concurrency::AuditReport) {
             f.line,
             f.pass.name(),
             json_escape(&f.message),
-        ));
-    }
-    out.push_str("  ],\n  \"worklist\": [\n");
-    for (i, w) in report.worklist.iter().enumerate() {
-        let comma = if i + 1 < report.worklist.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"construct\": \"{}\"}}{comma}\n",
-            json_escape(&w.file.to_string_lossy()),
-            w.line,
-            json_escape(&w.construct),
         ));
     }
     out.push_str("  ],\n  \"lock_edges\": [\n");

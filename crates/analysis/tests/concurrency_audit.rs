@@ -1,12 +1,14 @@
 //! End-to-end checks for `audit-concurrency` over seeded scratch trees:
 //! each fixture plants exactly the hazard a pass exists to catch and
 //! asserts the audit reports it (and nothing else). The real workspace is
-//! covered too — it must stay clean against the committed ratchet.
+//! covered too — it must stay clean.
+
+#![allow(clippy::expect_used)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pup_analysis::concurrency::{audit_workspace, update_ratchet, Pass, RATCHET_PATH};
+use pup_analysis::concurrency::{audit_workspace, Pass};
 
 /// Builds a scratch workspace from `(relative path, source)` pairs and
 /// returns its root. Callers remove it when done.
@@ -35,7 +37,6 @@ fn rc_in_a_must_be_send_crate_is_flagged() {
     let non_send: Vec<_> = report.findings.iter().filter(|f| f.pass == Pass::NonSend).collect();
     assert_eq!(non_send.len(), 2, "use + field site: {:?}", report.findings);
     assert!(non_send.iter().any(|f| f.line == 4), "field site on line 4");
-    assert!(report.worklist.is_empty(), "serve sites are violations, not worklist items");
 }
 
 #[test]
@@ -146,42 +147,21 @@ fn relaxed_atomic_bool_handoff_is_flagged() {
 }
 
 #[test]
-fn tensor_sites_feed_the_worklist_and_the_ratchet() {
+fn tensor_rc_sites_produce_no_finding() {
     let root = seed(
-        "ratchet",
+        "tensor",
         &[(
             "crates/tensor/src/tape.rs",
             "use std::rc::Rc;\n\npub struct Tape {\n    nodes: Rc<Vec<u32>>,\n}\n",
         )],
     );
-    // Tensor sites are worklist items, not findings — but an unset ratchet
-    // with a non-empty worklist is itself a finding.
-    let report = audit_workspace(&root).expect("seeded tree is readable");
-    assert_eq!(report.worklist.len(), 2, "{:?}", report.worklist);
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(report.findings[0].pass, Pass::Ratchet);
-
-    // Committing the ratchet makes the audit clean…
-    update_ratchet(&root, report.worklist.len()).expect("ratchet written");
-    let report = audit_workspace(&root).expect("seeded tree is readable");
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.ratchet_recorded, Some(2));
-
-    // …and regressing past it is a violation.
-    fs::write(
-        root.join(RATCHET_PATH),
-        "{\"schema\": \"pup-audit-ratchet/1\", \"tensor_non_send_sites\": 1}\n",
-    )
-    .expect("shrink ratchet");
     let report = audit_workspace(&root).expect("seeded tree is readable");
     fs::remove_dir_all(&root).ok();
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(report.findings[0].pass, Pass::Ratchet);
-    assert!(report.findings[0].message.contains("grew"), "{}", report.findings[0].message);
+    assert!(report.findings.is_empty(), "the tape is single-threaded: {:?}", report.findings);
 }
 
 #[test]
-fn real_workspace_audit_is_clean_against_the_committed_ratchet() {
+fn real_workspace_audit_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = audit_workspace(&root).expect("workspace is readable");
     assert!(report.files_checked > 40, "walk found too few files: {}", report.files_checked);
@@ -189,10 +169,5 @@ fn real_workspace_audit_is_clean_against_the_committed_ratchet() {
         report.findings.is_empty(),
         "workspace audit must be clean:\n{}",
         report.findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
-    );
-    assert_eq!(
-        report.ratchet_recorded,
-        Some(report.worklist.len()),
-        "ratchet must match the live worklist"
     );
 }

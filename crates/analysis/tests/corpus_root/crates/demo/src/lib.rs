@@ -1,5 +1,5 @@
-//! Corpus fixture: one confirmed finding per general-purpose rule, plus
-//! the suppression/exclusion cases both engines must agree on.
+//! Corpus fixture: one confirmed finding per general-purpose rule, plus the
+//! suppression/exclusion cases; unwraps are clippy's, so they stay quiet.
 
 use std::fs;
 use std::path::Path;
@@ -61,9 +61,9 @@ pub fn atomic_write(p: &Path, s: &str) -> std::io::Result<()> {
     fs::rename(&tmp, p)
 }
 
-pub fn escaped_unwrap(x: Option<u32>) -> u32 {
-    // pup-lint: allow(unwrap-in-lib) — corpus: a live escape suppresses.
-    x.unwrap()
+pub fn escaped_float(p: f64) -> bool {
+    // pup-lint: allow(float-eq) — corpus: a live escape suppresses.
+    p == 1.0
 }
 
 pub fn needles_in_prose() -> &'static str {

@@ -5,6 +5,8 @@
 //! proves the call graph carried the fact caller-ward. The real workspace
 //! is covered too: it must certify clean against the committed ratchet.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -23,12 +23,12 @@ fn seeded_violation_is_reported() {
     let dir = std::env::temp_dir().join(format!("pup-lint-seed-{}", std::process::id()));
     let src = dir.join("crates/bad/src");
     fs::create_dir_all(&src).expect("temp tree");
-    fs::write(src.join("lib.rs"), "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n")
+    fs::write(src.join("lib.rs"), "pub fn f(p: f64) -> bool {\n    p == 0.5\n}\n")
         .expect("write seed file");
     let report = lint_workspace(&dir).expect("temp tree is readable");
     fs::remove_dir_all(&dir).ok();
     assert_eq!(report.files_checked, 1);
     assert_eq!(report.diagnostics.len(), 1);
-    assert_eq!(report.diagnostics[0].rule, Rule::UnwrapInLib);
+    assert_eq!(report.diagnostics[0].rule, Rule::FloatEq);
     assert_eq!(report.diagnostics[0].line, 2);
 }

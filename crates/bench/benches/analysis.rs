@@ -2,18 +2,20 @@
 //!
 //! The lint engine and the concurrency audit run on every `check.sh` and
 //! every CI push, so their wall-clock cost is part of the developer loop.
-//! Three groups:
+//! Five groups:
 //!
 //! - `lex` — raw lexer throughput over the workspace's largest sources;
 //!   the floor every token-based pass builds on.
-//! - `lint` — full-workspace `lint_workspace` (read + lex + parse + all
-//!   ten rules over every `crates/*/src` file).
+//! - `lint` — full-workspace `lint_workspace` (read + lex + parse + every
+//!   rule over every `crates/*/src` file).
 //! - `audit` — full-workspace `audit_workspace` (send-sync manifest,
-//!   lock-discipline fixpoint, atomic-ordering pass, ratchet check).
+//!   lock-discipline fixpoint, atomic-ordering pass).
 //! - `callgraph` — interprocedural call-graph construction alone, the
 //!   shared foundation under `audit-hotpath`.
 //! - `hotpath` — the full hot-path certifier (graph build + panic
 //!   reachability + allocation/lock budgets + ratchet check).
+
+#![allow(clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
 
@@ -78,7 +80,7 @@ fn bench_audit(c: &mut Criterion) {
     group.bench_function("workspace", |b| {
         b.iter(|| {
             let report = audit_workspace(black_box(&root)).expect("audit runs");
-            black_box((report.files_checked, report.worklist.len()))
+            black_box((report.files_checked, report.findings.len()))
         })
     });
     group.finish();

@@ -2,6 +2,8 @@
 //! a resilient run pays per epoch for crash safety (encode + fsync +
 //! rename on save; read + checksum + validate + restore on load).
 
+#![allow(clippy::expect_used)]
+
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 

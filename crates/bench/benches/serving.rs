@@ -10,6 +10,8 @@
 //! score + rank + write, vs. the in-process `primary_request` baseline)
 //! and the rate limiter's per-request admission decision alone.
 
+#![allow(clippy::expect_used)]
+
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;

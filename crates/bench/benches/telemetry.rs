@@ -11,6 +11,8 @@
 //!   off case relative to an uninstrumented build, which this bench can't
 //!   see directly, but off-vs-on shows the spread the flag is buying.
 
+#![allow(clippy::expect_used)]
+
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 

@@ -1,6 +1,8 @@
 //! Benchmarks: one BPR training epoch per model on a common synthetic
 //! dataset — the throughput comparison behind every experiment's wall-clock.
 
+#![allow(clippy::expect_used)]
+
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 

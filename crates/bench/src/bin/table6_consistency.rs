@@ -18,7 +18,7 @@ fn main() {
 
     let synth = beibei_like(env.scale, env.seed);
     let entropies = entropy_by_user(&synth.dataset);
-    // pup-lint: allow(unwrap-in-lib) — demo binary; synthetic data always has interactions.
+    #[expect(clippy::expect_used, reason = "demo binary; synthetic data always has interactions.")]
     let threshold = median_entropy(&entropies).expect("users with interactions exist");
     let (consistent, inconsistent) = group_users_by_entropy(&entropies, threshold);
     println!(

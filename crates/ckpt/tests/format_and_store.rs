@@ -3,6 +3,8 @@
 //! damaged file must yield a typed error, never a panic), and corrupt-latest
 //! fallback in the store.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

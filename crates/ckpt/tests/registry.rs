@@ -4,6 +4,8 @@
 //! tmp cleanup. Registry corruption must always degrade to a typed error
 //! or a skipped generation — never a panic, never serving damaged bytes.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,6 +7,8 @@
 //! out-of-range user with `ScoreError::UserOutOfRange`; ItemPop's must
 //! still score any user id.
 
+#![allow(clippy::expect_used)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -189,6 +189,7 @@ pub fn pairwise_interactions(features: &[Var]) -> Var {
 
 /// Naive quadratic-time pairwise interactions; reference implementation for
 /// tests and the decoder benchmark (ablation of eq. 7).
+#[expect(clippy::expect_used, reason = "documented precondition: callers pass a non-empty batch.")]
 pub fn pairwise_interactions_naive(features: &[Var]) -> Var {
     assert!(features.len() >= 2, "need at least two features to interact");
     let mut acc: Option<Var> = None;
@@ -201,7 +202,6 @@ pub fn pairwise_interactions_naive(features: &[Var]) -> Var {
             });
         }
     }
-    // pup-lint: allow(unwrap-in-lib) — documented precondition: callers pass a non-empty batch.
     acc.expect("at least one pair")
 }
 

@@ -117,7 +117,11 @@ impl BprModel for Ngcf {
     }
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
-        // pup-lint: allow(unwrap-in-lib) — BprModel state machine: trainer calls begin_step first.; pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
+        #[expect(
+            clippy::expect_used,
+            reason = "BprModel state machine: trainer calls begin_step first."
+        )]
+        // pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
         let repr = self.step_repr.as_ref().expect("begin_step must run first");
         let item_idx: Vec<usize> = items.iter().map(|&i| self.n_users + i).collect();
         let u = ops::gather_rows(repr, users);
@@ -161,7 +165,8 @@ impl Recommender for Ngcf {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug.; pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
+        #[expect(clippy::expect_used, reason = "inference-before-finalize is a caller bug.")]
+        // pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
         let repr = self.final_repr.as_ref().expect("finalize must run before inference");
         repr.score_items(user)
     }
@@ -170,8 +175,11 @@ impl Recommender for Ngcf {
         self.n_users
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "freezing before finalize is a caller bug, as inference is."
+    )]
     fn freeze(&self) -> Frozen {
-        // pup-lint: allow(unwrap-in-lib) — freezing before finalize is a caller bug, as inference is.
         Box::new(self.final_repr.clone().expect("finalize must run before freezing"))
     }
 }

@@ -310,7 +310,11 @@ impl Pup {
         let Some(repr_c) = repr_c else {
             return s_global;
         };
-        // pup-lint: allow(unwrap-in-lib) — repr_c is only Some when the category branch exists.; pup-audit: allow(hotpath-panic): repr_c is only Some when the category branch exists
+        #[expect(
+            clippy::expect_used,
+            reason = "repr_c is only Some when the category branch exists."
+        )]
+        // pup-audit: allow(hotpath-panic): repr_c is only Some when the category branch exists
         let branch = self.category.as_ref().expect("category branch present");
         let clay = &branch.layout;
         let cu_idx: Vec<usize> = users.iter().map(|&u| clay.index(NodeRef::User(u))).collect();
@@ -329,8 +333,9 @@ impl Pup {
     }
 
     /// The finalized inference state.
+    #[expect(clippy::expect_used, reason = "inference-before-finalize is a caller bug.")]
     fn finalized(&self) -> &FrozenPup {
-        // pup-lint: allow(unwrap-in-lib) — inference-before-finalize is a caller bug.; pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
+        // pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
         self.frozen.as_ref().expect("finalize must run before inference")
     }
 
@@ -353,7 +358,7 @@ impl Pup {
     /// Category-branch affinity between a user and each (category, price)
     /// pair: `e_u·e_c + e_u·e_p + e_c·e_p`. Only for [`PupVariant::Full`].
     pub fn user_category_price_affinity(&self, user: usize, category: usize, price: usize) -> f64 {
-        // pup-lint: allow(unwrap-in-lib) — documented precondition: full variant, finalized.
+        #[expect(clippy::expect_used, reason = "documented precondition: full variant, finalized.")]
         let (repr, lay) = self.finalized().category.as_ref().expect("full variant required");
         let u = repr.row(lay.index(NodeRef::User(user)));
         let c = repr.row(lay.index(NodeRef::Category(category)));
@@ -377,7 +382,11 @@ impl BprModel for Pup {
     }
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
-        // pup-lint: allow(unwrap-in-lib) — BprModel state machine: trainer calls begin_step first.; pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
+        #[expect(
+            clippy::expect_used,
+            reason = "BprModel state machine: trainer calls begin_step first."
+        )]
+        // pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
         let repr_g = self.step_global.clone().expect("begin_step must run first");
         let repr_c = self.step_category.clone();
         let scores = self.branch_scores(&repr_g, repr_c.as_ref(), users, items);

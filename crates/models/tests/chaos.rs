@@ -4,6 +4,8 @@
 //! panic), and a retry budget that runs dry surfaces as
 //! `TrainError::RetriesExhausted`.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

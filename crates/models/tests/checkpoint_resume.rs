@@ -6,6 +6,8 @@
 //! per-epoch losses and identical final parameter bytes — for PUP (whose
 //! `begin_step` consumes trainer RNG for dropout) and BPR-MF.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

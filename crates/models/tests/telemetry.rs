@@ -2,6 +2,8 @@
 //! from `pup evaluate --telemetry` must agree with what the trainer itself
 //! reports, and identical seeded runs must produce identical event shapes.
 
+#![allow(clippy::expect_used)]
+
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_data::SplitRatios;
 use pup_models::{train_bpr, BprMf, TrainConfig, TrainData, TrainStats};

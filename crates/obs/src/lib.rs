@@ -289,10 +289,11 @@ pub fn start() {
 ///
 /// # Panics
 /// Panics if collection is not active.
+#[expect(clippy::expect_used, reason = "API contract, mirrors tape::finish_recording")]
 pub fn finish() -> Telemetry {
     ACTIVE.with(|a| a.set(false));
     let collector = COLLECTOR.with(|c| c.borrow_mut().take());
-    collector.expect("pup-obs: finish() without start()").into_telemetry() // pup-lint: allow(unwrap-in-lib) — API contract, mirrors tape::finish_recording
+    collector.expect("pup-obs: finish() without start()").into_telemetry()
 }
 
 /// Stop collecting and discard everything captured. No-op when inactive.

@@ -212,7 +212,6 @@ fn pipeline(
     // it waited can no longer be answered in time at all — typed rejection.
     if deadline.exceeded() {
         shared.stats.note_rejected_deadline();
-        pup_obs::counter_add("serve.rejected.deadline", 1);
         return Err(ServeError::DeadlineExceeded {
             stage: Stage::Queue,
             budget_ns: deadline.budget_ns(),
@@ -288,11 +287,9 @@ fn primary_attempts(
             // budget without sleeping so tests stay fast and deterministic.
             deadline.charge_virtual(spike_ns);
             shared.stats.note_latency_spike();
-            pup_obs::counter_add("serve.latency_spikes", 1);
         }
         if faults.scorer_error {
             shared.stats.note_scorer_fault();
-            pup_obs::counter_add("serve.scorer_faults", 1);
             shared.breaker.record_failure();
             let backoff_ns = cfg.retry_backoff_ns.saturating_mul(1u64 << attempt.min(62));
             if attempt < cfg.max_retries && {
@@ -301,7 +298,6 @@ fn primary_attempts(
             } {
                 retries += 1;
                 shared.stats.note_retry();
-                pup_obs::counter_add("serve.retries", 1);
                 continue;
             }
             return Ok(PrimaryOutcome::Degraded(Degraded::ScorerFailed { retries }));

@@ -177,7 +177,6 @@ impl Server {
             }
             Err(PushRefused::Full { capacity }) => {
                 self.shared.stats.note_shed();
-                pup_obs::counter_add("serve.shed", 1);
                 Err(ServeError::QueueFull { capacity })
             }
             Err(PushRefused::Closed) => Err(ServeError::Shutdown),

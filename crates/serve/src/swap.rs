@@ -611,7 +611,6 @@ pub fn initiate_swap(
 ) -> Result<(), SwapError> {
     let seq = shared.faults.next_swap_attempt();
     shared.stats.note_swap_started();
-    pup_obs::counter_add("swap.attempts", 1);
     if shared.faults.fire_swap_corrupt(seq) {
         // The injected fault damages the candidate on disk *before*
         // validation — validation must now catch it.

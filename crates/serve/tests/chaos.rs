@@ -7,6 +7,8 @@
 //! instead of slept, so a single-worker, single-client run has a fully
 //! scripted attempt order.
 
+#![allow(clippy::expect_used)]
+
 use std::sync::Arc;
 
 use pup_ckpt::chaos::FaultPlan;

@@ -7,6 +7,8 @@
 //! TCP tests assert invariants (every written request gets an answer,
 //! drain drops nothing) rather than timings.
 
+#![allow(clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -10,17 +10,20 @@
 //! Timings (span durations, queue/total nanoseconds) differ run to run;
 //! everything *structural* must not.
 
+#![allow(clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use pup_ckpt::chaos::FaultPlan;
 use pup_obs::slo::{SloEngine, SloEvent, SloLevel, SloSpec};
 use pup_obs::trace::{tree_shape, TraceSink, TraceSpanRecord};
+use pup_serve::engine::handle_now;
 use pup_serve::flight::PostMortem;
 use pup_serve::stats::ServeReport;
 use pup_serve::{
-    run_closed_loop, BenchConfig, BreakerConfig, Fallback, GenScorerFactory, ScoreError, Scorer,
-    ServeConfig, ServiceShared,
+    run_closed_loop, BenchConfig, BreakerConfig, Fallback, GenScorerFactory, Request, ScoreError,
+    Scorer, ServeConfig, ServiceShared,
 };
 
 struct Linear {
@@ -249,4 +252,40 @@ fn publish_obs_bridges_traces_events_and_exemplars_into_telemetry() {
     let text = telemetry.to_jsonl_string();
     let back = pup_obs::Telemetry::from_jsonl_str(&text).expect("parses");
     assert_eq!(back, telemetry);
+}
+
+#[test]
+fn synchronous_requests_are_counted_once_in_telemetry() {
+    // Attempt 1 fails and is retried, attempt 3 spikes; user 9 is invalid.
+    let plan = FaultPlan::scorer_errors_at([1]).with_latency_spikes([(3, 1_000)]);
+    let shared = ServiceShared::with_faults(ServeConfig::default(), fallback(), N_USERS, plan);
+    let scorer = Linear { n_users: N_USERS, n_items: N_ITEMS };
+    pup_obs::start();
+    for user in [0, 1, 2, 9] {
+        let _ = handle_now(&shared, &scorer, Request { user, k: 3 });
+    }
+    shared.publish_obs();
+    let telemetry = pup_obs::finish();
+    let r = shared.report();
+    assert_eq!((r.scorer_faults, r.retries, r.latency_spikes), (1, 1, 1), "{r:?}");
+    for (name, want) in [
+        ("serve.submitted", r.submitted),
+        ("serve.admitted", r.admitted),
+        ("serve.shed", r.shed),
+        ("serve.rejected.deadline", r.rejected_deadline),
+        ("serve.rejected.invalid", r.rejected_invalid),
+        ("serve.answered.primary", r.primary),
+        ("serve.answered.degraded", r.degraded()),
+        ("serve.scorer_faults", r.scorer_faults),
+        ("serve.latency_spikes", r.latency_spikes),
+        ("serve.retries", r.retries),
+        ("serve.breaker.trips", r.breaker_trips),
+        ("serve.breaker.half_opens", r.breaker_half_opens),
+        ("serve.breaker.closes", r.breaker_closes),
+        ("swap.started", r.swaps_started),
+        ("swap.shadow_scored", r.shadow_scored),
+        ("swap.shadow_errors", r.shadow_errors),
+    ] {
+        assert_eq!(telemetry.counter(name).unwrap_or(0), want, "{name} must equal ServeReport");
+    }
 }

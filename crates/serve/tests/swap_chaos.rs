@@ -8,6 +8,8 @@
 //! both serving and durable, a rollback restores bit-identical rankings,
 //! and the same fault schedule always replays the same transition trace.
 
+#![allow(clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

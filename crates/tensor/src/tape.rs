@@ -156,10 +156,10 @@ pub fn start_recording() {
 ///
 /// # Panics
 /// Panics if no recording is active.
+#[expect(clippy::expect_used, reason = "the panic is this function's documented contract")]
 pub fn finish_recording(root: &Var) -> Tape {
     ensure_recorded(root);
     let mut recorder = RECORDER.with(|r| {
-        // pup-lint: allow(unwrap-in-lib) — the panic is this function's documented contract
         r.borrow_mut().take().expect("tape: finish_recording() without start_recording()")
     });
     recorder.nodes.sort_unstable_by_key(|n| n.id);

@@ -11,6 +11,8 @@
 //! cargo run --release --example extended_attributes
 //! ```
 
+#![allow(clippy::expect_used)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -11,6 +11,8 @@
 //! cargo run --release --example price_sensitive_shopper
 //! ```
 
+#![allow(clippy::expect_used)]
+
 use pup_data::synthetic::{generate, GeneratorConfig, PriceDistribution};
 use pup_recsys::prelude::*;
 
