@@ -1,7 +1,10 @@
 //! Benchmarks: evaluation-path costs — all-item scoring, top-K ranking,
-//! negative sampling, and price quantization.
+//! negative sampling, and price quantization. Each run appends an entry
+//! to `BENCH_evaluation.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+#![allow(clippy::expect_used)]
+
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pup_data::quantize::{rank_quantize, uniform_quantize};
@@ -34,9 +37,14 @@ fn bench_scoring_and_ranking(c: &mut Criterion) {
         b.iter(|| black_box(pup.score_items(black_box(7))))
     });
 
-    let scores = pup.score_items(7);
-    let candidates: Vec<u32> = (0..dataset.n_items as u32).collect();
-    for &k in &[50usize, 100] {
+    // Ranking at serving scale: a 15,255-item catalog, every item a
+    // candidate, as in a `/recommend` for a user with no history.
+    let n_ranked = 15_255;
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    let scores: Vec<f64> =
+        (0..n_ranked).map(|_| rand::Rng::gen_range(&mut rng, -1.0f64..1.0)).collect();
+    let candidates: Vec<u32> = (0..n_ranked as u32).collect();
+    for &k in &[20usize, 50, 100] {
         group.bench_with_input(BenchmarkId::new("rank_top_k", k), &k, |b, &k| {
             b.iter(|| rank_candidates(black_box(&scores), black_box(&candidates), k))
         });
@@ -74,4 +82,10 @@ fn bench_quantization(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_scoring_and_ranking, bench_quantization);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let path = pup_bench::harness::write_bench_json("evaluation", &criterion::take_results())
+        .expect("write BENCH_evaluation.json");
+    println!("wrote {}", path.display());
+}

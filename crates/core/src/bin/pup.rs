@@ -550,11 +550,8 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = pipeline.dataset();
     let seen = &pipeline.split().train_items_by_user()[user];
     let scores = model.try_score_items(user).map_err(|e| e.to_string())?;
-    let candidates: Vec<u32> =
-        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-        (0..dataset.n_items as u32).filter(|i| seen.binary_search(i).is_err()).collect();
-    let ranked =
-        pup_eval::try_rank_candidates(&scores, &candidates, top).map_err(|e| e.to_string())?;
+    let ranked = pup_eval::try_rank_unseen(&scores, dataset.n_items, seen, top)
+        .map_err(|e| e.to_string())?;
     println!("top {top} items for user {user_name:?}:");
     for (rank, &i) in ranked.iter().enumerate() {
         let i = i as usize;

@@ -1,6 +1,7 @@
 //! Differential test of the frozen scoring forms (`Recommender::freeze`)
 //! on random generated datasets. For every model kind
-//! `Pipeline::restore_from_checkpoint` accepts, and all four PUP variants,
+//! `Pipeline::restore_from_checkpoint` accepts, and all four PUP variants
+//! (at small dims and at the served `PupConfig::default()` dims),
 //! the frozen form of a restored model must equal its `score_items` bit for
 //! bit, match the trained model's `score_batch` (within 1e-12 for BPR-MF,
 //! whose score is one dot product, and 1e-10 otherwise), and reject an
@@ -110,23 +111,29 @@ proptest! {
         check(&pipeline, ModelKind::GcMc, &cfg, GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed));
         let ngcf = Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed);
         check(&pipeline, ModelKind::Ngcf, &cfg, ngcf);
-        for variant in [
-            PupVariant::Full,
-            PupVariant::PriceOnly,
-            PupVariant::CategoryOnly,
-            PupVariant::Bipartite,
-        ] {
-            let pup_cfg = PupConfig {
-                global_dim: 5,
-                category_dim: 3,
-                alpha: 0.7,
-                n_layers,
-                variant,
-                dropout: cfg.dropout,
-                seed: cfg.seed,
-                ..Default::default()
-            };
-            check(&pipeline, ModelKind::Pup(pup_cfg.clone()), &cfg, Pup::new(&data, pup_cfg));
+        // Small dims, and the dims that serve (`PupConfig::default()`).
+        let served = PupConfig::default();
+        for (global_dim, category_dim, alpha) in
+            [(5, 3, 0.7), (served.global_dim, served.category_dim, served.alpha)]
+        {
+            for variant in [
+                PupVariant::Full,
+                PupVariant::PriceOnly,
+                PupVariant::CategoryOnly,
+                PupVariant::Bipartite,
+            ] {
+                let pup_cfg = PupConfig {
+                    global_dim,
+                    category_dim,
+                    alpha,
+                    n_layers,
+                    variant,
+                    dropout: cfg.dropout,
+                    seed: cfg.seed,
+                    ..Default::default()
+                };
+                check(&pipeline, ModelKind::Pup(pup_cfg.clone()), &cfg, Pup::new(&data, pup_cfg));
+            }
         }
 
         // ItemPop is fitted, not restored from parameters, and scores any user.

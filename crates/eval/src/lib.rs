@@ -21,7 +21,8 @@ pub mod significance;
 pub use coldstart::{build_cold_start_task, evaluate_cold_start, ColdStartProtocol, ColdStartTask};
 pub use ranking::{
     evaluate, evaluate_per_user, evaluate_pools, evaluate_pools_per_user, evaluate_users,
-    rank_candidates, try_rank_candidates, MetricPair, MetricReport, PerUserMetrics,
+    rank_candidates, try_rank_candidates, try_rank_unseen, MetricPair, MetricReport,
+    PerUserMetrics,
 };
 pub use report::Table;
 pub use revenue::{evaluate_revenue, RevenueReport};

@@ -4,6 +4,9 @@
 //! with in training (or validation) form the candidate pool; the model ranks
 //! them and Recall@K / NDCG@K are averaged over users.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use pup_data::Split;
 use pup_models::{Recommender, ScoreError};
 
@@ -63,15 +66,65 @@ pub fn try_rank_candidates(
     top: usize,
 ) -> Result<Vec<u32>, ScoreError> {
     let _span = pup_obs::span("rank.topk");
-    if let Some(&bad) = candidates.iter().find(|&&c| (c as usize) >= scores.len()) {
-        return Err(ScoreError::ItemOutOfRange { item: bad as usize, n_items: scores.len() });
+    select_top(scores, candidates.iter().copied(), top)
+}
+
+/// [`try_rank_candidates`] over every item id below `n_items` that is not
+/// in `seen`, without building that candidate list. `seen` must be sorted
+/// ascending; ids in it at or above `n_items` are ignored. This is the one
+/// seen-item policy shared by serving and `pup recommend`.
+pub fn try_rank_unseen(
+    scores: &[f64],
+    n_items: usize,
+    seen: &[u32],
+    top: usize,
+) -> Result<Vec<u32>, ScoreError> {
+    let _span = pup_obs::span("rank.topk");
+    let mut seen = seen.iter().copied().peekable();
+    // A forward merge: both the ids and `seen` ascend.
+    let unseen = (0..u32::try_from(n_items).unwrap_or(u32::MAX)).filter(move |&i| {
+        while seen.next_if(|&s| s < i).is_some() {}
+        seen.peek() != Some(&i)
+    });
+    select_top(scores, unseen, top)
+}
+
+/// The ranking core: one pass over `candidates` keeps the best `top` in a
+/// bounded max-heap whose root is the worst entry kept, then sorts them
+/// best first. The result equals a full sort (score descending under
+/// `total_cmp`, then item id ascending) truncated to `top`. The first
+/// candidate outside `scores` is an error.
+fn select_top(
+    scores: &[f64],
+    candidates: impl Iterator<Item = u32>,
+    top: usize,
+) -> Result<Vec<u32>, ScoreError> {
+    let mut heap = BinaryHeap::with_capacity(top.min(candidates.size_hint().1.unwrap_or(0)));
+    for item in candidates {
+        let Some(&score) = scores.get(item as usize) else {
+            return Err(ScoreError::ItemOutOfRange { item: item as usize, n_items: scores.len() });
+        };
+        // The greater entry ranks later: a lower score, then a higher id.
+        let entry = (Reverse(total_order_key(score)), item);
+        if heap.len() < top {
+            heap.push(entry);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if entry < *worst {
+                *worst = entry;
+            }
+        }
     }
-    let mut idx: Vec<u32> = candidates.to_vec();
-    let top = top.min(idx.len());
-    // pup-audit: allow(hotpath-panic): candidate ids are validated against scores.len() at entry
-    idx.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]).then(a.cmp(&b)));
-    idx.truncate(top);
-    Ok(idx)
+    let mut ranked = Vec::with_capacity(heap.len());
+    for (_, item) in heap.into_sorted_vec() {
+        ranked.push(item);
+    }
+    Ok(ranked)
+}
+
+/// An integer key whose order is `f64::total_cmp`'s (the same bit flip).
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits().cast_signed();
+    bits ^ ((bits >> 63).cast_unsigned() >> 1).cast_signed()
 }
 
 /// Standard evaluation: every user with test items, candidates are all items
@@ -88,26 +141,7 @@ pub fn evaluate_users(
     users: &[usize],
     ks: &[usize],
 ) -> MetricReport {
-    let train = split.train_items_by_user();
-    let valid = split.valid_items_by_user();
-    let test = split.test_items_by_user();
-    let mut pools = Vec::with_capacity(users.len());
-    let mut truths = Vec::with_capacity(users.len());
-    let mut kept_users = Vec::with_capacity(users.len());
-    for &u in users {
-        if test[u].is_empty() {
-            continue;
-        }
-        let exclude =
-            |i: &u32| train[u].binary_search(i).is_ok() || valid[u].binary_search(i).is_ok();
-        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-        let pool: Vec<u32> = (0..split.n_items as u32).filter(|i| !exclude(i)).collect();
-        pools.push(pool);
-        // pup-lint: allow(clone-in-loop) — per-user ground-truth copy, once per evaluation.
-        truths.push(test[u].clone());
-        kept_users.push(u);
-    }
-    evaluate_pools(model, &kept_users, &pools, &truths, ks)
+    standard_per_user(model, split, users, ks).summarize()
 }
 
 /// Per-user evaluation results, for significance testing (paper §V-B4's
@@ -215,13 +249,25 @@ pub fn evaluate_pools_per_user(
 /// Per-user evaluation under the standard protocol (all items minus the
 /// user's train/valid positives as candidates).
 pub fn evaluate_per_user(model: &dyn Recommender, split: &Split, ks: &[usize]) -> PerUserMetrics {
+    let users: Vec<usize> = (0..split.n_users).collect();
+    standard_per_user(model, split, &users, ks)
+}
+
+/// The standard protocol over `users`: every user with test items, ranking
+/// all items minus the user's train/validation positives.
+fn standard_per_user(
+    model: &dyn Recommender,
+    split: &Split,
+    users: &[usize],
+    ks: &[usize],
+) -> PerUserMetrics {
     let train = split.train_items_by_user();
     let valid = split.valid_items_by_user();
     let test = split.test_items_by_user();
-    let mut pools = Vec::new();
-    let mut truths = Vec::new();
-    let mut users = Vec::new();
-    for u in 0..split.n_users {
+    let mut pools = Vec::with_capacity(users.len());
+    let mut truths = Vec::with_capacity(users.len());
+    let mut kept_users = Vec::with_capacity(users.len());
+    for &u in users {
         if test[u].is_empty() {
             continue;
         }
@@ -231,9 +277,9 @@ pub fn evaluate_per_user(model: &dyn Recommender, split: &Split, ks: &[usize]) -
         pools.push((0..split.n_items as u32).filter(|i| !exclude(i)).collect());
         // pup-lint: allow(clone-in-loop) — per-user ground-truth copy, once per evaluation.
         truths.push(test[u].clone());
-        users.push(u);
+        kept_users.push(u);
     }
-    evaluate_pools_per_user(model, &users, &pools, &truths, ks)
+    evaluate_pools_per_user(model, &kept_users, &pools, &truths, ks)
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! while the autograd `Var`s (`Rc<RefCell>`) stay on the thread that
 //! trained them. Each model's `score_items` runs the same inference code
 //! as its frozen form, so the two agree bit for bit.
+//! BPR-MF, PaDQ, GC-MC, NGCF and PUP (whose eq. 7 `Pup::finalize` folds
+//! into one dot product per item) all freeze into [`DotScorer`].
 
 use pup_tensor::Matrix;
 
@@ -16,7 +18,7 @@ use crate::common::Recommender;
 pub type Frozen = Box<dyn Recommender + Send + Sync>;
 
 /// `e_u · e_i` for every item — the one decoder routine behind BPR-MF,
-/// PaDQ, GC-MC and NGCF, live or frozen.
+/// PaDQ, GC-MC, NGCF and PUP, live or frozen.
 pub(crate) fn dot_scores(users: &Matrix, items: &Matrix, user: usize) -> Vec<f64> {
     users.gather_rows(&[user]).matmul_t(items).into_vec()
 }

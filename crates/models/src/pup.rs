@@ -25,7 +25,7 @@ use pup_graph::{build_pup_graph, GraphSpec, Layout, NodeRef};
 use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
 
 use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
-use crate::frozen::Frozen;
+use crate::frozen::{DotScorer, Frozen};
 use crate::trainer::BprModel;
 
 /// Which PUP variant to build (paper Table III / Fig. 6 ablations).
@@ -206,8 +206,8 @@ pub struct Pup {
     item_category: Vec<usize>,
     step_global: Option<Var>,
     step_category: Option<Var>,
-    /// Inference state, built by `finalize`.
-    frozen: Option<FrozenPup>,
+    /// The folded inference decoder, built by `finalize`.
+    frozen: Option<DotScorer>,
 }
 
 impl Pup {
@@ -332,16 +332,22 @@ impl Pup {
         ops::add(&s_global, &ops::scale(&s_cat, self.config.alpha))
     }
 
-    /// The finalized inference state.
+    /// The finalized inference decoder.
     #[expect(clippy::expect_used, reason = "inference-before-finalize is a caller bug.")]
-    fn finalized(&self) -> &FrozenPup {
+    fn finalized(&self) -> &DotScorer {
         // pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
         self.frozen.as_ref().expect("finalize must run before inference")
     }
 
+    /// A branch's inference representations: propagated, no dropout.
+    fn inference_repr(&self, branch: &Branch) -> Matrix {
+        branch.propagate(self.config.n_layers, 0.0, None).value_clone()
+    }
+
     /// Global-branch affinity between a user and each price level
     /// (`e_u · e_p` after propagation) — the interpretability handle the
-    /// paper's decoder design advertises. Requires a finalized model.
+    /// paper's decoder design advertises. Each call propagates the branch
+    /// afresh; inference keeps only the folded decoder.
     pub fn user_price_affinity(&self, user: usize) -> Vec<f64> {
         assert_ne!(self.config.variant, PupVariant::Bipartite, "bipartite PUP has no price nodes");
         assert_ne!(
@@ -349,21 +355,79 @@ impl Pup {
             PupVariant::CategoryOnly,
             "category-only PUP has no price nodes"
         );
-        let repr = &self.finalized().global;
+        let repr = self.inference_repr(&self.global);
         let lay = &self.global.layout;
-        let u = repr.row(lay.index(NodeRef::User(user))).to_vec();
-        (0..lay.n_prices()).map(|p| dot(&u, repr.row(lay.index(NodeRef::Price(p))))).collect()
+        let u = repr.row(lay.index(NodeRef::User(user)));
+        (0..lay.n_prices()).map(|p| dot(u, repr.row(lay.index(NodeRef::Price(p))))).collect()
     }
 
     /// Category-branch affinity between a user and each (category, price)
     /// pair: `e_u·e_c + e_u·e_p + e_c·e_p`. Only for [`PupVariant::Full`].
     pub fn user_category_price_affinity(&self, user: usize, category: usize, price: usize) -> f64 {
-        #[expect(clippy::expect_used, reason = "documented precondition: full variant, finalized.")]
-        let (repr, lay) = self.finalized().category.as_ref().expect("full variant required");
+        #[expect(clippy::expect_used, reason = "documented precondition: full variant.")]
+        let branch = self.category.as_ref().expect("full variant required");
+        let repr = self.inference_repr(branch);
+        let lay = &branch.layout;
         let u = repr.row(lay.index(NodeRef::User(user)));
         let c = repr.row(lay.index(NodeRef::Category(category)));
         let p = repr.row(lay.index(NodeRef::Price(price)));
         dot(u, c) + dot(u, p) + dot(c, p)
+    }
+
+    /// Folds eq. 7 into one dot product per item, so inference is the
+    /// shared [`DotScorer`]. Grouped by item, the score is
+    /// `[e_u; α·e_u^c; 1] · [e_i + e_a; e_c^c + e_p^c; e_i·e_a + α·e_c^c·e_p^c]`,
+    /// where `e_a` is the item's price node (its category node for
+    /// [`PupVariant::CategoryOnly`]) and the `^c` blocks come from the
+    /// category branch ([`PupVariant::Full`] only). The bipartite variant
+    /// has no attribute node, so it folds to `[e_u] · [e_i]`.
+    fn fold(&self) -> DotScorer {
+        let (lay, alpha, variant) = (&self.global.layout, self.config.alpha, self.config.variant);
+        let global = self.inference_repr(&self.global);
+        let category = self.category.as_ref().map(|b| (self.inference_repr(b), &b.layout));
+        let has_bias = variant != PupVariant::Bipartite;
+        let width = global.cols()
+            + category.as_ref().map_or(0, |(repr, _)| repr.cols())
+            + usize::from(has_bias);
+
+        let mut users = Vec::with_capacity(lay.n_users() * width);
+        for u in 0..lay.n_users() {
+            users.extend_from_slice(global.row(lay.index(NodeRef::User(u))));
+            if let Some((repr, clay)) = &category {
+                users.extend(repr.row(clay.index(NodeRef::User(u))).iter().map(|x| alpha * x));
+            }
+            if has_bias {
+                users.push(1.0);
+            }
+        }
+        let mut items = Vec::with_capacity(lay.n_items() * width);
+        for i in 0..lay.n_items() {
+            let (price, cat) = (self.item_price_level[i], self.item_category[i]);
+            let e_i = global.row(lay.index(NodeRef::Item(i)));
+            let attribute = match variant {
+                PupVariant::Bipartite => {
+                    items.extend_from_slice(e_i);
+                    continue;
+                }
+                PupVariant::CategoryOnly => NodeRef::Category(cat),
+                PupVariant::Full | PupVariant::PriceOnly => NodeRef::Price(price),
+            };
+            let e_a = global.row(lay.index(attribute));
+            items.extend(e_i.iter().zip(e_a).map(|(x, y)| x + y));
+            let mut bias = dot(e_i, e_a);
+            if let Some((repr, clay)) = &category {
+                let e_c = repr.row(clay.index(NodeRef::Category(cat)));
+                let e_p = repr.row(clay.index(NodeRef::Price(price)));
+                items.extend(e_c.iter().zip(e_p).map(|(x, y)| x + y));
+                bias += alpha * dot(e_c, e_p);
+            }
+            items.push(bias);
+        }
+        DotScorer::new(
+            variant.label(),
+            Matrix::from_vec(lay.n_users(), width, users),
+            Matrix::from_vec(lay.n_items(), width, items),
+        )
     }
 }
 
@@ -387,9 +451,8 @@ impl BprModel for Pup {
             reason = "BprModel state machine: trainer calls begin_step first."
         )]
         // pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
-        let repr_g = self.step_global.clone().expect("begin_step must run first");
-        let repr_c = self.step_category.clone();
-        let scores = self.branch_scores(&repr_g, repr_c.as_ref(), users, items);
+        let repr_g = self.step_global.as_ref().expect("begin_step must run first");
+        let scores = self.branch_scores(repr_g, self.step_category.as_ref(), users, items);
         pup_tensor::checks::guard_finite("Pup::score_batch", &scores);
         scores
     }
@@ -403,19 +466,7 @@ impl BprModel for Pup {
     }
 
     fn finalize(&mut self) {
-        let global = self.global.propagate(self.config.n_layers, 0.0, None).value_clone();
-        let category = self.category.as_ref().map(|b| {
-            (b.propagate(self.config.n_layers, 0.0, None).value_clone(), b.layout.clone())
-        });
-        self.frozen = Some(FrozenPup {
-            variant: self.config.variant,
-            alpha: self.config.alpha,
-            global,
-            global_layout: self.global.layout.clone(),
-            category,
-            item_price_level: self.item_price_level.clone(),
-            item_category: self.item_category.clone(),
-        });
+        self.frozen = Some(self.fold());
         self.step_global = None;
         self.step_category = None;
     }
@@ -458,70 +509,6 @@ impl Recommender for Pup {
 
     fn freeze(&self) -> Frozen {
         Box::new(self.finalized().clone())
-    }
-}
-
-/// PUP's frozen scoring form: both branches' propagated representations
-/// and the item metadata the decoder reads.
-#[derive(Clone, Debug)]
-pub(crate) struct FrozenPup {
-    variant: PupVariant,
-    alpha: f64,
-    global: Matrix,
-    global_layout: Layout,
-    /// Present only for [`PupVariant::Full`].
-    category: Option<(Matrix, Layout)>,
-    item_price_level: Vec<usize>,
-    item_category: Vec<usize>,
-}
-
-impl Recommender for FrozenPup {
-    fn name(&self) -> &str {
-        self.variant.label()
-    }
-
-    /// Inference scores over all items from the finalized representations.
-    fn score_items(&self, user: usize) -> Vec<f64> {
-        let repr_g = &self.global;
-        let lay = &self.global_layout;
-        let u = repr_g.gather_rows(&[lay.index(NodeRef::User(user))]);
-        let u_row = u.row(0);
-        let n_items = lay.n_items();
-        let mut out = Vec::with_capacity(n_items);
-        for i in 0..n_items {
-            let ei = repr_g.row(lay.index(NodeRef::Item(i)));
-            let mut s = match self.variant {
-                PupVariant::Bipartite => dot(u_row, ei),
-                PupVariant::CategoryOnly => {
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    let ec = repr_g.row(lay.index(NodeRef::Category(self.item_category[i])));
-                    dot(u_row, ei) + dot(u_row, ec) + dot(ei, ec)
-                }
-                PupVariant::Full | PupVariant::PriceOnly => {
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    let ep = repr_g.row(lay.index(NodeRef::Price(self.item_price_level[i])));
-                    dot(u_row, ei) + dot(u_row, ep) + dot(ei, ep)
-                }
-            };
-            if let Some((repr_c, clay)) = &self.category {
-                let cu = repr_c.row(clay.index(NodeRef::User(user)));
-                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let cp = repr_c.row(clay.index(NodeRef::Price(self.item_price_level[i])));
-                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let cc = repr_c.row(clay.index(NodeRef::Category(self.item_category[i])));
-                s += self.alpha * (dot(cu, cc) + dot(cu, cp) + dot(cc, cp));
-            }
-            out.push(s);
-        }
-        out
-    }
-
-    fn n_users(&self) -> usize {
-        self.global_layout.n_users()
-    }
-
-    fn freeze(&self) -> Frozen {
-        Box::new(self.clone())
     }
 }
 
@@ -613,7 +600,7 @@ mod tests {
 
     /// Cosine similarity of two nodes' finalized global-branch rows.
     fn cosine(m: &Pup, a: usize, b: usize) -> f64 {
-        let repr = &m.finalized().global;
+        let repr = m.inference_repr(&m.global);
         let (ra, rb) = (repr.row(a), repr.row(b));
         dot(ra, rb) / (dot(ra, ra).sqrt() * dot(rb, rb).sqrt())
     }

@@ -405,11 +405,13 @@ impl BprTrainer {
         let mut batches = 0usize;
         let mut examples = 0usize;
         let npp = self.cfg.negatives_per_positive;
+        // Triple buffers reused by every batch of the epoch.
+        let (mut users, mut pos, mut neg) = (Vec::new(), Vec::new(), Vec::new());
         for chunk in self.order.chunks(self.cfg.batch_size) {
             // Expand each positive into `negatives_per_positive` triples.
-            let mut users = Vec::with_capacity(chunk.len() * npp);
-            let mut pos = Vec::with_capacity(users.capacity());
-            let mut neg = Vec::with_capacity(users.capacity());
+            users.clear();
+            pos.clear();
+            neg.clear();
             for &k in chunk {
                 // pup-audit: allow(hotpath-panic): k is drawn from 0..train.len() by the shuffled visit order
                 let (u, i) = self.train[k];

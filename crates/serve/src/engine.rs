@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use pup_ckpt::chaos::FaultPlan;
-use pup_eval::try_rank_candidates;
+use pup_eval::try_rank_unseen;
 use pup_models::ScoreError;
 use pup_obs::slo::SloEngine;
 use pup_obs::trace::{TraceContext, TraceId, TraceSink};
@@ -323,10 +323,12 @@ fn primary_attempts(
                     });
                 }
                 let rank_span = score_span.ctx().span("rank");
-                let ranked = rank_unseen(shared, scorer, &scores, req).map_err(|e| {
-                    shared.stats.note_rejected_invalid();
-                    ServeError::Score(e)
-                })?;
+                let seen = shared.fallback.seen_items(req.user);
+                let ranked =
+                    try_rank_unseen(&scores, scorer.n_items(), seen, req.k).map_err(|e| {
+                        shared.stats.note_rejected_invalid();
+                        ServeError::Score(e)
+                    })?;
                 drop(rank_span);
                 if deadline.exceeded() {
                     shared.stats.note_rejected_deadline();
@@ -360,22 +362,6 @@ fn primary_attempts(
     // `max_retries + 1` attempts all returned `continue`-or-return above;
     // reaching here means the loop bound itself was exhausted.
     Ok(PrimaryOutcome::Degraded(Degraded::ScorerFailed { retries }))
-}
-
-/// Ranks the user's unseen items by the given scores, top `k`. Shared by
-/// the primary path and shadow scoring so both rankings apply the same
-/// seen-item policy.
-pub(crate) fn rank_unseen(
-    shared: &ServiceShared,
-    scorer: &dyn Scorer,
-    scores: &[f64],
-    req: Request,
-) -> Result<Vec<u32>, ScoreError> {
-    let seen = shared.fallback.seen_items(req.user);
-    let candidates: Vec<u32> =
-        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-        (0..scorer.n_items() as u32).filter(|i| seen.binary_search(i).is_err()).collect();
-    try_rank_candidates(scores, &candidates, req.k)
 }
 
 /// Stamps latency and assembles the response. The total-latency histogram

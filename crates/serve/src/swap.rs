@@ -35,8 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pup_ckpt::registry::{ModelRegistry, PromoteOutcome};
+use pup_eval::try_rank_unseen;
 
-use crate::engine::{rank_unseen, ServiceShared};
+use crate::engine::ServiceShared;
 use crate::faults::FaultInjector;
 use crate::scorer::Scorer;
 use crate::{Request, Response};
@@ -545,7 +546,9 @@ impl WorkerModel {
         if shadow_scores.iter().any(|s| s.is_nan()) {
             return fail(RollbackReason::NanProbe);
         }
-        let Ok(shadow_ranked) = rank_unseen(shared, candidate.as_ref(), &shadow_scores, req) else {
+        let seen = shared.fallback.seen_items(req.user);
+        let Ok(shadow_ranked) = try_rank_unseen(&shadow_scores, candidate.n_items(), seen, req.k)
+        else {
             return fail(RollbackReason::ShadowError);
         };
         let overlap = topk_overlap(&resp.items, &shadow_ranked);

@@ -204,7 +204,7 @@ impl CsrMatrix {
         let d = dense.cols();
         let mut out = Matrix::zeros(self.cols, d);
         for r in 0..self.rows {
-            let src = dense.row(r).to_vec();
+            let src = dense.row(r);
             // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
             for e in self.indptr[r]..self.indptr[r + 1] {
                 // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
@@ -213,7 +213,7 @@ impl CsrMatrix {
                 let v = self.values[e];
                 // pup-audit: allow(hotpath-panic): column ids are < cols by CSR construction
                 let dst = &mut out.as_mut_slice()[c * d..(c + 1) * d];
-                for (o, &s) in dst.iter_mut().zip(&src) {
+                for (o, &s) in dst.iter_mut().zip(src) {
                     *o += v * s;
                 }
             }
