@@ -15,12 +15,13 @@
 //! - **Edges** are syntactic call sites. A qualified call `Type::method(…)`
 //!   resolves to workspace fns named `method` inside an `impl` (or `trait`)
 //!   block for `Type`; if none exists the callee is foreign (std or a shim)
-//!   and the edge is dropped. An unqualified call `helper(…)` or a method
-//!   call `recv.method(…)` resolves to **every** non-test workspace fn with
-//!   that name — the conservative trait-impl fan-out that makes
+//!   and the edge is dropped. An unqualified call `helper(…)` resolves to
+//!   the non-test workspace fns with that name (nearest scope first), and
+//!   a method call `recv.method(…)` to **every** non-test method with that
+//!   name — the conservative trait-impl fan-out that makes
 //!   `scorer.score(u)` reach every `Scorer::score` implementation without a
-//!   type system. Macro invocations (`name!`) and the `fn name(` definition
-//!   site itself are never calls.
+//!   type system. Macro invocations (`name!`), the `fn name(` definition
+//!   site itself and a bare `drop(x)` (`std::mem::drop`) are never calls.
 //!
 //! The graph is deliberately sound-for-reachability rather than precise:
 //! it may contain edges no execution takes (two unrelated types sharing a
@@ -164,11 +165,14 @@ impl CallGraph {
     ///   qualifier matching none of those is foreign (`Vec::new`,
     ///   `Instant::now`): no workspace edge at all.
     /// - A bare call `helper(…)` resolves same-file first, then
-    ///   same-crate, then (for `use`-imported fns) workspace-wide.
-    /// - A method call `recv.method(…)` fans out to **every** non-test fn
-    ///   with the name — the conservative trait-impl fan-out that makes
-    ///   `scorer.score(u)` reach every implementation without a type
-    ///   system.
+    ///   same-crate, then (for `use`-imported fns) workspace-wide. A bare
+    ///   `drop(x)` is `std::mem::drop` and resolves to nothing (implicit
+    ///   drops are not modelled either).
+    /// - A method call `recv.method(…)` fans out to **every** non-test
+    ///   method (a fn inside an `impl` or `trait` block) with the name —
+    ///   the conservative trait-impl fan-out that makes `scorer.score(u)`
+    ///   reach every implementation without a type system. Method syntax
+    ///   never calls a free fn.
     ///
     /// Edges the crate dependency graph forbids are dropped.
     pub fn callees(&self, caller: usize, call: &CallSite) -> Vec<usize> {
@@ -205,15 +209,19 @@ impl CallGraph {
             let module = pick(&|f| f.file.file_stem().and_then(|s| s.to_str()) == Some(q.as_str()));
             return allowed(self, module);
         }
-        if !call.is_method {
-            let same_file = pick(&|f| f.file == self.fns[caller].file);
-            if !same_file.is_empty() {
-                return same_file;
-            }
-            let same_crate = pick(&|f| f.crate_name == caller_crate);
-            if !same_crate.is_empty() {
-                return same_crate;
-            }
+        if call.is_method {
+            return allowed(self, pick(&|f| f.impl_type.is_some()));
+        }
+        if call.callee == "drop" {
+            return Vec::new();
+        }
+        let same_file = pick(&|f| f.file == self.fns[caller].file);
+        if !same_file.is_empty() {
+            return same_file;
+        }
+        let same_crate = pick(&|f| f.crate_name == caller_crate);
+        if !same_crate.is_empty() {
+            return same_crate;
         }
         allowed(self, all.to_vec())
     }
@@ -573,6 +581,40 @@ mod tests {
         assert_eq!(g.fns[drive].calls.len(), 1);
         let callees = g.callees(drive, &g.fns[drive].calls[0]);
         assert_eq!(callees.len(), 2, "both impls reachable: {callees:?}");
+    }
+
+    #[test]
+    fn method_calls_never_resolve_to_free_fns() {
+        let g = graph(&[(
+            "crates/serve/src/lib.rs",
+            "fn sum(xs: &[f64]) -> f64 { xs[0] }\n\
+             struct M;\nimpl M { fn sum(&self) -> f64 { 0.0 } }\n\
+             fn on_type(m: &M) -> f64 { m.sum() }\n\
+             fn on_iter(xs: &[f64]) -> f64 { xs.iter().copied().sum() }\n",
+        )]);
+        let on_type = idx(&g, "on_type");
+        let callees = g.callees(on_type, &g.fns[on_type].calls[0]);
+        let quals: Vec<&str> = callees.iter().map(|&i| g.fns[i].qual.as_str()).collect();
+        assert_eq!(quals, ["lib::M::sum"], "the free `sum` is not a method");
+        // An iterator `.sum()` still reaches the workspace method (fan-out
+        // by name), never the free fn.
+        let on_iter = idx(&g, "on_iter");
+        let call = g.fns[on_iter].calls.iter().find(|c| c.callee == "sum").expect("call").clone();
+        assert!(g.callees(on_iter, &call).iter().all(|&i| g.fns[i].impl_type.is_some()));
+    }
+
+    #[test]
+    fn bare_drop_is_std_mem_drop_not_a_drop_impl() {
+        let g = graph(&[(
+            "crates/serve/src/lib.rs",
+            "struct S;\nimpl Drop for S { fn drop(&mut self) { helper() } }\n\
+             fn helper() {}\n\
+             fn release(s: S) { drop(s) }\n",
+        )]);
+        let release = idx(&g, "release");
+        let call = &g.fns[release].calls[0];
+        assert_eq!(call.callee, "drop");
+        assert!(g.callees(release, call).is_empty(), "`drop(s)` runs no workspace fn by name");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Hot-path certifier: panic-reachability and allocation/lock budgets over
-//! the [`crate::callgraph`] call graph.
+//! Hot-path certifier: panic-reachability and lock budgets over the
+//! [`crate::callgraph`] call graph.
 //!
 //! A fn annotated `// pup-hot: <label>` is a **hot root** — an entry point
 //! whose transitive callees form a serving- or training-critical inner
@@ -15,14 +15,16 @@
 //!    zero unescaped sources are reachable from it. A legitimate site is
 //!    acknowledged with a mandatory-reason escape on or directly above it:
 //!    `// pup-audit: allow(hotpath-panic): <why this cannot fire>`.
-//! 2. **Allocation/lock budget.** The same reachable set is scanned for
-//!    heap allocation (`Vec::new` / `Vec::with_capacity` inside loop
-//!    bodies, `.clone()`, `.to_vec()`, `.collect()`, `format!`, `vec!`,
-//!    `Box::new`) and lock acquisition (`.lock()` / `.read()` /
-//!    `.write()`). Budgets are not zero — they are **ratcheted**: current
-//!    per-root counts live in `results/hotpath_ratchet.json`; growth fails
-//!    the audit, shrinkage prompts `--update-ratchet`, so perf refactors
-//!    can only drive the numbers down.
+//! 2. **Lock budget.** The same reachable set is scanned for lock
+//!    acquisitions (`.lock()` / `.read()` / `.write()`). Budgets are not
+//!    zero — they are **ratcheted**: the per-root counts live in the
+//!    `locks` fields of `results/hotpath_ratchet.json`; growth fails the
+//!    audit, shrinkage prompts `--update-ratchet`.
+//!
+//! Allocations are not estimated here. The `allocs` fields of the same
+//! file hold allocations per call that a counting allocator measures on
+//! one seeded call of each root (`crates/core/tests/hot_allocs.rs`); this
+//! audit reads and rewrites only `locks` and carries `allocs` through.
 //!
 //! Soundness caveats (see DESIGN.md §13): calls through fn-pointer /
 //! closure *values* are invisible to the graph, and bare-name fan-out can
@@ -101,22 +103,20 @@ pub struct RootReport {
     pub qual: String,
     /// Number of workspace fns reachable from the root (root included).
     pub reachable: usize,
-    /// Allocation sites reachable from the root.
-    pub allocs: usize,
     /// Lock-acquisition sites reachable from the root.
     pub locks: usize,
 }
 
-/// One allocation/lock site on some root's hot path (for the worklist
-/// print and the JSON report). A site reachable from several roots is
-/// attributed to the first (label-sorted) root that reaches it.
+/// One lock site on some root's hot path (for the worklist print and the
+/// JSON report). A site reachable from several roots is attributed to the
+/// first (label-sorted) root that reaches it.
 #[derive(Debug)]
 pub struct SiteItem {
     /// File of the site.
     pub file: PathBuf,
     /// 1-based line.
     pub line: usize,
-    /// What allocates or locks (`.clone()`, `Vec::new in loop`, …).
+    /// The acquisition (`.lock()`, `.read()`, `.write()`).
     pub construct: String,
     /// Label of the root this site is attributed to.
     pub root: String,
@@ -140,9 +140,10 @@ pub struct AuditReport {
     pub findings: Vec<Finding>,
     /// Per-root budgets, sorted by label.
     pub roots: Vec<RootReport>,
-    /// Alloc/lock worklist, sorted by (file, line).
+    /// Lock worklist, sorted by (file, line).
     pub sites: Vec<SiteItem>,
-    /// The committed ratchet, if present: label -> (allocs, locks).
+    /// The committed ratchet, if present: label -> (allocs, locks); only
+    /// `locks` is compared here.
     pub ratchet: Option<BTreeMap<String, (usize, usize)>>,
     /// Number of files scanned.
     pub files_checked: usize,
@@ -193,17 +194,16 @@ pub fn escape_comments(file: &SourceFile<'_>) -> Vec<EscapeComment> {
     out
 }
 
-/// A local panic/alloc/lock site before fn attribution.
+/// A local panic/lock site before fn attribution.
 struct RawSite {
     offset: usize,
     line: usize,
     construct: String,
 }
 
-/// Per-file local facts: panic sources, alloc/lock sites, escapes.
+/// Per-file local facts: panic sources, lock sites, escapes.
 struct FileSites {
     panics: Vec<RawSite>,
-    allocs: Vec<RawSite>,
     locks: Vec<RawSite>,
     escapes: Vec<EscapeComment>,
 }
@@ -220,14 +220,8 @@ const NON_INDEX_KEYWORDS: &[&str] =
 /// Extracts all local sites from one parsed file (non-test code only).
 fn extract_sites(file: &SourceFile<'_>) -> FileSites {
     let test_spans = file.test_spans();
-    let loop_spans = file.loop_body_spans();
-    let mut sites = FileSites {
-        panics: Vec::new(),
-        allocs: Vec::new(),
-        locks: Vec::new(),
-        escapes: Vec::new(),
-    };
-    sites.escapes = escape_comments(file);
+    let mut sites =
+        FileSites { panics: Vec::new(), locks: Vec::new(), escapes: escape_comments(file) };
 
     for p in 0..file.code.len() {
         let ti = file.code[p];
@@ -244,12 +238,6 @@ fn extract_sites(file: &SourceFile<'_>) -> FileSites {
                 let bang = file.code.get(p + 1).is_some_and(|&n| file.is_punct(n, b'!'));
                 if bang && PANIC_MACROS.contains(&word) {
                     panic_site(format!("{word}!"), &mut sites);
-                } else if bang && (word == "format" || word == "vec") {
-                    sites.allocs.push(RawSite {
-                        offset: at,
-                        line: file.line_of(at),
-                        construct: format!("{word}!"),
-                    });
                 }
             }
             TokenKind::Punct if file.is_punct(ti, b'.') => {
@@ -263,18 +251,6 @@ fn extract_sites(file: &SourceFile<'_>) -> FileSites {
                     }
                     "expect" if file.match_seq(p, &[".", "expect", "("]) => {
                         panic_site(".expect(…)".to_string(), &mut sites);
-                    }
-                    w @ ("clone" | "to_vec" | "collect")
-                        if file
-                            .code
-                            .get(p + 2)
-                            .is_some_and(|&n| file.is_punct(n, b'(') || file.is_punct(n, b':')) =>
-                    {
-                        sites.allocs.push(RawSite {
-                            offset: at,
-                            line: file.line_of(at),
-                            construct: format!(".{w}()"),
-                        });
                     }
                     w @ ("lock" | "read" | "write")
                         if file.code.get(p + 2).is_some_and(|&n| file.is_punct(n, b'(')) =>
@@ -298,29 +274,6 @@ fn extract_sites(file: &SourceFile<'_>) -> FileSites {
                 }
             }
             _ => {}
-        }
-    }
-
-    // `Vec::new(` / `Vec::with_capacity(` count only inside loop bodies
-    // (a one-time buffer is fine; per-iteration allocation is the smell);
-    // `Box::new(` counts anywhere.
-    for (head, member, loops_only) in
-        [("Vec", "new", true), ("Vec", "with_capacity", true), ("Box", "new", false)]
-    {
-        for p in file.find_seq(&[head, ":", ":", member, "("]) {
-            let at = file.tokens[file.code[p]].start;
-            if in_any(&test_spans, at) {
-                continue;
-            }
-            if loops_only && !in_any(&loop_spans, at) {
-                continue;
-            }
-            let construct = if loops_only {
-                format!("{head}::{member} in loop")
-            } else {
-                format!("{head}::{member}")
-            };
-            sites.allocs.push(RawSite { offset: at, line: file.line_of(at), construct });
         }
     }
     sites
@@ -417,12 +370,10 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     Ok(audit_sources(root, &sources))
 }
 
-/// A panic/alloc/lock site attributed to a fn node.
+/// The panic and lock sites attributed to a fn node.
 struct FnSites {
     /// Unescaped panic sources: (line, construct).
     panics: Vec<(usize, String)>,
-    /// Alloc sites: (offset, line, construct).
-    allocs: Vec<(usize, usize, String)>,
     /// Lock sites: (offset, line, construct).
     locks: Vec<(usize, usize, String)>,
 }
@@ -450,9 +401,8 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
 
     // Extract local sites per file, attribute each to the innermost
     // enclosing fn, and apply escapes to panic sites.
-    let mut per_fn: Vec<FnSites> = (0..graph.fns.len())
-        .map(|_| FnSites { panics: Vec::new(), allocs: Vec::new(), locks: Vec::new() })
-        .collect();
+    let mut per_fn: Vec<FnSites> =
+        (0..graph.fns.len()).map(|_| FnSites { panics: Vec::new(), locks: Vec::new() }).collect();
     // Each escape remembers the owner fns of the sites it suppressed, so
     // hygiene can check the suppressed code is actually hot.
     let mut escapes: Vec<(PathBuf, EscapeComment, Vec<usize>)> = Vec::new();
@@ -486,11 +436,6 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
             }
             if !suppressed {
                 per_fn[owner].panics.push((s.line, s.construct));
-            }
-        }
-        for s in sites.allocs {
-            if let Some(owner) = owner_of(s.offset) {
-                per_fn[owner].allocs.push((s.offset, s.line, s.construct));
             }
         }
         for s in sites.locks {
@@ -540,7 +485,6 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
             names.reverse();
             names.join(" -> ")
         };
-        let mut allocs = 0usize;
         let mut locks = 0usize;
         for &i in &seen {
             hot_reach[i] = true;
@@ -560,24 +504,13 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
                     });
                 }
             }
-            for (offset, line, construct) in &per_fn[i].allocs {
-                if claimed_sites.insert((f.file.to_path_buf(), *offset)) {
-                    allocs += 1;
-                    report.sites.push(SiteItem {
-                        file: f.file.to_path_buf(),
-                        line: *line,
-                        construct: construct.to_string(),
-                        root: label.to_string(),
-                    });
-                }
-            }
             for (offset, line, construct) in &per_fn[i].locks {
                 if claimed_sites.insert((f.file.to_path_buf(), *offset)) {
                     locks += 1;
                     report.sites.push(SiteItem {
                         file: f.file.to_path_buf(),
                         line: *line,
-                        construct: format!("lock {construct}"),
+                        construct: construct.to_string(),
                         root: label.to_string(),
                     });
                 }
@@ -587,7 +520,6 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
             label: label.to_string(),
             qual: graph.fns[*start].qual.to_string(),
             reachable: seen.len(),
-            allocs,
             locks,
         });
     }
@@ -627,94 +559,71 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
     report
 }
 
-/// Compares per-root budgets against the committed ratchet.
+/// Compares per-root lock budgets against the committed ratchet.
 fn ratchet_pass(report: &mut AuditReport) {
-    let path = PathBuf::from(RATCHET_PATH);
+    let finding = |message: String| Finding {
+        file: PathBuf::from(RATCHET_PATH),
+        line: 1,
+        pass: Pass::Ratchet,
+        message,
+    };
     let Some(ratchet) = &report.ratchet else {
-        if report.roots.iter().any(|r| r.allocs > 0 || r.locks > 0) {
-            report.findings.push(Finding {
-                file: path,
-                line: 1,
-                pass: Pass::Ratchet,
-                message: "no hot-path ratchet recorded but hot roots have alloc/lock \
-                          budgets; run `audit-hotpath --update-ratchet` and commit the result"
+        if report.roots.iter().any(|r| r.locks > 0) {
+            report.findings.push(finding(
+                "no hot-path ratchet recorded but hot roots have lock budgets; run \
+                 `audit-hotpath --update-ratchet` and commit the result"
                     .to_string(),
-            });
+            ));
         }
         return;
     };
     for r in &report.roots {
-        match ratchet.get(&r.label) {
-            None => report.findings.push(Finding {
-                file: path.to_path_buf(),
-                line: 1,
-                pass: Pass::Ratchet,
-                message: format!(
-                    "hot root `{}` has no recorded budget; run \
-                     `audit-hotpath --update-ratchet` and commit the result",
-                    r.label
-                ),
-            }),
-            Some(&(allocs, locks)) => {
-                for (metric, now, rec) in [("alloc", r.allocs, allocs), ("lock", r.locks, locks)] {
-                    if now > rec {
-                        report.findings.push(Finding {
-                            file: path.to_path_buf(),
-                            line: 1,
-                            pass: Pass::Ratchet,
-                            message: format!(
-                                "hot root `{}` {metric} budget grew: {now} site(s) vs \
-                                 ratchet {rec}; hot loops only get leaner — remove the \
-                                 new {metric} sites instead",
-                                r.label
-                            ),
-                        });
-                    } else if now < rec {
-                        report.findings.push(Finding {
-                            file: path.to_path_buf(),
-                            line: 1,
-                            pass: Pass::Ratchet,
-                            message: format!(
-                                "hot root `{}` {metric} budget shrank: {now} site(s) vs \
-                                 ratchet {rec}; lock in the progress with \
-                                 `audit-hotpath --update-ratchet`",
-                                r.label
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+        let (label, now) = (&r.label, r.locks);
+        let message = match ratchet.get(label) {
+            None => format!(
+                "hot root `{label}` has no recorded budget; run \
+                 `audit-hotpath --update-ratchet` and commit the result"
+            ),
+            Some(&(_, rec)) if now > rec => format!(
+                "hot root `{label}` lock budget grew: {now} site(s) vs ratchet {rec}; hot \
+                 loops only get leaner — remove the new lock sites instead"
+            ),
+            Some(&(_, rec)) if now < rec => format!(
+                "hot root `{label}` lock budget shrank: {now} site(s) vs ratchet {rec}; lock \
+                 in the progress with `audit-hotpath --update-ratchet`"
+            ),
+            Some(_) => continue,
+        };
+        report.findings.push(finding(message));
     }
     for label in ratchet.keys() {
         if !report.roots.iter().any(|r| &r.label == label) {
-            report.findings.push(Finding {
-                file: path.to_path_buf(),
-                line: 1,
-                pass: Pass::Ratchet,
-                message: format!(
-                    "ratchet records root `{label}` but no fn is annotated \
-                     `// pup-hot: {label}`; run `audit-hotpath --update-ratchet`"
-                ),
-            });
+            report.findings.push(finding(format!(
+                "ratchet records root `{label}` but no fn is annotated \
+                 `// pup-hot: {label}`; run `audit-hotpath --update-ratchet`"
+            )));
         }
     }
 }
 
-/// Rewrites the committed ratchet to the current per-root budgets.
+/// Rewrites the committed ratchet's lock budgets to the current per-root
+/// counts. Each root's measured `allocs` is carried through unchanged
+/// (0 for a root the file does not record yet).
 pub fn update_ratchet(root: &Path, roots: &[RootReport]) -> io::Result<()> {
     let path = root.join(RATCHET_PATH);
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
+    let recorded = read_ratchet(root).unwrap_or_default();
     let mut body = String::from("{\n  \"schema\": \"pup-hotpath-ratchet/1\",\n  \"roots\": {\n");
     let mut sorted: Vec<&RootReport> = roots.iter().collect();
     sorted.sort_by(|a, b| a.label.cmp(&b.label));
     for (i, r) in sorted.iter().enumerate() {
         let comma = if i + 1 < sorted.len() { "," } else { "" };
+        let allocs = recorded.get(&r.label).map_or(0, |&(allocs, _)| allocs);
         body.push_str(&format!(
-            "    \"{}\": {{\"allocs\": {}, \"locks\": {}}}{comma}\n",
-            r.label, r.allocs, r.locks
+            "    \"{}\": {{\"allocs\": {allocs}, \"locks\": {}}}{comma}\n",
+            r.label, r.locks
         ));
     }
     body.push_str("  }\n}\n");
@@ -723,7 +632,8 @@ pub fn update_ratchet(root: &Path, roots: &[RootReport]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Reads the committed ratchet: label -> (allocs, locks).
+/// Reads the committed ratchet: label -> (measured allocs per call, lock
+/// sites).
 pub fn read_ratchet(root: &Path) -> Option<BTreeMap<String, (usize, usize)>> {
     let text = fs::read_to_string(root.join(RATCHET_PATH)).ok()?;
     let mut out = BTreeMap::new();

@@ -35,8 +35,9 @@
 //!   attributed to their enclosing fn) and the hot-path certifier built on
 //!   it: a panic-reachability fixpoint that proves every `// pup-hot:`
 //!   root panic-free modulo reasoned `// pup-audit: allow(hotpath-panic)`
-//!   escapes, plus a ratcheted per-root allocation/lock budget
-//!   (`results/hotpath_ratchet.json`). Run it with
+//!   escapes, plus a ratcheted per-root lock budget (the `locks` fields of
+//!   `results/hotpath_ratchet.json`; the `allocs` fields are measured by a
+//!   counting allocator in `crates/core/tests/hot_allocs.rs`). Run it with
 //!   `cargo run -p pup-analysis -- audit-hotpath`.
 //! - [`fix`] — mechanical cleanup for `lint --fix`: deletes stale
 //!   `// pup-lint: allow(…)` escapes and stale `// pup-audit: allow(…)`

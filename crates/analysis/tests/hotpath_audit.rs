@@ -1,7 +1,7 @@
 //! End-to-end checks for `audit-hotpath` over seeded scratch trees: each
 //! fixture plants exactly the violation a pass exists to catch and asserts
 //! the certifier reports it through the interprocedural machinery — the
-//! seeded panic or allocation is never in the hot root itself, so a report
+//! seeded panic or lock is never in the hot root itself, so a report
 //! proves the call graph carried the fact caller-ward. The real workspace
 //! is covered too: it must certify clean against the committed ratchet.
 
@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pup_analysis::hotpath::{audit_workspace, update_ratchet, Pass};
+use pup_analysis::hotpath::{audit_workspace, read_ratchet, update_ratchet, Pass, RATCHET_PATH};
 
 /// Builds a scratch workspace from `(relative path, source)` pairs and
 /// returns its root. Callers remove it when done.
@@ -95,37 +95,38 @@ fn panic_behind_a_trait_method_call_is_reached() {
 }
 
 #[test]
-fn allocation_in_a_hot_loop_hidden_by_a_helper_lands_in_the_budget() {
+fn lock_in_a_helper_lands_in_the_budget() {
     let root = seed(
-        "alloc",
+        "lock",
         &[(
             "crates/demo/src/lib.rs",
             concat!(
+                "use std::sync::Mutex;\n",
                 "// pup-hot: fixture-root\n",
-                "pub fn handle(items: &[u32], n: usize) -> usize {\n",
-                "    let mut total = 0;\n",
+                "pub fn handle(total: &Mutex<u32>, n: u32) {\n",
                 "    for _ in 0..n {\n",
-                "        total += scratch(items).len();\n",
+                "        bump(total);\n",
                 "    }\n",
-                "    total\n",
                 "}\n",
-                "fn scratch(items: &[u32]) -> Vec<u32> {\n",
-                "    items.to_vec()\n",
+                "fn bump(total: &Mutex<u32>) {\n",
+                "    if let Ok(mut t) = total.lock() {\n",
+                "        *t += 1;\n",
+                "    }\n",
                 "}\n",
             ),
         )],
     );
     let report = audit_workspace(&root).expect("seeded tree is readable");
     fs::remove_dir_all(&root).ok();
-    // The allocation never appears in the root's own body — only the call
-    // graph connects the loop in `handle` to the `.to_vec()` in `scratch`.
+    // The lock never appears in the root's own body — only the call graph
+    // connects the loop in `handle` to the `.lock()` in `bump`.
     let fixture_root =
         report.roots.iter().find(|r| r.label == "fixture-root").expect("root is discovered");
-    assert_eq!(fixture_root.reachable, 2, "handle + scratch");
-    assert_eq!(fixture_root.allocs, 1, "the helper's to_vec counts: {:?}", report.sites);
+    assert_eq!(fixture_root.reachable, 2, "handle + bump");
+    assert_eq!(fixture_root.locks, 1, "the helper's lock counts: {:?}", report.sites);
     assert!(
-        report.sites.iter().any(|s| s.root == "fixture-root" && s.line == 10),
-        "the budget names the helper's alloc site: {:?}",
+        report.sites.iter().any(|s| s.root == "fixture-root" && s.line == 9),
+        "the budget names the helper's lock site: {:?}",
         report.sites
     );
 }
@@ -133,16 +134,17 @@ fn allocation_in_a_hot_loop_hidden_by_a_helper_lands_in_the_budget() {
 #[test]
 fn ratchet_grow_fails_and_shrink_prompts() {
     let clean = concat!(
+        "use std::sync::Mutex;\n",
         "// pup-hot: fixture-root\n",
-        "pub fn handle(items: &[u32]) -> Vec<u32> {\n",
-        "    items.to_vec()\n",
+        "pub fn handle(m: &Mutex<u32>) -> bool {\n",
+        "    m.lock().is_ok()\n",
         "}\n",
     );
     let grown = concat!(
+        "use std::sync::Mutex;\n",
         "// pup-hot: fixture-root\n",
-        "pub fn handle(items: &[u32]) -> Vec<u32> {\n",
-        "    let twice = items.to_vec();\n",
-        "    twice.clone()\n",
+        "pub fn handle(m: &Mutex<u32>) -> bool {\n",
+        "    m.lock().is_ok() && m.lock().is_ok()\n",
         "}\n",
     );
     let root = seed("ratchet", &[("crates/demo/src/lib.rs", clean)]);
@@ -155,8 +157,12 @@ fn ratchet_grow_fails_and_shrink_prompts() {
         report.findings
     );
 
-    // Committing the ratchet makes the same tree certify clean.
+    // Committing the ratchet makes the same tree certify clean; it
+    // carries a recorded allocation count through untouched.
     update_ratchet(&root, &report.roots).expect("ratchet writes");
+    let ratchet = root.join(RATCHET_PATH);
+    let written = fs::read_to_string(&ratchet).expect("ratchet reads");
+    fs::write(&ratchet, written.replace("\"allocs\": 0", "\"allocs\": 7")).expect("record allocs");
     let report = audit_workspace(&root).expect("seeded tree is readable");
     assert!(report.findings.is_empty(), "committed ratchet certifies: {:?}", report.findings);
 
@@ -167,21 +173,35 @@ fn ratchet_grow_fails_and_shrink_prompts() {
         report
             .findings
             .iter()
-            .any(|f| f.pass == Pass::Ratchet && f.message.contains("alloc budget grew")),
+            .any(|f| f.pass == Pass::Ratchet && f.message.contains("lock budget grew")),
         "grow must fail: {:?}",
         report.findings
     );
 
     // Shrinking back below the recorded budget prompts to lock it in.
     update_ratchet(&root, &report.roots).expect("ratchet writes");
+    assert_eq!(read_ratchet(&root).expect("ratchet reads")["fixture-root"], (7, 2));
     fs::write(root.join("crates/demo/src/lib.rs"), clean).expect("shrink rewrite");
     let report = audit_workspace(&root).expect("seeded tree is readable");
     assert!(
         report
             .findings
             .iter()
-            .any(|f| f.pass == Pass::Ratchet && f.message.contains("alloc budget shrank")),
+            .any(|f| f.pass == Pass::Ratchet && f.message.contains("lock budget shrank")),
         "shrink must prompt: {:?}",
+        report.findings
+    );
+
+    // A root the ratchet does not record prompts an update too.
+    fs::write(root.join("crates/demo/src/extra.rs"), clean.replace("fixture-root", "new-root"))
+        .expect("add root");
+    let report = audit_workspace(&root).expect("seeded tree is readable");
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.pass == Pass::Ratchet && f.message.contains("`new-root` has no recorded")),
+        "an unrecorded root must prompt: {:?}",
         report.findings
     );
     fs::remove_dir_all(&root).ok();
@@ -229,7 +249,7 @@ fn real_workspace_certifies_clean_against_the_committed_ratchet() {
     assert!(
         report.findings.is_empty(),
         "the workspace must certify clean; new panic sites on the hot path need a reviewed \
-         escape, new allocs need the ratchet story: {:?}",
+         escape, new locks need the ratchet story: {:?}",
         report.findings
     );
 }

@@ -114,11 +114,7 @@ fn select_top(
             }
         }
     }
-    let mut ranked = Vec::with_capacity(heap.len());
-    for (_, item) in heap.into_sorted_vec() {
-        ranked.push(item);
-    }
-    Ok(ranked)
+    Ok(heap.into_sorted_vec().into_iter().map(|(_, item)| item).collect())
 }
 
 /// An integer key whose order is `f64::total_cmp`'s (the same bit flip).

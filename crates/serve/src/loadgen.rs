@@ -6,14 +6,14 @@
 //!   request, blocks on its answer, then submits the next. Offered
 //!   concurrency stays bounded at `clients`, which makes shed counts
 //!   meaningful.
-//! - **Open loop** ([`open_loop_plan`] + [`run_open_loop`]): arrivals
-//!   follow a seeded Poisson or bursty schedule in *virtual* time,
-//!   independent of how fast the server answers — the realistic regime
-//!   where offered load can exceed capacity and the admission queue's
-//!   shedding actually matters. User ids are Zipf-distributed (a few hot
-//!   users dominate, like real recommendation traffic), and every Nth
-//!   arrival can be marked as a slow client for the network layer to
-//!   turn into a stall injection.
+//! - **Open loop** ([`open_loop_plan`]): arrivals follow a seeded Poisson
+//!   or bursty schedule in *virtual* time, independent of how fast the
+//!   server answers — the realistic regime where offered load can exceed
+//!   capacity and the admission queue's shedding actually matters.
+//!   `pup net-bench` plays the plan over HTTP. User ids are
+//!   Zipf-distributed (a few hot users dominate, like real recommendation
+//!   traffic), and every Nth arrival can be marked as a slow client for
+//!   the network layer to turn into a stall injection.
 //!
 //! Either way, a given seed replays the identical request stream — and,
 //! for the open loop, the identical arrival timestamps, which is what
@@ -264,37 +264,6 @@ pub fn open_loop_plan(cfg: &OpenLoopConfig, n_users: usize) -> Vec<Arrival> {
     plan
 }
 
-/// What an open-loop run observed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpenLoopReport {
-    /// Requests answered (primary or degraded).
-    pub answered: u64,
-    /// Requests refused with a typed error at submit or wait.
-    pub rejected: u64,
-}
-
-/// Plays an open-loop plan against an in-process [`Server`]: every
-/// arrival is submitted without waiting for earlier answers, so offered
-/// load can exceed capacity and shedding becomes visible. Responses are
-/// collected at the end; a panic or hang anywhere fails the run.
-pub fn run_open_loop(server: &Server, plan: &[Arrival], k: usize) -> OpenLoopReport {
-    let mut report = OpenLoopReport::default();
-    let mut pending = Vec::with_capacity(plan.len());
-    for arrival in plan {
-        match server.submit(Request { user: arrival.user, k }) {
-            Ok(handle) => pending.push(handle),
-            Err(_) => report.rejected += 1,
-        }
-    }
-    for handle in pending {
-        match handle.wait() {
-            Ok(_) => report.answered += 1,
-            Err(_) => report.rejected += 1,
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,19 +417,5 @@ mod tests {
         let plan = open_loop_plan(&cfg, 10);
         let times: Vec<u64> = plan.iter().map(|a| a.at_ns).collect();
         assert_eq!(times, vec![0, 10, 20, 1_020, 1_030, 1_040, 2_040, 2_050, 2_060]);
-    }
-
-    #[test]
-    fn open_loop_accounts_every_arrival_exactly_once() {
-        let fallback = Fallback::from_train(8, 6, &[(0, 1), (1, 2)]).unwrap();
-        let shared = Arc::new(ServiceShared::new(ServeConfig::default(), fallback, 8));
-        let factory: GenScorerFactory = Arc::new(|_gen| Ok(Box::new(Flat)));
-        let server =
-            Server::start_with_generations(Arc::clone(&shared), factory).expect("server starts");
-        let plan = open_loop_plan(&OpenLoopConfig { requests: 40, ..Default::default() }, 8);
-        let report = run_open_loop(&server, &plan, 5);
-        server.shutdown();
-        assert_eq!(report.answered + report.rejected, 40);
-        assert!(report.answered > 0, "an idle server must answer some of the burst");
     }
 }

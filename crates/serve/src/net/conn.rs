@@ -123,9 +123,9 @@ impl ConnReport {
 
 /// Serves one connection to completion: reads requests (keep-alive aware)
 /// until the peer closes, an error closes it, or the keep-alive budget is
-/// spent. This is the gateway's hot path — certified panic-free with
-/// ratcheted alloc/lock budgets, and the root of the stitched
-/// accept→parse→queue→score→rank→write trace.
+/// spent. This is the gateway's hot path — certified panic-free with a
+/// ratcheted lock budget and a measured allocation count, and the root of
+/// the stitched accept→parse→queue→score→rank→write trace.
 // pup-hot: net-conn
 pub fn handle_connection<T: Transport>(
     net: &NetShared,

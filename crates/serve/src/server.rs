@@ -8,7 +8,6 @@
 //! shed with a typed error at the call site, and every admitted job is
 //! eventually answered through its reply channel, even during shutdown.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,12 +70,10 @@ impl Server {
         let model = WorkerModel::build(&shared, &factory).map_err(ServeError::WorkerInit)?;
         let queue = Arc::new(AdmissionQueue::<Job>::new(shared.cfg.queue_capacity));
         let n_workers = shared.cfg.workers.max(1);
-        let running = Arc::new(AtomicUsize::new(n_workers));
         let mut workers = Vec::with_capacity(n_workers);
         for _ in 0..n_workers {
             let shared = Arc::clone(&shared);
             let queue = Arc::clone(&queue);
-            let running = Arc::clone(&running);
             // pup-lint: allow(clone-in-loop) — two Arc bumps per worker, at startup only.
             let mut model = model.clone();
             workers.push(std::thread::spawn(move || {
@@ -95,12 +92,6 @@ impl Server {
                     // A dropped receiver means the client stopped waiting;
                     // the work is complete either way.
                     let _ = reply.send(result);
-                }
-                // The queue is closed and drained. The last worker out drops
-                // the controller's scorers, so a model does not outlive the
-                // server through a still-shared `ServiceShared`.
-                if running.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    shared.swap.release_scorers();
                 }
             }));
         }
@@ -185,8 +176,7 @@ impl Server {
 
     /// Stops admitting, drains the queue, and joins every worker (what
     /// dropping the server does). Admitted requests are still answered
-    /// before workers exit; the last worker out releases the shared
-    /// scorers.
+    /// before workers exit; then the shared scorers are released.
     pub fn shutdown(self) {}
 }
 
@@ -196,6 +186,9 @@ impl Drop for Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // No worker reads the scorers any more: drop them, so a model does
+        // not outlive the server through a still-shared `ServiceShared`.
+        self.shared.swap.release_scorers();
     }
 }
 

@@ -306,7 +306,7 @@ impl SwapController {
     }
 
     /// Drops the active and candidate scorers once no worker reads them
-    /// (the last server worker exits), so a model does not outlive the
+    /// (the server has joined its workers), so a model does not outlive the
     /// server through a still-shared [`ServiceShared`]. A pending window
     /// stays open, without its candidate, for [`Self::resolve_now`].
     pub(crate) fn release_scorers(&self) {

@@ -433,14 +433,11 @@ pub fn slice_cols(a: &Var, start: usize, end: usize) -> Var {
         value,
         vec![a.clone()],
         Box::new(move |g, parents| {
-            // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
             let rows = parents[0].shape().0;
             let mut acc = Matrix::zeros(rows, cols);
             for r in 0..rows {
-                // pup-audit: allow(hotpath-panic): start..end within cols by the forward slice bounds
                 acc.row_mut(r)[start..end].copy_from_slice(g.row(r));
             }
-            // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
             parents[0].accumulate_grad(&acc);
         }),
     )
