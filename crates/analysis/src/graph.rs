@@ -491,7 +491,7 @@ fn record_bpr_step<M: BprModel>(model: &mut M, seed: u64) -> Tape {
     let neg = [2usize, 3, 0, 1];
     let mut rng = StdRng::seed_from_u64(seed);
     tape::start_recording();
-    model.begin_step(&mut rng);
+    model.begin_step(&users, &pos, &neg, &mut rng);
     let s_pos = model.score_batch(&users, &pos);
     let s_neg = model.score_batch(&users, &neg);
     let margin = ops::sub(&s_pos, &s_neg);

@@ -127,6 +127,14 @@ fn sweep_dropout() {
         },
         &[param(3, 4, 33)],
     );
+    // A row subset of a 7-row mask: rows 1, 4 and 6 take their mask rows.
+    check(
+        |i| {
+            let mut rng = StdRng::seed_from_u64(99);
+            ops::sum(&ops::square(&ops::dropout_rows(&i[0], 0.4, &mut rng, 7, &[1, 4, 6])))
+        },
+        &[param(3, 4, 34)],
+    );
 }
 
 // --- Model losses ------------------------------------------------------
@@ -160,7 +168,7 @@ fn check_model_loss<M: BprModel>(model: M) {
     let loss = |_: &[Var]| {
         let mut m = model.borrow_mut();
         let mut rng = StdRng::seed_from_u64(7);
-        m.begin_step(&mut rng);
+        m.begin_step(&users, &pos, &neg, &mut rng);
         let s_pos = m.score_batch(&users, &pos);
         let s_neg = m.score_batch(&users, &neg);
         let margin = ops::sub(&s_pos, &s_neg);
@@ -256,6 +264,7 @@ fn swept_ops_registry_matches_recorded_reality() {
     absorb(ops::slice_cols(&a, 1, 3));
     absorb(ops::add_row_broadcast(&a, &bias));
     absorb(ops::dropout(&a, 0.3, &mut rng));
+    absorb(ops::dropout_rows(&a, 0.3, &mut rng, 5, &[0, 2, 4])); // records `dropout`
     absorb(ops::l2_penalty(&a)); // records `square` + `sum`
     let tape = tape::finish_recording(&total);
 

@@ -58,8 +58,8 @@ where
     assert_eq!(frozen.name(), restored.name());
     assert_eq!(frozen.n_users(), n_users);
 
-    model.begin_step(&mut StdRng::seed_from_u64(0));
-    let items: Vec<usize> = (0..n_items).collect();
+    let (users, items): (Vec<usize>, Vec<usize>) = ((0..n_users).collect(), (0..n_items).collect());
+    model.begin_step(&users, &items, &items, &mut StdRng::seed_from_u64(0));
     for user in 0..n_users {
         let scores = frozen.score_items(user);
         assert_eq!(bits(&scores), bits(&restored.score_items(user)), "user {user}");

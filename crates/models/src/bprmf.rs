@@ -34,7 +34,7 @@ impl BprMf {
 }
 
 impl BprModel for BprMf {
-    fn begin_step(&mut self, _rng: &mut StdRng) {}
+    fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], _: &mut StdRng) {}
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
         let u = ops::gather_rows(&self.user_emb, users);

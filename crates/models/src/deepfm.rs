@@ -61,7 +61,7 @@ impl DeepFm {
 }
 
 impl BprModel for DeepFm {
-    fn begin_step(&mut self, _rng: &mut StdRng) {}
+    fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], _: &mut StdRng) {}
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
         let scores = self.full_score(users, items);

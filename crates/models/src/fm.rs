@@ -183,7 +183,7 @@ impl Recommender for FrozenFm {
 }
 
 impl BprModel for Fm {
-    fn begin_step(&mut self, _rng: &mut StdRng) {}
+    fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], _: &mut StdRng) {}
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
         let fields = self.field_embeddings(users, items);

@@ -75,7 +75,7 @@ impl GcMc {
 }
 
 impl BprModel for GcMc {
-    fn begin_step(&mut self, rng: &mut StdRng) {
+    fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], rng: &mut StdRng) {
         self.step_repr = Some(self.propagate(Some(rng)));
     }
 

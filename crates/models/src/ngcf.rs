@@ -112,7 +112,7 @@ impl Ngcf {
 }
 
 impl BprModel for Ngcf {
-    fn begin_step(&mut self, rng: &mut StdRng) {
+    fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], rng: &mut StdRng) {
         self.step_repr = Some(self.propagate(Some(rng)));
     }
 
@@ -207,7 +207,7 @@ mod tests {
         let train = vec![(0, 0)];
         let d = TrainData { item_category: &[0; 8], ..data(&train, &price) };
         let mut m = Ngcf::new(&d, 4, 2, 0.0, 0);
-        m.begin_step(&mut StdRng::seed_from_u64(0));
+        m.begin_step(&[0], &[1], &[1], &mut StdRng::seed_from_u64(0));
         let s = m.score_batch(&[0], &[1]);
         pup_tensor::ops::sum(&s).backward();
         let g = m.price_emb.grad().expect("price embedding should get gradient");

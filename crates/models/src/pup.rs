@@ -106,11 +106,72 @@ pub struct ExtraAttribute {
 }
 
 /// One branch: an embedding table over all graph nodes plus its rectified
-/// adjacency.
+/// adjacency, and the current training step's state.
 struct Branch {
     emb: Var,
     a_hat: Arc<CsrMatrix>,
     layout: Layout,
+    /// The rows the current training step reads.
+    touched: TouchedRows,
+    /// The step's representations of `touched.rows`, in that order.
+    step: Option<Var>,
+}
+
+/// The node rows a training step reads from one branch, sorted and
+/// distinct, and where each sits among them. The buffers are kept across
+/// batches, so once grown a step allocates nothing for them.
+#[derive(Default)]
+struct TouchedRows {
+    rows: Vec<usize>,
+    /// `slot[node]` is `node`'s position in `rows`, `usize::MAX` for nodes
+    /// outside it.
+    slot: Vec<usize>,
+}
+
+impl TouchedRows {
+    /// Replaces the set with the distinct `nodes` of a `total`-node graph:
+    /// marks each node, then collects the marked ones in ascending order.
+    fn rebuild(&mut self, total: usize, nodes: impl Iterator<Item = usize>) {
+        const UNMARKED: usize = usize::MAX;
+        self.slot.clear();
+        self.slot.resize(total, UNMARKED);
+        for node in nodes {
+            // pup-audit: allow(hotpath-panic): node indices come from the branch layout, so node < total
+            self.slot[node] = 0;
+        }
+        self.rows.clear();
+        for (node, slot) in self.slot.iter_mut().enumerate() {
+            if *slot != UNMARKED {
+                *slot = self.rows.len();
+                self.rows.push(node);
+            }
+        }
+    }
+
+    /// Position of `node` in `rows`.
+    fn position(&self, node: usize) -> usize {
+        // pup-audit: allow(hotpath-panic): slot covers every node of the branch layout
+        let k = self.slot[node];
+        // pup-audit: allow(hotpath-panic): fail-fast precondition: a step scores only the pairs begin_step received
+        assert!(self.rows.get(k) == Some(&node), "node {node} is not a row of this training step");
+        k
+    }
+}
+
+/// One branch's step representations, gathered by node.
+struct StepRows<'a> {
+    repr: &'a Var,
+    touched: &'a TouchedRows,
+    layout: &'a Layout,
+}
+
+impl StepRows<'_> {
+    /// The representations of `nodes`, one row each.
+    fn gather(&self, nodes: impl Iterator<Item = NodeRef>) -> Var {
+        let idx: Vec<usize> =
+            nodes.map(|node| self.touched.position(self.layout.index(node))).collect();
+        ops::gather_rows(self.repr, &idx)
+    }
 }
 
 impl Branch {
@@ -178,21 +239,53 @@ impl Branch {
         let a_hat = Arc::new(row_normalized(graph.adjacency(), self_loops));
         let layout = graph.layout().clone();
         let emb = Var::param(init::normal(layout.total(), dim, 0.1, rng));
-        Self { emb, a_hat, layout }
+        Self { emb, a_hat, layout, touched: TouchedRows::default(), step: None }
     }
 
-    /// `n_layers` graph-convolution passes: `tanh(Â ·)` per layer, with
-    /// optional feature dropout on the final representations.
-    fn propagate(&self, n_layers: usize, dropout: f64, rng: Option<&mut StdRng>) -> Var {
+    /// `n_layers` graph-convolution passes `tanh(Â ·)`. The last pass
+    /// computes only the rows of `last`, a row selection of `Â` (or all of
+    /// it); the passes before it cover every node, since the last one reads
+    /// their neighbours.
+    fn propagate(&self, n_layers: usize, last: &Arc<CsrMatrix>) -> Var {
         debug_assert!(n_layers >= 1);
         let mut h = self.emb.clone();
-        for _ in 0..n_layers {
+        for _ in 1..n_layers {
             h = ops::tanh(&ops::spmm(&self.a_hat, &h));
         }
-        match rng {
-            Some(r) if dropout > 0.0 => ops::dropout(&h, dropout, r),
-            _ => h,
-        }
+        ops::tanh(&ops::spmm(last, &h))
+    }
+
+    /// Dropout-free representations of `nodes` alone: row `k` is `nodes[k]`'s
+    /// row of the whole propagation, bit for bit.
+    fn repr_of(&self, n_layers: usize, nodes: &[NodeRef]) -> Matrix {
+        let rows: Vec<usize> = nodes.iter().map(|&node| self.layout.index(node)).collect();
+        self.propagate(n_layers, &Arc::new(self.a_hat.select_rows(&rows))).value_clone()
+    }
+
+    /// Prepares a training step that reads `nodes`: propagates only their
+    /// rows, with feature dropout drawn over the whole table as if every
+    /// row were propagated. Returns how many distinct rows the step reads.
+    fn begin_step(
+        &mut self,
+        nodes: impl Iterator<Item = NodeRef>,
+        n_layers: usize,
+        dropout: f64,
+        rng: &mut StdRng,
+    ) -> usize {
+        // Release the previous step's graph before building the next one.
+        self.step = None;
+        let total = self.layout.total();
+        self.touched.rebuild(total, nodes.map(|node| self.layout.index(node)));
+        let rows = &self.touched.rows;
+        let h = self.propagate(n_layers, &Arc::new(self.a_hat.select_rows(rows)));
+        self.step = Some(ops::dropout_rows(&h, dropout, rng, total, rows));
+        rows.len()
+    }
+
+    /// The step's representations, once `begin_step` has run.
+    fn step_rows(&self) -> Option<StepRows<'_>> {
+        let repr = self.step.as_ref()?;
+        Some(StepRows { repr, touched: &self.touched, layout: &self.layout })
     }
 }
 
@@ -204,8 +297,6 @@ pub struct Pup {
     category: Option<Branch>,
     item_price_level: Vec<usize>,
     item_category: Vec<usize>,
-    step_global: Option<Var>,
-    step_category: Option<Var>,
     /// The folded inference decoder, built by `finalize`.
     frozen: Option<DotScorer>,
 }
@@ -260,8 +351,6 @@ impl Pup {
             category,
             item_price_level: data.item_price_level.to_vec(),
             item_category: data.item_category.to_vec(),
-            step_global: None,
-            step_category: None,
             frozen: None,
         }
     }
@@ -271,62 +360,40 @@ impl Pup {
         &self.config
     }
 
-    /// Differentiable branch scores from propagated representations.
+    /// Differentiable branch scores from each branch's step representations.
     fn branch_scores(
         &self,
-        repr_g: &Var,
-        repr_c: Option<&Var>,
+        global: StepRows<'_>,
+        category: Option<StepRows<'_>>,
         users: &[usize],
         items: &[usize],
     ) -> Var {
-        let lay = &self.global.layout;
-        let u_idx: Vec<usize> = users.iter().map(|&u| lay.index(NodeRef::User(u))).collect();
-        let i_idx: Vec<usize> = items.iter().map(|&i| lay.index(NodeRef::Item(i))).collect();
-        let eu = ops::gather_rows(repr_g, &u_idx);
-        let ei = ops::gather_rows(repr_g, &i_idx);
+        let (price, cat) = (&self.item_price_level, &self.item_category);
+        let eu = global.gather(users.iter().map(|&u| NodeRef::User(u)));
+        let ei = global.gather(items.iter().map(|&i| NodeRef::Item(i)));
 
         let s_global = match self.config.variant {
             PupVariant::Bipartite => ops::rowwise_dot(&eu, &ei),
             PupVariant::CategoryOnly => {
-                let c_idx: Vec<usize> = items
-                    .iter()
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    .map(|&i| lay.index(NodeRef::Category(self.item_category[i])))
-                    .collect();
-                let ec = ops::gather_rows(repr_g, &c_idx);
+                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                let ec = global.gather(items.iter().map(|&i| NodeRef::Category(cat[i])));
                 pairwise_interactions(&[eu, ei, ec])
             }
             PupVariant::Full | PupVariant::PriceOnly => {
-                let p_idx: Vec<usize> = items
-                    .iter()
-                    // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                    .map(|&i| lay.index(NodeRef::Price(self.item_price_level[i])))
-                    .collect();
-                let ep = ops::gather_rows(repr_g, &p_idx);
+                // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+                let ep = global.gather(items.iter().map(|&i| NodeRef::Price(price[i])));
                 pairwise_interactions(&[eu, ei, ep])
             }
         };
 
-        let Some(repr_c) = repr_c else {
+        let Some(category) = category else {
             return s_global;
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "repr_c is only Some when the category branch exists."
-        )]
-        // pup-audit: allow(hotpath-panic): repr_c is only Some when the category branch exists
-        let branch = self.category.as_ref().expect("category branch present");
-        let clay = &branch.layout;
-        let cu_idx: Vec<usize> = users.iter().map(|&u| clay.index(NodeRef::User(u))).collect();
-        let cp_idx: Vec<usize> =
-            // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-            items.iter().map(|&i| clay.index(NodeRef::Price(self.item_price_level[i]))).collect();
-        let cc_idx: Vec<usize> =
-            // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-            items.iter().map(|&i| clay.index(NodeRef::Category(self.item_category[i]))).collect();
-        let eu_c = ops::gather_rows(repr_c, &cu_idx);
-        let ep_c = ops::gather_rows(repr_c, &cp_idx);
-        let ec_c = ops::gather_rows(repr_c, &cc_idx);
+        let eu_c = category.gather(users.iter().map(|&u| NodeRef::User(u)));
+        // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+        let ep_c = category.gather(items.iter().map(|&i| NodeRef::Price(price[i])));
+        // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
+        let ec_c = category.gather(items.iter().map(|&i| NodeRef::Category(cat[i])));
         // Item embeddings are deliberately omitted: items only bridge.
         let s_cat = pairwise_interactions(&[eu_c, ec_c, ep_c]);
         ops::add(&s_global, &ops::scale(&s_cat, self.config.alpha))
@@ -339,15 +406,16 @@ impl Pup {
         self.frozen.as_ref().expect("finalize must run before inference")
     }
 
-    /// A branch's inference representations: propagated, no dropout.
+    /// A branch's inference representations: every row propagated, no
+    /// dropout.
     fn inference_repr(&self, branch: &Branch) -> Matrix {
-        branch.propagate(self.config.n_layers, 0.0, None).value_clone()
+        branch.propagate(self.config.n_layers, &branch.a_hat).value_clone()
     }
 
     /// Global-branch affinity between a user and each price level
     /// (`e_u · e_p` after propagation) — the interpretability handle the
-    /// paper's decoder design advertises. Each call propagates the branch
-    /// afresh; inference keeps only the folded decoder.
+    /// paper's decoder design advertises. Each call propagates the user and
+    /// price rows afresh; inference keeps only the folded decoder.
     pub fn user_price_affinity(&self, user: usize) -> Vec<f64> {
         assert_ne!(self.config.variant, PupVariant::Bipartite, "bipartite PUP has no price nodes");
         assert_ne!(
@@ -355,10 +423,11 @@ impl Pup {
             PupVariant::CategoryOnly,
             "category-only PUP has no price nodes"
         );
-        let repr = self.inference_repr(&self.global);
-        let lay = &self.global.layout;
-        let u = repr.row(lay.index(NodeRef::User(user)));
-        (0..lay.n_prices()).map(|p| dot(u, repr.row(lay.index(NodeRef::Price(p))))).collect()
+        let prices = (0..self.global.layout.n_prices()).map(NodeRef::Price);
+        let nodes: Vec<NodeRef> = std::iter::once(NodeRef::User(user)).chain(prices).collect();
+        let repr = self.global.repr_of(self.config.n_layers, &nodes);
+        let u = repr.row(0);
+        (1..nodes.len()).map(|k| dot(u, repr.row(k))).collect()
     }
 
     /// Category-branch affinity between a user and each (category, price)
@@ -366,11 +435,9 @@ impl Pup {
     pub fn user_category_price_affinity(&self, user: usize, category: usize, price: usize) -> f64 {
         #[expect(clippy::expect_used, reason = "documented precondition: full variant.")]
         let branch = self.category.as_ref().expect("full variant required");
-        let repr = self.inference_repr(branch);
-        let lay = &branch.layout;
-        let u = repr.row(lay.index(NodeRef::User(user)));
-        let c = repr.row(lay.index(NodeRef::Category(category)));
-        let p = repr.row(lay.index(NodeRef::Price(price)));
+        let nodes = [NodeRef::User(user), NodeRef::Category(category), NodeRef::Price(price)];
+        let repr = branch.repr_of(self.config.n_layers, &nodes);
+        let (u, c, p) = (repr.row(0), repr.row(1), repr.row(2));
         dot(u, c) + dot(u, p) + dot(c, p)
     }
 
@@ -436,13 +503,33 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 impl BprModel for Pup {
-    fn begin_step(&mut self, rng: &mut StdRng) {
-        self.step_global =
-            Some(self.global.propagate(self.config.n_layers, self.config.dropout, Some(rng)));
-        self.step_category = self
-            .category
-            .as_ref()
-            .map(|b| b.propagate(self.config.n_layers, self.config.dropout, Some(rng)));
+    /// Propagates only the rows the batch reads. Global branch: users,
+    /// items, and each item's attribute node (price, or category for
+    /// [`PupVariant::CategoryOnly`]). Category branch: users, and each
+    /// item's price and category nodes.
+    fn begin_step(&mut self, users: &[usize], pos: &[usize], neg: &[usize], rng: &mut StdRng) {
+        let (n_layers, dropout, variant) =
+            (self.config.n_layers, self.config.dropout, self.config.variant);
+        let (price, cat) = (&self.item_price_level, &self.item_category);
+        let users = || users.iter().map(|&u| NodeRef::User(u));
+        let items = || pos.iter().chain(neg).copied();
+        let attribute = |i: usize| match variant {
+            PupVariant::Bipartite => None,
+            // pup-audit: allow(hotpath-panic): item ids come from the training pairs and the sampler; metadata arrays are catalog-sized
+            PupVariant::CategoryOnly => Some(NodeRef::Category(cat[i])),
+            // pup-audit: allow(hotpath-panic): item ids come from the training pairs and the sampler; metadata arrays are catalog-sized
+            PupVariant::Full | PupVariant::PriceOnly => Some(NodeRef::Price(price[i])),
+        };
+        let global = users().chain(items().map(NodeRef::Item)).chain(items().filter_map(attribute));
+        let touched = self.global.begin_step(global, n_layers, dropout, rng);
+        pup_obs::observe("train.touched_rows.global", touched as f64);
+        if let Some(branch) = &mut self.category {
+            let attributes =
+                // pup-audit: allow(hotpath-panic): item ids come from the training pairs and the sampler; metadata arrays are catalog-sized
+                items().flat_map(|i| [NodeRef::Price(price[i]), NodeRef::Category(cat[i])]);
+            let touched = branch.begin_step(users().chain(attributes), n_layers, dropout, rng);
+            pup_obs::observe("train.touched_rows.category", touched as f64);
+        }
     }
 
     fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
@@ -451,8 +538,9 @@ impl BprModel for Pup {
             reason = "BprModel state machine: trainer calls begin_step first."
         )]
         // pup-audit: allow(hotpath-panic): lifecycle invariant: run_epoch calls begin_step before any scoring
-        let repr_g = self.step_global.as_ref().expect("begin_step must run first");
-        let scores = self.branch_scores(repr_g, self.step_category.as_ref(), users, items);
+        let global = self.global.step_rows().expect("begin_step must run first");
+        let category = self.category.as_ref().and_then(Branch::step_rows);
+        let scores = self.branch_scores(global, category, users, items);
         pup_tensor::checks::guard_finite("Pup::score_batch", &scores);
         scores
     }
@@ -467,8 +555,10 @@ impl BprModel for Pup {
 
     fn finalize(&mut self) {
         self.frozen = Some(self.fold());
-        self.step_global = None;
-        self.step_category = None;
+        self.global.step = None;
+        if let Some(b) = &mut self.category {
+            b.step = None;
+        }
     }
 }
 
@@ -515,7 +605,7 @@ impl Recommender for Pup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{train_bpr, TrainConfig};
+    use crate::trainer::{train_bpr, BprTrainer, TrainConfig};
 
     fn price_data<'a>(
         train: &'a [(usize, usize)],
@@ -656,8 +746,9 @@ mod tests {
         // Layout grew by 2 brand + 3 city nodes on both branches.
         assert_eq!(m.global.layout.total(), 4 + 4 + 2 + 2 + 2 + 3);
         // Training still runs and scoring paths agree.
-        m.begin_step(&mut StdRng::seed_from_u64(0));
-        let batch = m.score_batch(&[0, 0, 0, 0], &[0, 1, 2, 3]);
+        let (users, items) = ([0, 0, 0, 0], [0, 1, 2, 3]);
+        m.begin_step(&users, &items, &items, &mut StdRng::seed_from_u64(0));
+        let batch = m.score_batch(&users, &items);
         m.finalize();
         let dense = m.score_items(0);
         for (k, &d) in dense.iter().enumerate().take(4) {
@@ -747,5 +838,164 @@ mod tests {
         let mut m = Pup::new(&data, small_config(PupVariant::Bipartite));
         m.finalize();
         let _ = m.user_price_affinity(0);
+    }
+
+    /// Test-only full-graph reference for a training step: every row
+    /// propagated, dropout over the whole table, then gathered by node
+    /// index. Scoring reads its representations through an identity
+    /// `TouchedRows`, so row `node` is node `node`.
+    struct FullGraph(Pup);
+
+    impl BprModel for FullGraph {
+        fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], rng: &mut StdRng) {
+            let (n_layers, p) = (self.0.config.n_layers, self.0.config.dropout);
+            for branch in std::iter::once(&mut self.0.global).chain(self.0.category.as_mut()) {
+                let mut h = branch.emb.clone();
+                for _ in 0..n_layers {
+                    h = ops::tanh(&ops::spmm(&branch.a_hat, &h));
+                }
+                branch.step = Some(ops::dropout(&h, p, rng));
+                let total = branch.layout.total();
+                branch.touched =
+                    TouchedRows { rows: (0..total).collect(), slot: (0..total).collect() };
+            }
+        }
+
+        fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
+            self.0.score_batch(users, items)
+        }
+
+        fn params(&self) -> Vec<Var> {
+            self.0.params()
+        }
+
+        fn finalize(&mut self) {
+            self.0.finalize();
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A catalog large enough that a 64-pair batch reads a strict subset of
+    /// the graph's rows.
+    fn fixture() -> (pup_data::Dataset, pup_data::Split) {
+        let dataset = pup_data::synthetic::generate(&pup_data::GeneratorConfig {
+            n_users: 150,
+            n_items: 120,
+            n_categories: 6,
+            n_price_levels: 5,
+            n_interactions: 1_500,
+            kcore: 0,
+            seed: 31,
+            ..Default::default()
+        })
+        .dataset;
+        let split = pup_data::split::temporal_split(&dataset, pup_data::SplitRatios::PAPER);
+        (dataset, split)
+    }
+
+    /// Checks the row-restricted step against [`FullGraph`] bit for bit:
+    /// one step's forward scores, then three epochs' losses and the final
+    /// parameters.
+    fn assert_restricted_step_is_exact(config: &PupConfig, extras: &[ExtraAttribute]) {
+        let label = format!("{:?} at {} layer(s)", config.variant, config.n_layers);
+        let (dataset, split) = fixture();
+        let data = TrainData::new(&dataset, &split);
+        let mut restricted = Pup::with_extras(&data, config.clone(), extras);
+        let mut full = FullGraph(Pup::with_extras(&data, config.clone(), extras));
+
+        let (users, pos): (Vec<usize>, Vec<usize>) = data.train[..64].iter().copied().unzip();
+        let neg: Vec<usize> = (0..64).map(|k| k * 7 % data.n_items).collect();
+        restricted.begin_step(&users, &pos, &neg, &mut StdRng::seed_from_u64(3));
+        full.begin_step(&users, &pos, &neg, &mut StdRng::seed_from_u64(3));
+        let touched = restricted.global.touched.rows.len();
+        assert!(touched < restricted.global.layout.total(), "{label}: batch reads every row");
+        for items in [&pos, &neg] {
+            let (r, f) = (restricted.score_batch(&users, items), full.score_batch(&users, items));
+            assert_eq!(bits(r.value().as_slice()), bits(f.value().as_slice()), "{label}: scores");
+        }
+
+        let cfg = TrainConfig { epochs: 3, batch_size: 64, seed: 4, ..Default::default() };
+        let (n_users, n_items) = (data.n_users, data.n_items);
+        let mut trainer_r = BprTrainer::new(&restricted, n_users, n_items, data.train, &cfg);
+        let mut trainer_f = BprTrainer::new(&full, n_users, n_items, data.train, &cfg);
+        for epoch in 0..3 {
+            let loss_r = trainer_r.run_epoch(&mut restricted).expect("restricted epoch");
+            let loss_f = trainer_f.run_epoch(&mut full).expect("full-graph epoch");
+            assert_eq!(loss_r.to_bits(), loss_f.to_bits(), "{label}: epoch {epoch} loss");
+        }
+        for (r, f) in restricted.params().iter().zip(full.params()) {
+            assert_eq!(bits(r.value().as_slice()), bits(f.value().as_slice()), "{label}: params");
+        }
+    }
+
+    #[test]
+    fn restricted_step_matches_full_graph_reference() {
+        let variants = [
+            PupVariant::Full,
+            PupVariant::PriceOnly,
+            PupVariant::CategoryOnly,
+            PupVariant::Bipartite,
+        ];
+        for variant in variants {
+            for n_layers in 1..=3 {
+                let config = PupConfig { n_layers, dropout: 0.1, ..small_config(variant) };
+                assert_restricted_step_is_exact(&config, &[]);
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_step_matches_full_graph_reference_with_extras() {
+        let (dataset, _) = fixture();
+        let extras = [
+            ExtraAttribute {
+                name: "brand".into(),
+                n_values: 5,
+                values: (0..dataset.n_items).map(|i| i % 5).collect(),
+                target: AttributeTarget::Items,
+            },
+            ExtraAttribute {
+                name: "city".into(),
+                n_values: 3,
+                values: (0..dataset.n_users).map(|u| u % 3).collect(),
+                target: AttributeTarget::Users,
+            },
+        ];
+        let config = PupConfig { dropout: 0.1, ..small_config(PupVariant::Full) };
+        assert_restricted_step_is_exact(&config, &extras);
+    }
+
+    #[test]
+    fn affinity_helpers_match_full_inference_rows() {
+        let price = vec![0, 1, 2, 0, 1, 2];
+        let cat = vec![0, 0, 1, 1, 2, 2];
+        let train = vec![(0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 5), (3, 0), (3, 5)];
+        let data = price_data(&train, &price, &cat, 4);
+        for n_layers in [1, 2] {
+            let m = Pup::new(&data, PupConfig { n_layers, ..small_config(PupVariant::Full) });
+            let (global, lay) = (m.inference_repr(&m.global), &m.global.layout);
+            let branch = m.category.as_ref().unwrap();
+            let (category, clay) = (m.inference_repr(branch), &branch.layout);
+            for user in 0..4 {
+                let u = global.row(lay.index(NodeRef::User(user)));
+                let expected: Vec<f64> =
+                    (0..3).map(|p| dot(u, global.row(lay.index(NodeRef::Price(p))))).collect();
+                assert_eq!(bits(&m.user_price_affinity(user)), bits(&expected));
+                let row = |node| category.row(clay.index(node));
+                for (c, p) in [(0, 0), (1, 2), (2, 1)] {
+                    let (u, c_row, p_row) = (
+                        row(NodeRef::User(user)),
+                        row(NodeRef::Category(c)),
+                        row(NodeRef::Price(p)),
+                    );
+                    let expected = dot(u, c_row) + dot(u, p_row) + dot(c_row, p_row);
+                    let got = m.user_category_price_affinity(user, c, p);
+                    assert_eq!(got.to_bits(), expected.to_bits(), "{n_layers} layer(s)");
+                }
+            }
+        }
     }
 }

@@ -28,8 +28,11 @@ use crate::common::ParamRegistry;
 /// Hook interface for models trained with BPR.
 pub trait BprModel {
     /// Prepares the step's forward state (e.g. graph propagation with
-    /// dropout). Called once per mini-batch before scoring.
-    fn begin_step(&mut self, rng: &mut StdRng);
+    /// dropout). Called once per mini-batch before scoring, with the
+    /// batch's users and its positive and negative items: the step scores
+    /// only `(users, pos)` and `(users, neg)` pairs, so a model may prepare
+    /// just the rows those read.
+    fn begin_step(&mut self, users: &[usize], pos: &[usize], neg: &[usize], rng: &mut StdRng);
 
     /// Differentiable scores for `(users[k], items[k])` pairs, shape
     /// `(batch, 1)`. Called twice per step (positives, then negatives) and
@@ -421,7 +424,7 @@ impl BprTrainer {
                     neg.push(self.sampler.sample(u, &mut self.rng));
                 }
             }
-            model.begin_step(&mut self.rng);
+            model.begin_step(&users, &pos, &neg, &mut self.rng);
             let s_pos = model.score_batch(&users, &pos);
             let s_neg = model.score_batch(&users, &neg);
             // BPR: -ln σ(s_pos - s_neg) == softplus(-(s_pos - s_neg)).
@@ -717,7 +720,7 @@ mod tests {
     }
 
     impl BprModel for TinyMf {
-        fn begin_step(&mut self, _rng: &mut StdRng) {}
+        fn begin_step(&mut self, _: &[usize], _: &[usize], _: &[usize], _: &mut StdRng) {}
         fn score_batch(&mut self, users: &[usize], items: &[usize]) -> Var {
             let u = ops::gather_rows(&self.users, users);
             let i = ops::gather_rows(&self.items, items);

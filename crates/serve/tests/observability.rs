@@ -75,22 +75,30 @@ struct ObsRun {
     max_exemplar_value: f64,
 }
 
+/// A virtual latency spike, charged without sleeping.
+const SPIKE_NS: u64 = 5_000_000_000;
+
 /// One fully instrumented single-client chaos run: scorer faults trip the
-/// breaker, 5ms virtual spikes blow the 1ms latency objective (page, then
+/// breaker, 5 s virtual spikes blow the 1 s latency objective (page, then
 /// recover as the violation slides out of both windows).
+///
+/// The objective and the deadline sit far above any real request latency,
+/// so only the injected spikes can breach them: a scheduling stall on a
+/// loaded host cannot change the SLO events or the request outcomes.
 fn run_instrumented(tag: &str) -> ObsRun {
     let plan = FaultPlan::scorer_errors_at([3, 4, 5, 6])
-        .with_latency_spikes([(10, 5_000_000), (20, 5_000_000)]);
+        .with_latency_spikes([(10, SPIKE_NS), (20, SPIKE_NS)]);
     let cfg = ServeConfig {
         workers: 1,
         max_retries: 0,
+        deadline_ns: 12 * SPIKE_NS,
         breaker: BreakerConfig { failure_threshold: 3, cooldown_requests: 4, close_after: 2 },
         ..Default::default()
     };
     let dir = scratch_dir(tag);
     let mut shared = ServiceShared::with_faults(cfg, fallback(), N_USERS, plan);
     shared.enable_tracing(TraceSink::new());
-    let spec = SloSpec::parse("avail=0.99,p99-ms=1,fast=4,slow=8,warn=2,page=5,min=2")
+    let spec = SloSpec::parse("avail=0.99,p99-ms=1000,fast=4,slow=8,warn=2,page=5,min=2")
         .expect("valid slo spec");
     shared.enable_slo(SloEngine::new(spec));
     shared.enable_flight_recorder(PostMortem::new(dir.clone(), 32));
@@ -163,7 +171,7 @@ fn stitched_trees_slo_events_and_recorder_dumps_replay_identically() {
         "a breaker-open request must route straight to fallback"
     );
 
-    // (b) SLO events: the 5ms spikes page the 1ms latency objective, the
+    // (b) SLO events: the 5 s spikes page the 1 s latency objective, the
     // violation slides out of both windows and the monitor recovers — and
     // the whole sequence replays bit-identically.
     assert_eq!(a.slo_events, b.slo_events, "same seed must replay the identical SLO sequence");
@@ -198,7 +206,7 @@ fn stitched_trees_slo_events_and_recorder_dumps_replay_identically() {
 
     // (d) Tail exemplars resolve: every bucket's retained trace id names a
     // trace that exists in the sink, and the slowest exemplar carries the
-    // 5ms virtual spike.
+    // virtual spike.
     assert!(!a.exemplar_traces.is_empty(), "traced observations must retain exemplars");
     for trace in &a.exemplar_traces {
         assert!(
@@ -207,7 +215,7 @@ fn stitched_trees_slo_events_and_recorder_dumps_replay_identically() {
         );
     }
     assert!(
-        a.max_exemplar_value >= 5_000_000.0,
+        a.max_exemplar_value >= SPIKE_NS as f64,
         "the slowest exemplar must carry the spike latency, got {}",
         a.max_exemplar_value
     );

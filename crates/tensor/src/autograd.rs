@@ -11,6 +11,7 @@
 //! test suite), which substitutes for the deep-learning frameworks the paper
 //! relied on.
 
+use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,13 +239,24 @@ impl Var {
     /// accumulation into an interior node outside backward would sit in a
     /// buffer nothing ever consumes.
     pub fn accumulate_grad(&self, g: &Matrix) {
+        self.accumulate(Cow::Borrowed(g));
+    }
+
+    /// [`Var::accumulate_grad`] for a gradient the caller owns: the first
+    /// gradient into a node becomes its buffer instead of a copy. Backward
+    /// closures that build a fresh gradient matrix pass it here.
+    pub fn accumulate_owned_grad(&self, g: Matrix) {
+        self.accumulate(Cow::Owned(g));
+    }
+
+    fn accumulate(&self, g: Cow<'_, Matrix>) {
         let mut inner = self.inner.borrow_mut();
         if !inner.requires_grad {
             return;
         }
         if checks::ENABLED {
             checks::assert_same_shape(inner.op, inner.value.shape(), g.shape());
-            checks::assert_finite(inner.op, "accumulated gradient", g);
+            checks::assert_finite(inner.op, "accumulated gradient", &g);
             // pup-audit: allow(hotpath-panic): tape auditor fails fast on out-of-walk gradient writes by design
             assert!(
                 inner.backward.is_none() || checks::in_backward(),
@@ -255,8 +267,8 @@ impl Var {
             );
         }
         match &mut inner.grad {
-            Some(acc) => acc.add_assign(g),
-            None => inner.grad = Some(g.clone()),
+            Some(acc) => acc.add_assign(&g),
+            None => inner.grad = Some(g.into_owned()),
         }
     }
 

@@ -298,7 +298,8 @@ impl Matrix {
         }
     }
 
-    fn zip_with(&self, rhs: &Matrix, op: &str, f: impl Fn(f64, f64) -> f64) -> Matrix {
+    /// Element-wise `f(self, rhs)` into a new matrix of the same shape.
+    pub(crate) fn zip_with(&self, rhs: &Matrix, op: &str, f: impl Fn(f64, f64) -> f64) -> Matrix {
         // pup-audit: allow(hotpath-panic): fail-fast shape precondition; scoring shapes are fixed by model config
         assert_eq!(
             self.shape(),

@@ -150,7 +150,7 @@ pub fn spmm(a: &Arc<CsrMatrix>, x: &Var) -> Var {
         value,
         vec![x.clone()],
         // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-        Box::new(move |g, parents| parents[0].accumulate_grad(&a.t_spmm(g))),
+        Box::new(move |g, parents| parents[0].accumulate_owned_grad(a.t_spmm(g))),
     )
 }
 
@@ -165,9 +165,9 @@ pub fn tanh(a: &Var) -> Var {
         vec![a.clone()],
         Box::new(move |g, parents| {
             // d tanh(x) = 1 - tanh(x)^2
-            let local = saved.map(|t| 1.0 - t * t);
+            let grad = g.zip_with(&saved, "tanh", |g, t| g * (1.0 - t * t));
             // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-            parents[0].accumulate_grad(&g.hadamard(&local));
+            parents[0].accumulate_owned_grad(grad);
         }),
     )
 }
@@ -259,7 +259,7 @@ pub fn gather_rows(a: &Var, indices: &[usize]) -> Var {
             let mut acc = Matrix::zeros(rows, cols);
             acc.scatter_add_rows(&indices, g);
             // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-            parents[0].accumulate_grad(&acc);
+            parents[0].accumulate_owned_grad(acc);
         }),
     )
 }
@@ -488,6 +488,54 @@ pub fn add_row_broadcast(a: &Var, bias: &Var) -> Var {
 /// representations; models call this on propagated embeddings during
 /// training only.
 pub fn dropout(a: &Var, p: f64, rng: &mut impl rand::Rng) -> Var {
+    let rows = a.shape().0;
+    dropout_mask_rows(a, p, rng, rows, None)
+}
+
+/// [`dropout`] for a matrix that holds only some rows of a `mask_rows`-row
+/// one: row `k` of `a` is row `rows[k]` (ascending, distinct) of the whole.
+///
+/// The mask is drawn for all `mask_rows` rows, in the same order and from
+/// the same stream as `dropout` on the whole matrix, and only `rows`' mask
+/// rows are applied. So row `k` of the result, and of the gradient, equals
+/// row `rows[k]` of whole-matrix dropout under the same `rng` state, and
+/// the stream advances by the same amount.
+///
+/// # Panics
+/// Panics when `rows` does not match `a`'s row count, does not ascend, or
+/// reaches past `mask_rows`.
+pub fn dropout_rows(
+    a: &Var,
+    p: f64,
+    rng: &mut impl rand::Rng,
+    mask_rows: usize,
+    rows: &[usize],
+) -> Var {
+    // pup-audit: allow(hotpath-panic): fail-fast precondition: one mask row per input row
+    assert_eq!(
+        rows.len(),
+        a.shape().0,
+        "dropout_rows: {} rows for a {}-row input",
+        rows.len(),
+        a.shape().0
+    );
+    // pup-audit: allow(hotpath-panic): fail-fast precondition on the kept rows
+    assert!(
+        rows.is_sorted_by(|a, b| a < b) && rows.last().is_none_or(|&r| r < mask_rows),
+        "dropout_rows: rows must ascend within 0..{mask_rows}"
+    );
+    dropout_mask_rows(a, p, rng, mask_rows, Some(rows))
+}
+
+/// The one dropout op: draws a `mask_rows × cols` mask row by row and
+/// applies the rows `kept` names (every row when `None`).
+fn dropout_mask_rows(
+    a: &Var,
+    p: f64,
+    rng: &mut impl rand::Rng,
+    mask_rows: usize,
+    kept: Option<&[usize]>,
+) -> Var {
     // pup-audit: allow(hotpath-panic): fail-fast precondition on the dropout probability
     assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1)");
     // pup-lint: allow(float-eq) — p == 0.0 is an exact "dropout disabled" fast path
@@ -497,15 +545,27 @@ pub fn dropout(a: &Var, p: f64, rng: &mut impl rand::Rng) -> Var {
     let _t = profile::fwd("dropout");
     let keep = 1.0 - p;
     let (rows, cols) = a.shape();
-    let mask =
-        Matrix::from_fn(rows, cols, |_, _| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 });
+    let mut draw = || if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 };
+    let mut mask = Matrix::zeros(rows, cols);
+    let mut next = 0;
+    for r in 0..mask_rows {
+        if kept.is_none_or(|kept| kept.get(next) == Some(&r)) {
+            mask.row_mut(next).iter_mut().for_each(|m| *m = draw());
+            next += 1;
+        } else {
+            // A row left out still takes its draws, so the stream stays put.
+            for _ in 0..cols {
+                draw();
+            }
+        }
+    }
     let value = a.value().hadamard(&mask);
     Var::from_op(
         "dropout",
         value,
         vec![a.clone()],
         // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-        Box::new(move |g, parents| parents[0].accumulate_grad(&g.hadamard(&mask))),
+        Box::new(move |g, parents| parents[0].accumulate_owned_grad(g.hadamard(&mask))),
     )
 }
 
@@ -678,6 +738,36 @@ mod tests {
         for &v in g.as_slice() {
             assert!(v == 0.0 || (v - 1.0 / 0.7).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn dropout_rows_matches_whole_matrix_rows_and_stream() {
+        let whole = rand_param(6, 3, 40);
+        let rows = [1, 2, 5];
+        let part = Var::param(whole.value().gather_rows(&rows));
+        let (mut rng_whole, mut rng_part) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let y_whole = dropout(&whole, 0.4, &mut rng_whole);
+        let y_part = dropout_rows(&part, 0.4, &mut rng_part, 6, &rows);
+        assert_eq!(y_part.value_clone(), y_whole.value().gather_rows(&rows));
+        // Both streams advanced by the whole mask.
+        assert_eq!(rand::Rng::gen::<u64>(&mut rng_whole), rand::Rng::gen::<u64>(&mut rng_part));
+        sum(&square(&y_whole)).backward();
+        sum(&square(&y_part)).backward();
+        assert_eq!(part.grad().unwrap(), whole.grad().unwrap().gather_rows(&rows));
+        // No rows kept: an empty result, and the stream still moves.
+        let empty = Var::param(Matrix::zeros(0, 3));
+        let mut rng_empty = StdRng::seed_from_u64(8);
+        assert_eq!(dropout_rows(&empty, 0.4, &mut rng_empty, 6, &[]).shape(), (0, 3));
+        let mut rng_ref = StdRng::seed_from_u64(8);
+        let _ = dropout(&whole, 0.4, &mut rng_ref);
+        assert_eq!(rand::Rng::gen::<u64>(&mut rng_empty), rand::Rng::gen::<u64>(&mut rng_ref));
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must ascend")]
+    fn dropout_rows_rejects_unsorted_rows() {
+        let x = Var::param(Matrix::ones(2, 2));
+        let _ = dropout_rows(&x, 0.5, &mut StdRng::seed_from_u64(0), 4, &[2, 1]);
     }
 
     #[test]

@@ -152,6 +152,39 @@ impl CsrMatrix {
         out
     }
 
+    /// The rows `rows` of this matrix, in that order: row `k` of the result
+    /// is row `rows[k]`, with the same column count. So row `k` of
+    /// `select_rows(rows).spmm(x)` is row `rows[k]` of `spmm(x)`, bit for
+    /// bit, and when `rows` ascends, `t_spmm` over the slice accumulates in
+    /// the same order as over the whole matrix, skipping only the rows left
+    /// out.
+    ///
+    /// # Panics
+    /// Panics when a row index is out of range.
+    pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix {
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        indptr.push(0);
+        let mut nnz = 0;
+        for &r in rows {
+            // pup-audit: allow(hotpath-panic): fail-fast bounds precondition on the selected rows
+            assert!(r < self.rows, "select_rows: row {r} out of {} rows", self.rows);
+            // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries
+            nnz += self.indptr[r + 1] - self.indptr[r];
+            indptr.push(nnz);
+        }
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for &r in rows {
+            // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
+            let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
+            // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
+            indices.extend_from_slice(&self.indices[lo..hi]);
+            // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
+            values.extend_from_slice(&self.values[lo..hi]);
+        }
+        CsrMatrix { rows: rows.len(), cols: self.cols, indptr, indices, values }
+    }
+
     /// Sparse-dense product `self * dense`.
     ///
     /// # Panics
@@ -316,6 +349,42 @@ mod tests {
     fn row_sums_match_dense() {
         let s = sample();
         assert_eq!(s.row_sums().as_slice(), s.to_dense().row_sums().as_slice());
+    }
+
+    #[test]
+    fn select_rows_picks_rows_in_order() {
+        let s = sample();
+        let d = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f64 * 0.7 - 1.1);
+        let full = s.spmm(&d);
+        for rows in [&[][..], &[1], &[0], &[2], &[0, 2], &[0, 1, 2], &[2, 0, 2]] {
+            let sub = s.select_rows(rows);
+            assert_eq!((sub.rows(), sub.cols()), (rows.len(), s.cols()));
+            let out = sub.spmm(&d);
+            for (k, &r) in rows.iter().enumerate() {
+                assert_eq!(
+                    sub.row_entries(k).collect::<Vec<_>>(),
+                    s.row_entries(r).collect::<Vec<_>>()
+                );
+                assert_eq!(out.row(k), full.row(r));
+            }
+        }
+    }
+
+    #[test]
+    fn t_spmm_over_ascending_rows_skips_only_zero_rows() {
+        let s = sample();
+        // Gradient rows outside the selection are zero, as after a gather.
+        let g = Matrix::from_fn(3, 2, |r, c| if r == 1 { 0.0 } else { (r + c) as f64 * 0.3 - 0.4 });
+        let rows = [0, 2];
+        let g_rows = g.gather_rows(&rows);
+        assert_eq!(s.select_rows(&rows).t_spmm(&g_rows), s.t_spmm(&g));
+        assert_eq!(s.select_rows(&[]).t_spmm(&Matrix::zeros(0, 2)), Matrix::zeros(4, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of 3 rows")]
+    fn select_rows_rejects_out_of_range_rows() {
+        let _ = sample().select_rows(&[3]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # The full local gate — identical to what CI runs (.github/workflows/ci.yml).
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits and
-#                               # the hot-path allocation count only)
+#   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
+#                               # hot-path allocation count and the training pin only)
 #
 # Exits non-zero on the first failing step.
 set -euo pipefail
@@ -24,6 +24,7 @@ step cargo run -p pup-analysis --quiet -- lint --strict
 step cargo run -p pup-analysis --quiet -- audit-concurrency
 step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo test -q -p pup-recsys --test hot_allocs
+step cargo test -q -p pup-models --test training_pin
 step cargo run -p pup-analysis --quiet -- audit-graph
 if [[ $fast -eq 0 ]]; then
     step cargo test --workspace -q
