@@ -112,13 +112,12 @@ pub use pup_obs::bench::{
 /// }
 /// ```
 ///
-/// An existing single-run `pup-bench/1` file is absorbed as entry 0 on the
-/// first append. Cases appear in run order; all times are wall-clock
-/// nanoseconds for one invocation of the bench routine (median / min / max
-/// over `samples` timed runs, warm-up excluded). The file lands in
-/// `$PUP_BENCH_OUT` if set, otherwise the current directory, and is written
-/// atomically (tmp + rename) so a crashed bench run never leaves a
-/// truncated report. Returns the path written.
+/// Cases appear in run order; all times are wall-clock nanoseconds for one
+/// invocation of the bench routine (median / min / max over `samples` timed
+/// runs, warm-up excluded). The file lands in `$PUP_BENCH_OUT` if set,
+/// otherwise the current directory, and is written atomically (tmp + rename) so
+/// a crashed bench run never leaves a truncated report. Returns the path
+/// written.
 pub fn write_bench_json(
     target: &str,
     cases: &[criterion::CaseResult],
@@ -131,8 +130,8 @@ pub fn write_bench_json(
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("BENCH_{target}.json"));
 
-    // Prior history (v1 or v2) stays; this run appends. An unreadable or
-    // foreign file is replaced rather than corrupted further.
+    // Prior history stays; this run appends. An unreadable or foreign file is
+    // replaced rather than corrupted further.
     let mut entries = match std::fs::read_to_string(&path) {
         Ok(text) => read_bench_trajectory_str(&text).map(|t| t.entries).unwrap_or_default(),
         Err(_) => Vec::new(),
@@ -241,12 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_bench_json_is_absorbed_as_entry_zero() {
-        let text = r#"{"schema": "pup-bench/1", "target": "legacy", "cases": [
-            {"group": "g", "name": "case_a", "median_ns": 1000,
-             "min_ns": 900, "max_ns": 1100, "samples": 5}]}"#;
-        let traj = read_bench_trajectory_str(text).expect("v1 parses");
-        assert_eq!(traj.target, "legacy");
+    fn single_entry_trajectory_has_nothing_to_diff() {
+        let text = r#"{"schema": "pup-bench/2", "target": "fresh", "entries": [
+            {"seq": 0, "cases": [{"group": "g", "name": "case_a", "median_ns": 1000,
+             "min_ns": 900, "max_ns": 1100, "samples": 5}]}]}"#;
+        let traj = read_bench_trajectory_str(text).expect("v2 parses");
+        assert_eq!(traj.target, "fresh");
         assert_eq!(traj.entries.len(), 1);
         assert_eq!(traj.entries[0].seq, 0);
         assert_eq!(traj.entries[0].cases[0].median_ns, 1_000);

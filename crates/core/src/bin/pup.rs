@@ -58,64 +58,42 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `report-telemetry`, `slo-report` and `bench-diff` take a positional
-    // FILE argument, which `parse_flags` rejects by design; handle them
-    // before the flag parser runs.
-    if cmd == "report-telemetry" || cmd == "slo-report" || cmd == "bench-diff" {
-        let result = match cmd.as_str() {
-            "report-telemetry" => cmd_report_telemetry(rest),
-            "slo-report" => cmd_slo_report(rest),
-            _ => cmd_bench_diff(rest),
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // `registry` takes a positional ACTION before its flags.
-    if cmd == "registry" {
-        let result = match rest.split_first() {
-            None => Err("usage: pup registry <ls|publish|promote|rollback> --registry DIR".into()),
-            Some((action, rest)) => {
-                parse_flags(rest).and_then(|flags| cmd_registry(action, &flags))
-            }
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "serve-bench" => cmd_serve_bench(&flags),
-        "serve" => cmd_serve(&flags),
-        "net-bench" => cmd_net_bench(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(cmd: &str, rest: &[String]) -> Result<(), String> {
+    match cmd {
+        // These take a positional FILE argument, which `parse_flags`
+        // rejects by design.
+        "report-telemetry" => cmd_report_telemetry(rest),
+        "slo-report" => cmd_slo_report(rest),
+        "bench-diff" => cmd_bench_diff(rest),
+        // `registry` takes a positional ACTION before its flags.
+        "registry" => match rest.split_first() {
+            None => Err("usage: pup registry <ls|publish|promote|rollback> --registry DIR".into()),
+            Some((action, rest)) => cmd_registry(action, &parse_flags(rest)?),
+        },
+        _ => {
+            let flags = parse_flags(rest).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+            match cmd {
+                "generate" => cmd_generate(&flags),
+                "evaluate" => cmd_evaluate(&flags),
+                "recommend" => cmd_recommend(&flags),
+                "serve-bench" => cmd_serve_bench(&flags),
+                "serve" => cmd_serve(&flags),
+                "net-bench" => cmd_net_bench(&flags),
+                "help" | "--help" | "-h" => {
+                    println!("{USAGE}");
+                    Ok(())
+                }
+                other => Err(format!("unknown command {other:?}")),
+            }
         }
     }
 }
@@ -191,7 +169,8 @@ submitted, shadow-scoring it for `--shadow K` requests (overlap floor
 `--swap-fault` injects a lifecycle fault into that swap: `corrupt-new`
 damages the candidate on disk (validation must roll back), `kill-flip`
 kills the promotion mid pointer-flip (old generation keeps serving), and
-`shadow-div` forces shadow divergence (window must roll back).
+`shadow-div` forces shadow divergence (window must roll back). The swap
+flags are an error without `--registry`.
 
 `serve-bench --slo SPEC` turns on the live observability layer: every
 admitted request carries a trace id through queue, scoring, ranking and
@@ -661,25 +640,20 @@ fn cmd_registry(action: &str, flags: &HashMap<String, String>) -> Result<(), Str
 }
 
 fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (pipeline, _maps) = load(flags)?;
-    let registry = if flags.contains_key("registry") { Some(open_registry(flags)?) } else { None };
-    let ckpt_dir = match flags.get("checkpoint-dir") {
-        Some(d) => Some(PathBuf::from(d)),
-        None if registry.is_none() => {
-            return Err("either --checkpoint-dir or --registry is required".into())
+    // Only a registry has generations to swap to.
+    if !flags.contains_key("registry") {
+        if let Some(flag) =
+            ["swap-at", "swap-to", "swap-fault"].iter().find(|f| flags.contains_key(**f))
+        {
+            return Err(format!("--{flag} needs --registry"));
         }
-        None => None,
-    };
-    let cfg = fit_config(flags)?;
-    let kind = model_kind(flags)?;
-    let deadline_ms: f64 = get_parsed(flags, "deadline-ms", 50.0)?;
+    }
     let bench = pup_serve::BenchConfig {
         requests: get_parsed(flags, "requests", 200)?,
         clients: get_parsed(flags, "clients", 4)?,
         k: get_parsed(flags, "top", 10)?,
         seed: get_parsed(flags, "seed", 7)?,
     };
-    let min_availability: f64 = get_parsed(flags, "min-availability", 0.0)?;
 
     let mut plan = pup_ckpt::chaos::FaultPlan::none();
     if let Some(spec) = flags.get("fault-errors") {
@@ -706,103 +680,76 @@ fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| format!("--swap-at: cannot parse {v:?}"))?),
         None => None,
     };
-
-    let telemetry_out = flags.get("telemetry").map(PathBuf::from);
+    let defaults = pup_serve::SwapConfig::default();
     let swap_cfg = pup_serve::SwapConfig {
-        shadow_requests: get_parsed(flags, "shadow", 32)?,
-        min_overlap: get_parsed(flags, "min-overlap", 0.5)?,
-        probe_users: 4,
+        shadow_requests: get_parsed(flags, "shadow", defaults.shadow_requests)?,
+        min_overlap: get_parsed(flags, "min-overlap", defaults.min_overlap)?,
+        ..defaults
     };
-    let shared = Arc::new(serving_state(flags, &pipeline, registry.as_ref(), plan, swap_cfg)?);
-    let n_items = pipeline.split().n_items;
-    let pipeline = Arc::new(pipeline);
+
+    let serving = start_serving(flags, plan, swap_cfg)?;
+    let cfg = &serving.engine.cfg;
+    let deadline_ms = cfg.deadline_ns as f64 / 1e6;
     eprintln!(
         "serving {} requests from {} closed-loop clients ({} workers, queue {}, deadline {deadline_ms}ms) ...",
-        bench.requests, bench.clients, shared.cfg.workers, shared.cfg.queue_capacity
+        bench.requests, bench.clients, cfg.workers, cfg.queue_capacity
     );
-    let report = match registry {
-        Some(reg) => {
-            eprintln!(
-                "restoring {} from registry generation {} in {} ...",
-                kind.name(),
-                shared.swap.active_gen(),
-                reg.dir().display()
-            );
-            let factory = scorer_factory(Arc::clone(&pipeline), kind, cfg, n_items, {
-                let reg = reg.clone();
-                move |gen| reg.load(gen).map_err(|e| format!("generation {gen}: {e}"))
-            });
-            let swap = match swap_at {
-                Some(at) => {
-                    let to_gen: u64 = match flags.get("swap-to") {
-                        Some(v) => {
-                            v.parse().map_err(|_| format!("--swap-to: cannot parse {v:?}"))?
-                        }
-                        None => reg
-                            .list()
-                            .map_err(|e| e.to_string())?
-                            .last()
-                            .map(|m| m.gen)
-                            .ok_or("registry holds no valid generations to swap to")?,
-                    };
-                    eprintln!("hot swap to generation {to_gen} scheduled at request {at}");
-                    Some((pup_serve::SwapPlan { at_request: at, to_gen }, reg))
-                }
-                None => None,
+    let swap = match (swap_at, &serving.registry) {
+        (Some(at), Some(reg)) => {
+            let to_gen: u64 = match flags.get("swap-to") {
+                Some(v) => v.parse().map_err(|_| format!("--swap-to: cannot parse {v:?}"))?,
+                None => reg
+                    .list()
+                    .map_err(|e| e.to_string())?
+                    .last()
+                    .map(|m| m.gen)
+                    .ok_or("registry holds no valid generations to swap to")?,
             };
-            pup_serve::run_closed_loop(Arc::clone(&shared), factory, bench, swap)
-                .map_err(|e| e.to_string())?
+            eprintln!("hot swap to generation {to_gen} scheduled at request {at}");
+            Some((pup_serve::SwapPlan { at_request: at, to_gen }, reg.clone()))
         }
-        None => {
-            // Checked above: --checkpoint-dir is present when --registry is not.
-            let ckpt_dir = ckpt_dir.ok_or("either --checkpoint-dir or --registry is required")?;
-            eprintln!("restoring {} from checkpoints in {} ...", kind.name(), ckpt_dir.display());
-            let factory = scorer_factory(Arc::clone(&pipeline), kind, cfg, n_items, move |_gen| {
-                latest_checkpoint(&ckpt_dir)
-            });
-            pup_serve::run_closed_loop(Arc::clone(&shared), factory, bench, None)
-                .map_err(|e| e.to_string())?
-        }
+        _ => None,
     };
+    let report = pup_serve::run_closed_loop(
+        Arc::clone(&serving.engine),
+        Arc::clone(&serving.factory),
+        bench,
+        swap,
+    )
+    .map_err(|e| e.to_string())?;
     println!("{}", report.render());
-    if let Some(postmortem) = &shared.postmortem {
-        for path in postmortem.dumped_paths() {
-            eprintln!("flight-recorder dump: {}", path.display());
-        }
-    }
-
-    if let Some(path) = &telemetry_out {
-        shared.publish_obs();
-        let telemetry = pup_obs::finish();
-        telemetry.write_jsonl(path).map_err(|e| format!("--telemetry {}: {e}", path.display()))?;
-        eprintln!("telemetry written to {}", path.display());
-    }
-    if report.availability < min_availability {
-        return Err(format!(
-            "availability {:.4} fell below the required {min_availability:.4}",
-            report.availability
-        ));
-    }
-    if report.slo_unrecovered_pages > 0 {
-        return Err(format!(
-            "SLO gate: {} page-level event(s) still un-recovered at end of run",
-            report.slo_unrecovered_pages
-        ));
-    }
-    Ok(())
+    serving.finish(report.availability, &report)
 }
 
-/// The scoring engine's shared state over `pipeline`'s split, configured
-/// from the serving flags (`--queue`, `--workers`, `--deadline-ms`,
-/// `--retries`, `--telemetry`, `--slo`, `--flight-dir`). Serving from a
-/// registry adds a swap controller on its serving generation.
-fn serving_state(
+/// What every serving command (`serve-bench`, `serve`, `net-bench`) starts
+/// from.
+struct Serving {
+    /// The scoring engine's shared state.
+    engine: Arc<pup_serve::ServiceShared>,
+    /// Restores the scorer of the generation asked for.
+    factory: pup_serve::GenScorerFactory,
+    /// The registry served from, if any (else `--checkpoint-dir`).
+    registry: Option<pup_ckpt::registry::ModelRegistry>,
+    min_availability: f64,
+    telemetry: Option<PathBuf>,
+}
+
+/// Loads the dataset and sets up serving the model from `--registry`'s
+/// CURRENT generation or from `--checkpoint-dir`'s newest checkpoint,
+/// configured from the serving flags (`--queue`, `--workers`,
+/// `--deadline-ms`, `--retries`, `--telemetry`, `--slo`, `--flight-dir`,
+/// `--min-availability`). `plan` injects faults; serving from a registry
+/// adds a swap controller configured by `swap_cfg`.
+fn start_serving(
     flags: &HashMap<String, String>,
-    pipeline: &Pipeline,
-    registry: Option<&pup_ckpt::registry::ModelRegistry>,
     plan: pup_ckpt::chaos::FaultPlan,
     swap_cfg: pup_serve::SwapConfig,
-) -> Result<pup_serve::ServiceShared, String> {
+) -> Result<Serving, String> {
+    let (pipeline, _maps) = load(flags)?;
+    let registry = if flags.contains_key("registry") { Some(open_registry(flags)?) } else { None };
+    let cfg = fit_config(flags)?;
+    let kind = model_kind(flags)?;
+    let min_availability: f64 = get_parsed(flags, "min-availability", 0.0)?;
     let mut serve_cfg = pup_serve::ServeConfig::default();
     serve_cfg.queue_capacity = get_parsed(flags, "queue", serve_cfg.queue_capacity)?;
     serve_cfg.workers = get_parsed(flags, "workers", serve_cfg.workers)?;
@@ -810,8 +757,32 @@ fn serving_state(
     serve_cfg.deadline_ns = (deadline_ms * 1e6) as u64;
     serve_cfg.max_retries = get_parsed(flags, "retries", serve_cfg.max_retries)?;
 
-    let telemetry_on = flags.contains_key("telemetry");
-    if telemetry_on {
+    // Where generations come from, and which one serves first.
+    type LoadCheckpoint = Box<dyn Fn(u64) -> Result<pup_ckpt::Checkpoint, String> + Send + Sync>;
+    let (load_ckpt, serving_gen, source): (LoadCheckpoint, _, _) =
+        match (&registry, flags.get("checkpoint-dir")) {
+            (Some(reg), _) => {
+                let gen = reg.serving_generation().map_err(|e| e.to_string())?.gen;
+                let source = format!("registry generation {gen} in {}", reg.dir().display());
+                let reg = reg.clone();
+                let load = move |gen| reg.load(gen).map_err(|e| format!("generation {gen}: {e}"));
+                (Box::new(load), Some(gen), source)
+            }
+            (None, Some(dir)) => {
+                let source = format!("checkpoints in {dir}");
+                let dir = PathBuf::from(dir);
+                let load = move |_gen| {
+                    pup_ckpt::store::load_latest(&dir)
+                        .map(|latest| latest.checkpoint)
+                        .map_err(|e| format!("--checkpoint-dir {}: {e}", dir.display()))
+                };
+                (Box::new(load), None, source)
+            }
+            (None, None) => return Err("either --checkpoint-dir or --registry is required".into()),
+        };
+
+    let telemetry = flags.get("telemetry").map(PathBuf::from);
+    if telemetry.is_some() {
         pup_obs::start();
     }
     let slo_spec = match flags.get("slo").map(String::as_str) {
@@ -821,59 +792,75 @@ fn serving_state(
     };
 
     let split = pipeline.split();
-    let n_users = split.n_users;
-    let fallback = pup_serve::Fallback::from_train(n_users, split.n_items, &split.train)
+    let (n_users, n_items) = (split.n_users, split.n_items);
+    let fallback = pup_serve::Fallback::from_train(n_users, n_items, &split.train)
         .map_err(|e| e.to_string())?;
-    let mut shared = match registry {
-        Some(reg) => {
-            let serving = reg.serving_generation().map_err(|e| e.to_string())?.gen;
-            pup_serve::ServiceShared::with_swap(
-                serve_cfg,
-                fallback,
-                n_users,
-                plan,
-                pup_serve::SwapController::new(serving, swap_cfg),
-            )
-        }
+    let mut engine = match serving_gen {
+        Some(gen) => pup_serve::ServiceShared::with_swap(
+            serve_cfg,
+            fallback,
+            n_users,
+            plan,
+            pup_serve::SwapController::new(gen, swap_cfg),
+        ),
         None => pup_serve::ServiceShared::with_faults(serve_cfg, fallback, n_users, plan),
     };
-    if slo_spec.is_some() || telemetry_on {
-        shared.enable_tracing(pup_obs::trace::TraceSink::new());
+    if slo_spec.is_some() || telemetry.is_some() {
+        engine.enable_tracing(pup_obs::trace::TraceSink::new());
     }
     if let Some(spec) = slo_spec {
-        shared.enable_slo(pup_obs::slo::SloEngine::new(spec));
+        engine.enable_slo(pup_obs::slo::SloEngine::new(spec));
         let flight_dir = flags
             .get("flight-dir")
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("target/flight-recorder"));
-        shared.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 256));
+        engine.enable_flight_recorder(pup_serve::PostMortem::new(flight_dir, 256));
     }
-    Ok(shared)
+
+    eprintln!("restoring {} from {source} ...", kind.name());
+    let pipeline = Arc::new(pipeline);
+    let factory: pup_serve::GenScorerFactory =
+        Arc::new(move |gen| -> Result<Box<dyn pup_serve::Scorer>, String> {
+            let model = pipeline
+                .restore_from_checkpoint(kind.clone(), &cfg, &load_ckpt(gen)?)
+                .map_err(|e| e.to_string())?;
+            Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items)))
+        });
+    Ok(Serving { engine: Arc::new(engine), factory, registry, min_availability, telemetry })
 }
 
-/// A scorer factory restoring `kind` from the checkpoint `load` returns
-/// for the generation asked for.
-fn scorer_factory(
-    pipeline: Arc<Pipeline>,
-    kind: ModelKind,
-    cfg: FitConfig,
-    n_items: usize,
-    load: impl Fn(u64) -> Result<pup_ckpt::Checkpoint, String> + Send + Sync + 'static,
-) -> pup_serve::GenScorerFactory {
-    Arc::new(move |gen| {
-        let model = pipeline
-            .restore_from_checkpoint(kind.clone(), &cfg, &load(gen)?)
-            .map_err(|e| e.to_string())?;
-        Ok(Box::new(pup_serve::RecommenderScorer::new(model, n_items)))
-    })
-}
-
-/// The newest valid checkpoint in `ckpt_dir`: the one generation a server
-/// without a registry serves.
-fn latest_checkpoint(ckpt_dir: &Path) -> Result<pup_ckpt::Checkpoint, String> {
-    pup_ckpt::store::load_latest(ckpt_dir)
-        .map(|latest| latest.checkpoint)
-        .map_err(|e| format!("--checkpoint-dir {}: {e}", ckpt_dir.display()))
+impl Serving {
+    /// Ends a serving command: prints the flight-recorder dump paths,
+    /// writes the telemetry file, and applies the availability and SLO
+    /// exit-code gates.
+    fn finish(&self, availability: f64, report: &pup_serve::ServeReport) -> Result<(), String> {
+        if let Some(postmortem) = &self.engine.postmortem {
+            for path in postmortem.dumped_paths() {
+                eprintln!("flight-recorder dump: {}", path.display());
+            }
+        }
+        if let Some(path) = &self.telemetry {
+            self.engine.publish_obs();
+            let telemetry = pup_obs::finish();
+            telemetry
+                .write_jsonl(path)
+                .map_err(|e| format!("--telemetry {}: {e}", path.display()))?;
+            eprintln!("telemetry written to {}", path.display());
+        }
+        if availability < self.min_availability {
+            return Err(format!(
+                "availability {availability:.4} fell below the required {:.4}",
+                self.min_availability
+            ));
+        }
+        if report.slo_unrecovered_pages > 0 {
+            return Err(format!(
+                "SLO gate: {} page-level event(s) still un-recovered at end of run",
+                report.slo_unrecovered_pages
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Builds a [`pup_serve::NetConfig`] from the network flags; unset flags
@@ -897,93 +884,23 @@ fn build_net_config(flags: &HashMap<String, String>) -> Result<pup_serve::NetCon
     Ok(net)
 }
 
-/// Restores the model (from `--checkpoint-dir` or the registry's CURRENT
-/// generation), starts the scoring engine, and wraps it in a TCP gateway
-/// configured from the network flags. Returns the gateway and the
-/// dataset's user count (for synthesizing load against it).
-fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway, usize), String> {
-    let (pipeline, _maps) = load(flags)?;
-    let registry = if flags.contains_key("registry") { Some(open_registry(flags)?) } else { None };
-    let cfg = fit_config(flags)?;
-    let kind = model_kind(flags)?;
+/// Sets up serving (see [`start_serving`]) and puts the engine behind a
+/// TCP gateway configured from the network flags.
+fn start_gateway(flags: &HashMap<String, String>) -> Result<(pup_serve::Gateway, Serving), String> {
     let plan = pup_ckpt::chaos::FaultPlan::none();
-    let swap_cfg = pup_serve::SwapConfig { shadow_requests: 32, min_overlap: 0.5, probe_users: 4 };
-    let shared = Arc::new(serving_state(flags, &pipeline, registry.as_ref(), plan, swap_cfg)?);
-    let (n_users, n_items) = (shared.n_users, pipeline.split().n_items);
-    let pipeline = Arc::new(pipeline);
-
-    let factory = match registry {
-        Some(reg) => {
-            eprintln!(
-                "restoring {} from registry generation {} in {} ...",
-                kind.name(),
-                shared.swap.active_gen(),
-                reg.dir().display()
-            );
-            scorer_factory(pipeline, kind, cfg, n_items, move |gen| {
-                reg.load(gen).map_err(|e| format!("generation {gen}: {e}"))
-            })
-        }
-        None => {
-            let ckpt_dir = PathBuf::from(
-                flags
-                    .get("checkpoint-dir")
-                    .ok_or("either --checkpoint-dir or --registry is required")?,
-            );
-            eprintln!("restoring {} from checkpoints in {} ...", kind.name(), ckpt_dir.display());
-            scorer_factory(pipeline, kind, cfg, n_items, move |_gen| latest_checkpoint(&ckpt_dir))
-        }
-    };
-    let server = pup_serve::Server::start_with_generations(Arc::clone(&shared), factory)
-        .map_err(|e| e.to_string())?;
+    let serving = start_serving(flags, plan, pup_serve::SwapConfig::default())?;
+    let server = pup_serve::Server::start_with_generations(
+        Arc::clone(&serving.engine),
+        Arc::clone(&serving.factory),
+    )
+    .map_err(|e| e.to_string())?;
     let net = build_net_config(flags)?;
     let gateway = pup_serve::Gateway::start(net, server).map_err(|e| e.to_string())?;
-    Ok((gateway, n_users))
-}
-
-/// Prints flight-recorder dump paths and writes the telemetry file, if
-/// either observability hook was enabled.
-fn finish_net_obs(
-    flags: &HashMap<String, String>,
-    engine: &pup_serve::ServiceShared,
-) -> Result<(), String> {
-    if let Some(postmortem) = &engine.postmortem {
-        for path in postmortem.dumped_paths() {
-            eprintln!("flight-recorder dump: {}", path.display());
-        }
-    }
-    if let Some(path) = flags.get("telemetry") {
-        engine.publish_obs();
-        let telemetry = pup_obs::finish();
-        telemetry.write_jsonl(Path::new(path)).map_err(|e| format!("--telemetry {path}: {e}"))?;
-        eprintln!("telemetry written to {path}");
-    }
-    Ok(())
-}
-
-/// Applies the availability and SLO exit-code gates shared by `serve` and
-/// `net-bench`.
-fn net_exit_gates(
-    availability: f64,
-    min_availability: f64,
-    report: &pup_serve::ServeReport,
-) -> Result<(), String> {
-    if availability < min_availability {
-        return Err(format!(
-            "availability {availability:.4} fell below the required {min_availability:.4}"
-        ));
-    }
-    if report.slo_unrecovered_pages > 0 {
-        return Err(format!(
-            "SLO gate: {} page-level event(s) still un-recovered at end of run",
-            report.slo_unrecovered_pages
-        ));
-    }
-    Ok(())
+    Ok((gateway, serving))
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (gateway, _n_users) = start_gateway(flags)?;
+    let (gateway, serving) = start_gateway(flags)?;
     let addr = gateway.local_addr();
     println!("listening on {addr}");
     if let Some(path) = flags.get("addr-file") {
@@ -995,7 +912,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| format!("--addr-file {path}: {e}"))?;
     }
     let max_requests: u64 = get_parsed(flags, "max-requests", 0)?;
-    let min_availability: f64 = get_parsed(flags, "min-availability", 0.0)?;
     let net_shared = gateway.shared();
     loop {
         std::thread::sleep(std::time::Duration::from_millis(25));
@@ -1009,8 +925,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (net, engine_report) = gateway.shutdown();
     println!("{}", net.render());
     println!("{}", engine_report.render());
-    finish_net_obs(flags, net_shared.engine.as_ref())?;
-    net_exit_gates(net.availability(), min_availability, &engine_report)
+    serving.finish(net.availability(), &engine_report)
 }
 
 /// Client-side tallies of one open-loop drive. `sent` excludes injected
@@ -1152,7 +1067,6 @@ fn cmd_net_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let mean_gap_us: f64 = get_parsed(flags, "mean-gap-us", 200.0)?;
     let burst: usize = get_parsed(flags, "burst", 0)?;
     let zipf_exponent: f64 = get_parsed(flags, "zipf", 1.0)?;
-    let min_availability: f64 = get_parsed(flags, "min-availability", 0.0)?;
     let api_key = flags.get("api-key").cloned();
 
     let mean_gap_ns = (mean_gap_us * 1e3) as u64;
@@ -1178,6 +1092,7 @@ fn cmd_net_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     // `--items` the bench hosts its own gateway on loopback.
     if let (Some(addr), false) = (flags.get("addr"), flags.contains_key("items")) {
         let n_users: usize = get_parsed(flags, "users", 64)?;
+        let min_availability: f64 = get_parsed(flags, "min-availability", 0.0)?;
         let plan = pup_serve::loadgen::open_loop_plan(&open_cfg, n_users);
         eprintln!("driving {} open-loop requests at {addr} ...", plan.len());
         let summary = drive_open_loop(addr, &plan, k, api_key.as_deref(), clients, abort_every);
@@ -1191,22 +1106,20 @@ fn cmd_net_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let (gateway, n_users) = start_gateway(flags)?;
+    let (gateway, serving) = start_gateway(flags)?;
     let addr = gateway.local_addr().to_string();
-    let plan = pup_serve::loadgen::open_loop_plan(&open_cfg, n_users);
+    let plan = pup_serve::loadgen::open_loop_plan(&open_cfg, serving.engine.n_users);
     eprintln!(
         "driving {} open-loop requests from {} clients at {addr} ...",
         plan.len(),
         clients.max(1)
     );
     let summary = drive_open_loop(&addr, &plan, k, api_key.as_deref(), clients, abort_every);
-    let net_shared = gateway.shared();
     let (net, engine_report) = gateway.shutdown();
     println!("{}", summary.render());
     println!("{}", net.render());
     println!("{}", engine_report.render());
-    finish_net_obs(flags, net_shared.engine.as_ref())?;
-    net_exit_gates(net.availability(), min_availability, &engine_report)
+    serving.finish(net.availability(), &engine_report)
 }
 
 #[cfg(test)]
@@ -1276,6 +1189,15 @@ mod tests {
         );
         assert!(parse_fault_spikes("8").is_err());
         assert!(parse_fault_spikes("8:ms").is_err());
+    }
+
+    #[test]
+    fn serve_bench_rejects_swap_flags_without_a_registry() {
+        for flag in ["--swap-at", "--swap-to", "--swap-fault"] {
+            let f = flags(&["--checkpoint-dir", "ckpts", flag, "1"]).unwrap();
+            let err = cmd_serve_bench(&f).unwrap_err();
+            assert!(err.contains(flag) && err.contains("--registry"), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -176,36 +176,17 @@ fn must_train(result: Result<TrainStats, TrainError>) -> TrainStats {
     }
 }
 
-/// Bundles the resilient-training knobs so `fit_checkpointed`'s per-model
-/// arms stay one-liners.
-struct ResilientCtx<'a> {
-    cfg: &'a FitConfig,
-    policy: &'a RecoveryPolicy,
-    ckpt_dir: &'a Path,
-    resume: bool,
-}
+/// A model the shared BPR trainer fits, checkpoints and restores.
+trait Trainable: BprModel + ParamRegistry + Recommender {}
 
-impl ResilientCtx<'_> {
-    fn train<M>(
-        &self,
-        mut model: M,
-        data: &TrainData<'_>,
-    ) -> Result<(Box<dyn Recommender>, TrainStats), TrainError>
-    where
-        M: BprModel + ParamRegistry + Recommender + 'static,
-    {
-        let stats = train_bpr_resilient(
-            &mut model,
-            data.n_users,
-            data.n_items,
-            data.train,
-            &self.cfg.train,
-            self.policy,
-            self.ckpt_dir,
-            self.resume,
-        )?;
-        Ok((Box::new(model), stats))
-    }
+impl<M: BprModel + ParamRegistry + Recommender> Trainable for M {}
+
+/// What [`Pipeline::untrained`] builds for a [`ModelKind`].
+enum Untrained {
+    /// A model with its own fitting procedure, already fitted (ItemPop, PaDQ).
+    Fitted(Box<dyn Recommender>),
+    /// A freshly initialized model for the BPR trainer.
+    Bpr(Box<dyn Trainable>),
 }
 
 impl Pipeline {
@@ -244,58 +225,18 @@ impl Pipeline {
     /// backoff, use [`Pipeline::fit_checkpointed`].
     pub fn fit(&self, kind: ModelKind, cfg: &FitConfig) -> Box<dyn Recommender> {
         let _span = pup_obs::span("fit");
-        let data = self.train_data();
-        let n_users = data.n_users;
-        let n_items = data.n_items;
-        let train = data.train;
-        match kind {
-            ModelKind::ItemPop => Box::new(ItemPop::fit(&data)),
-            ModelKind::BprMf => {
-                let mut m = BprMf::new(&data, cfg.dim, cfg.seed);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
-            }
-            ModelKind::Padq => {
-                let pcfg = PadqConfig {
-                    dim: cfg.dim,
-                    epochs: cfg.train.epochs,
-                    batch_size: cfg.train.batch_size,
-                    lr: cfg.train.lr,
-                    l2: cfg.train.l2,
-                    seed: cfg.train.seed,
-                    ..Default::default()
-                };
-                Box::new(Padq::fit(&data, &pcfg))
-            }
-            ModelKind::Fm => {
-                let mut m = Fm::new(&data, cfg.dim, cfg.seed);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
-            }
-            ModelKind::DeepFm => {
-                let mut m = DeepFm::new(&data, cfg.dim, cfg.deepfm_hidden, cfg.seed);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
-            }
-            ModelKind::GcMc => {
-                let mut m = GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
-            }
-            ModelKind::Ngcf => {
-                // NGCF's design uses the full embedding size per layer and
-                // concatenates the (layers + 1) blocks into the final
-                // representation, exactly as in Wang et al. [18].
-                let mut m = Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
-            }
-            ModelKind::Pup(mut pup_cfg) => {
-                pup_cfg.dropout = cfg.dropout;
-                pup_cfg.seed = cfg.seed;
-                let mut m = Pup::new(&data, pup_cfg);
-                must_train(train_bpr(&mut m, n_users, n_items, train, &cfg.train));
-                Box::new(m)
+        match self.untrained(kind, cfg) {
+            Untrained::Fitted(model) => model,
+            Untrained::Bpr(mut model) => {
+                let data = self.train_data();
+                must_train(train_bpr(
+                    &mut *model,
+                    data.n_users,
+                    data.n_items,
+                    data.train,
+                    &cfg.train,
+                ));
+                model
             }
         }
     }
@@ -319,43 +260,28 @@ impl Pipeline {
         resume: bool,
     ) -> Result<(Box<dyn Recommender>, TrainStats), TrainError> {
         let _span = pup_obs::span("fit");
-        let data = self.train_data();
-        let empty_stats = TrainStats::empty;
-        let ctx = ResilientCtx { cfg, policy, ckpt_dir, resume };
-        match kind {
-            ModelKind::ItemPop => Ok((Box::new(ItemPop::fit(&data)), empty_stats())),
-            ModelKind::Padq => {
-                let pcfg = PadqConfig {
-                    dim: cfg.dim,
-                    epochs: cfg.train.epochs,
-                    batch_size: cfg.train.batch_size,
-                    lr: cfg.train.lr,
-                    l2: cfg.train.l2,
-                    seed: cfg.train.seed,
-                    ..Default::default()
-                };
-                Ok((Box::new(Padq::fit(&data, &pcfg)), empty_stats()))
-            }
-            ModelKind::BprMf => ctx.train(BprMf::new(&data, cfg.dim, cfg.seed), &data),
-            ModelKind::Fm => ctx.train(Fm::new(&data, cfg.dim, cfg.seed), &data),
-            ModelKind::DeepFm => {
-                ctx.train(DeepFm::new(&data, cfg.dim, cfg.deepfm_hidden, cfg.seed), &data)
-            }
-            ModelKind::GcMc => ctx.train(GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed), &data),
-            ModelKind::Ngcf => {
-                ctx.train(Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed), &data)
-            }
-            ModelKind::Pup(mut pup_cfg) => {
-                pup_cfg.dropout = cfg.dropout;
-                pup_cfg.seed = cfg.seed;
-                ctx.train(Pup::new(&data, pup_cfg), &data)
+        match self.untrained(kind, cfg) {
+            Untrained::Fitted(model) => Ok((model, TrainStats::empty())),
+            Untrained::Bpr(mut model) => {
+                let data = self.train_data();
+                let stats = train_bpr_resilient(
+                    &mut *model,
+                    data.n_users,
+                    data.n_items,
+                    data.train,
+                    &cfg.train,
+                    policy,
+                    ckpt_dir,
+                    resume,
+                )?;
+                Ok((model, stats))
             }
         }
     }
 
     /// Rebuilds a trained model from the newest valid checkpoint in
-    /// `ckpt_dir` without re-training: the model skeleton is constructed
-    /// exactly as [`Pipeline::fit_checkpointed`] would build it, its
+    /// `ckpt_dir` without re-training: the model skeleton comes from the
+    /// same builder as [`Pipeline::fit_checkpointed`]'s, its
     /// parameters are restored via [`pup_models::restore_params`], and the
     /// model is finalized so cached propagation state matches the restored
     /// weights. `cfg` must match the run that wrote the checkpoint; a
@@ -384,43 +310,65 @@ impl Pipeline {
         cfg: &FitConfig,
         ckpt: &pup_ckpt::Checkpoint,
     ) -> Result<Box<dyn Recommender>, pup_ckpt::CkptError> {
-        let data = self.train_data();
-        fn restore<M>(
-            mut m: M,
-            ckpt: &pup_ckpt::Checkpoint,
-        ) -> Result<Box<dyn Recommender>, pup_ckpt::CkptError>
-        where
-            M: ParamRegistry + BprModel + Recommender + 'static,
-        {
-            pup_models::restore_params(&m, ckpt)?;
-            m.finalize();
-            Ok(Box::new(m))
-        }
-        match kind {
-            ModelKind::ItemPop => Ok(Box::new(ItemPop::fit(&data))),
-            ModelKind::Padq => Err(pup_ckpt::CkptError::StateMismatch {
+        if let ModelKind::Padq = kind {
+            return Err(pup_ckpt::CkptError::StateMismatch {
                 what: "PaDQ's sampled factorization state is not checkpointable; re-fit it"
                     .to_string(),
-            }),
-            ModelKind::BprMf => restore(BprMf::new(&data, cfg.dim, cfg.seed), ckpt),
-            ModelKind::Fm => restore(Fm::new(&data, cfg.dim, cfg.seed), ckpt),
-            ModelKind::DeepFm => {
-                restore(DeepFm::new(&data, cfg.dim, cfg.deepfm_hidden, cfg.seed), ckpt)
-            }
-            ModelKind::GcMc => restore(GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed), ckpt),
-            ModelKind::Ngcf => {
-                restore(Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed), ckpt)
-            }
-            ModelKind::Pup(mut pup_cfg) => {
-                pup_cfg.dropout = cfg.dropout;
-                pup_cfg.seed = cfg.seed;
-                restore(Pup::new(&data, pup_cfg), ckpt)
+            });
+        }
+        match self.untrained(kind, cfg) {
+            Untrained::Fitted(model) => Ok(model),
+            Untrained::Bpr(mut model) => {
+                pup_models::restore_params(&*model, ckpt)?;
+                model.finalize();
+                Ok(model)
             }
         }
     }
 
+    /// Builds a model of `kind` from `cfg`: the one place every fitting and
+    /// restore path constructs its model. PUP takes its dropout and seed
+    /// from `cfg`, not from its [`PupConfig`].
+    fn untrained(&self, kind: ModelKind, cfg: &FitConfig) -> Untrained {
+        let data = self.train_data();
+        let model: Box<dyn Trainable> = match kind {
+            ModelKind::ItemPop => return Untrained::Fitted(Box::new(ItemPop::fit(&data))),
+            ModelKind::Padq => {
+                let pcfg = PadqConfig {
+                    dim: cfg.dim,
+                    epochs: cfg.train.epochs,
+                    batch_size: cfg.train.batch_size,
+                    lr: cfg.train.lr,
+                    l2: cfg.train.l2,
+                    seed: cfg.train.seed,
+                    ..Default::default()
+                };
+                return Untrained::Fitted(Box::new(Padq::fit(&data, &pcfg)));
+            }
+            ModelKind::BprMf => Box::new(BprMf::new(&data, cfg.dim, cfg.seed)),
+            ModelKind::Fm => Box::new(Fm::new(&data, cfg.dim, cfg.seed)),
+            ModelKind::DeepFm => Box::new(DeepFm::new(&data, cfg.dim, cfg.deepfm_hidden, cfg.seed)),
+            ModelKind::GcMc => Box::new(GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed)),
+            // NGCF's design uses the full embedding size per layer and
+            // concatenates the (layers + 1) blocks into the final
+            // representation, exactly as in Wang et al. [18].
+            ModelKind::Ngcf => {
+                Box::new(Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed))
+            }
+            ModelKind::Pup(mut pup_cfg) => {
+                pup_cfg.dropout = cfg.dropout;
+                pup_cfg.seed = cfg.seed;
+                Box::new(Pup::new(&data, pup_cfg))
+            }
+        };
+        Untrained::Bpr(model)
+    }
+
     /// Fits PUP and returns the concrete type (for price-affinity
     /// introspection in the examples).
+    ///
+    /// Unlike `fit(ModelKind::Pup(..))`, this ignores `cfg.dropout` and
+    /// `cfg.seed` and keeps the dropout and seed of `pup_cfg`.
     ///
     /// # Panics
     /// Panics if the optimization diverges; see [`Pipeline::fit`].
@@ -649,17 +597,34 @@ mod tests {
         let p = small_pipeline();
         let cfg = quick_cfg();
         let dir = std::env::temp_dir().join(format!("pup-core-load-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-
-        let (trained, _) = p
-            .fit_checkpointed(ModelKind::BprMf, &cfg, &RecoveryPolicy::default(), &dir, false)
-            .expect("checkpointed fit");
-        let loaded =
-            p.load_checkpointed(ModelKind::BprMf, &cfg, &dir).expect("load from checkpoint");
-        let a = trained.score_items(0);
-        let b = loaded.score_items(0);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b), "restored model must score identically");
+
+        // Every checkpointable kind is built the same way by `fit`,
+        // `fit_checkpointed` and `load_checkpointed`: all three score
+        // bit-identically. BPR-MF runs last: the checks below read its
+        // checkpoint.
+        let checkpointable = [
+            ModelKind::Fm,
+            ModelKind::DeepFm,
+            ModelKind::GcMc,
+            ModelKind::Ngcf,
+            ModelKind::Pup(PupConfig { global_dim: 12, category_dim: 4, ..Default::default() }),
+            ModelKind::BprMf,
+        ];
+        for kind in checkpointable {
+            let name = kind.name();
+            std::fs::remove_dir_all(&dir).ok();
+            let (trained, _) = p
+                .fit_checkpointed(kind.clone(), &cfg, &RecoveryPolicy::default(), &dir, false)
+                .expect("checkpointed fit");
+            let plain = p.fit(kind.clone(), &cfg);
+            let loaded = p.load_checkpointed(kind, &cfg, &dir).expect("load from checkpoint");
+            for user in [0, p.split().n_users - 1] {
+                let a = trained.score_items(user);
+                assert_eq!(bits(&a), bits(&plain.score_items(user)), "{name}: fit differs");
+                assert_eq!(bits(&a), bits(&loaded.score_items(user)), "{name}: restore differs");
+            }
+        }
 
         // A dimension mismatch is a typed shape error, not a panic.
         let wrong = FitConfig { dim: cfg.dim + 1, ..cfg.clone() };

@@ -46,7 +46,7 @@ impl Default for RecoveryPolicy {
 /// module docs for the policy. `resume = true` continues from the newest
 /// valid checkpoint in `ckpt_dir` (starting fresh if there is none).
 #[allow(clippy::too_many_arguments)]
-pub fn train_bpr_resilient<M: BprModel + ParamRegistry>(
+pub fn train_bpr_resilient<M: BprModel + ParamRegistry + ?Sized>(
     model: &mut M,
     n_users: usize,
     n_items: usize,
@@ -65,7 +65,7 @@ pub fn train_bpr_resilient<M: BprModel + ParamRegistry>(
 /// entry point the fault-injection tests drive. Production callers pass
 /// `None` (or use the plain wrapper).
 #[allow(clippy::too_many_arguments)]
-pub fn train_bpr_resilient_with_faults<M: BprModel + ParamRegistry>(
+pub fn train_bpr_resilient_with_faults<M: BprModel + ParamRegistry + ?Sized>(
     model: &mut M,
     n_users: usize,
     n_items: usize,
@@ -160,7 +160,7 @@ pub fn train_bpr_resilient_with_faults<M: BprModel + ParamRegistry>(
 
 /// Starts a fresh trainer and immediately checkpoints the initial state, so
 /// a divergence in epoch 0 has a rollback target.
-fn fresh_with_initial_checkpoint<M: BprModel + ParamRegistry>(
+fn fresh_with_initial_checkpoint<M: BprModel + ParamRegistry + ?Sized>(
     model: &M,
     n_users: usize,
     n_items: usize,

@@ -312,7 +312,7 @@ pub struct BprTrainer {
 
 impl BprTrainer {
     /// Prepares a trainer for `model` on the given training pairs.
-    pub fn new<M: BprModel>(
+    pub fn new<M: BprModel + ?Sized>(
         model: &M,
         n_users: usize,
         n_items: usize,
@@ -399,7 +399,7 @@ impl BprTrainer {
     /// applied, the epoch counter does not advance, and the caller decides
     /// whether to roll back (see `crate::resilient`).
     // pup-hot: train-epoch
-    pub fn run_epoch<M: BprModel>(&mut self, model: &mut M) -> Result<f64, TrainError> {
+    pub fn run_epoch<M: BprModel + ?Sized>(&mut self, model: &mut M) -> Result<f64, TrainError> {
         let epoch_start = Instant::now();
         let _span = pup_obs::span("epoch");
         self.opt.set_lr(self.schedule.lr_at(self.epoch) * self.lr_factor);
@@ -475,7 +475,7 @@ impl BprTrainer {
     /// Captures everything needed to resume this trainer bit-exactly:
     /// model parameters (by registry name), full Adam state, RNG state,
     /// shuffle order, loss history and recovery bookkeeping.
-    pub fn checkpoint<M: ParamRegistry>(&self, model: &M) -> Checkpoint {
+    pub fn checkpoint<M: ParamRegistry + ?Sized>(&self, model: &M) -> Checkpoint {
         let params = model
             .named_params()
             .iter()
@@ -498,7 +498,7 @@ impl BprTrainer {
 
     /// Writes a checkpoint of this trainer + `model` atomically to `path`
     /// (see `pup_ckpt::store::save_atomic` for the crash-safety protocol).
-    pub fn save_checkpoint<M: ParamRegistry>(
+    pub fn save_checkpoint<M: ParamRegistry + ?Sized>(
         &self,
         model: &M,
         path: &Path,
@@ -517,7 +517,7 @@ impl BprTrainer {
     /// fingerprint, interaction count, parameter names and shapes, Adam
     /// moment shapes and RNG state must all agree, otherwise a typed error
     /// is returned and nothing is mutated.
-    pub fn resume<M: BprModel + ParamRegistry>(
+    pub fn resume<M: BprModel + ParamRegistry + ?Sized>(
         model: &mut M,
         n_users: usize,
         n_items: usize,
@@ -669,7 +669,7 @@ fn validate_order(order: &[u64], n: usize) -> Result<Vec<usize>, CkptError> {
 /// This is the plain, non-recovering path: a divergence surfaces as
 /// [`TrainError::Diverged`]. For rollback + learning-rate backoff use
 /// [`crate::resilient::train_bpr_resilient`].
-pub fn train_bpr<M: BprModel>(
+pub fn train_bpr<M: BprModel + ?Sized>(
     model: &mut M,
     n_users: usize,
     n_items: usize,

@@ -5,8 +5,7 @@
 //! silently overwriting the baseline. The writer lives in `pup-bench`
 //! (it consumes Criterion results); this module owns the schema's read
 //! side and the last-two-entries diff that `pup bench-diff` and CI
-//! gates consume. The legacy single-run `pup-bench/1` schema loads as a
-//! trajectory with a single entry 0.
+//! gates consume.
 
 use crate::json::Value;
 
@@ -68,8 +67,7 @@ impl CaseDiff {
     }
 }
 
-/// Parses a `BENCH_<target>.json` file into its trajectory. Both schemas
-/// load: `pup-bench/2` natively, `pup-bench/1` as a single entry 0.
+/// Parses a `pup-bench/2` `BENCH_<target>.json` file into its trajectory.
 pub fn read_bench_trajectory(path: &std::path::Path) -> Result<BenchTrajectory, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     read_bench_trajectory_str(&text)
@@ -83,23 +81,23 @@ pub fn read_bench_trajectory_str(text: &str) -> Result<BenchTrajectory, String> 
         .and_then(Value::as_str)
         .ok_or_else(|| "bench json lacks a `target`".to_string())?
         .to_string();
-    let entries = match doc.get("schema").and_then(Value::as_str) {
-        Some("pup-bench/1") => vec![BenchEntry { seq: 0, cases: parse_cases(&doc)? }],
-        Some("pup-bench/2") => match doc.get("entries") {
-            Some(Value::Arr(arr)) => arr
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    Ok(BenchEntry {
-                        seq: e.get("seq").and_then(Value::as_u64).unwrap_or(i as u64),
-                        cases: parse_cases(e)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("pup-bench/2 json lacks an `entries` array".to_string()),
-        },
-        other => return Err(format!("unsupported bench schema {other:?}")),
+    let schema = doc.get("schema").and_then(Value::as_str);
+    if schema != Some("pup-bench/2") {
+        return Err(format!("unsupported bench schema {schema:?}"));
+    }
+    let Some(Value::Arr(arr)) = doc.get("entries") else {
+        return Err("pup-bench/2 json lacks an `entries` array".to_string());
     };
+    let entries = arr
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            Ok(BenchEntry {
+                seq: e.get("seq").and_then(Value::as_u64).unwrap_or(i as u64),
+                cases: parse_cases(e)?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     Ok(BenchTrajectory { target, entries })
 }
 

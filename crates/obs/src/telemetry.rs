@@ -18,7 +18,7 @@
 //! {"t":"series","name":"train.epoch_loss","idx":0,"value":0.6931}
 //! {"t":"tspan","trace":42,"id":3,"parent":null,"name":"request","start_ns":100,"dur_ns":900}
 //! {"t":"slo","seq":512,"monitor":"availability","level":"page","fast_burn":14.2,"slow_burn":6.1}
-//! {"t":"exemplar","hist":"metric.serve.request.latency_ns","le":50000.0,"value":49313.0,"trace":42}
+//! {"t":"exemplar","hist":"serve.latency.total_ns","le":50000.0,"value":49313.0,"trace":42}
 //! ```
 //!
 //! The `tspan` / `slo` / `exemplar` records are additive extensions for
@@ -92,7 +92,7 @@ pub struct HistRecord {
 /// bucket, pointing back at its stitched trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExemplarRecord {
-    /// Histogram the exemplar belongs to (e.g. `"metric.serve.request.latency_ns"`).
+    /// Histogram the exemplar belongs to (e.g. `"serve.latency.total_ns"`).
     pub hist: String,
     /// Bucket upper bound; `None` for the overflow bucket.
     pub le: Option<f64>,

@@ -379,7 +379,6 @@ fn finish(
     let _respond = ctx.span("respond");
     let latency_ns = deadline.elapsed_ns();
     shared.stats.observe_total_traced(latency_ns, ctx.trace_id());
-    pup_obs::observe("serve.request.latency_ns", latency_ns as f64);
     Response { user: req.user, items, source, latency_ns, retries }
 }
 

@@ -163,7 +163,6 @@ impl Server {
             Ok(depth) => {
                 self.shared.stats.note_admitted();
                 self.shared.stats.note_queue_depth(depth);
-                pup_obs::gauge_set("serve.queue.depth", depth as f64);
                 Ok(ResponseHandle { rx })
             }
             Err(PushRefused::Full { capacity }) => {

@@ -379,7 +379,6 @@ impl SwapController {
         }
         // Workers see the bump and pick up the shared candidate.
         self.version.fetch_add(1, Ordering::Release);
-        pup_obs::counter_add("swap.shadow_windows", 1);
         Ok(())
     }
 

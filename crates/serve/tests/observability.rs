@@ -276,7 +276,7 @@ fn synchronous_requests_are_counted_once_in_telemetry() {
     let telemetry = pup_obs::finish();
     let r = shared.report();
     assert_eq!((r.scorer_faults, r.retries, r.latency_spikes), (1, 1, 1), "{r:?}");
-    for (name, want) in [
+    let counters = [
         ("serve.submitted", r.submitted),
         ("serve.admitted", r.admitted),
         ("serve.shed", r.shed),
@@ -293,7 +293,22 @@ fn synchronous_requests_are_counted_once_in_telemetry() {
         ("swap.started", r.swaps_started),
         ("swap.shadow_scored", r.shadow_scored),
         ("swap.shadow_errors", r.shadow_errors),
-    ] {
+    ];
+    for (name, want) in counters {
         assert_eq!(telemetry.counter(name).unwrap_or(0), want, "{name} must equal ServeReport");
     }
+    // `publish_obs` is the one recorder of serve and swap metrics: no other
+    // counter, gauge or histogram under those prefixes may appear.
+    let published = ["serve.queue.max_depth", "serve.availability"];
+    let names = telemetry.counters.iter().map(|c| &c.name);
+    let names = names.chain(telemetry.gauges.iter().map(|g| &g.name));
+    let stray: Vec<&String> = names
+        .chain(telemetry.hists.iter().map(|h| &h.name))
+        .filter(|n| {
+            let metric = n.strip_prefix("metric.").unwrap_or(n);
+            metric.starts_with("serve.") || metric.starts_with("swap.")
+        })
+        .filter(|n| !published.contains(&n.as_str()) && !counters.iter().any(|(c, _)| c == n))
+        .collect();
+    assert!(stray.is_empty(), "recorded outside publish_obs: {stray:?}");
 }

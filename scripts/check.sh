@@ -138,5 +138,11 @@ if [[ $fast -eq 0 ]]; then
         registry ls --registry "$registry"
 fi
 
+# Size: the Rust line count under crates/ (every .rs file, test fixtures
+# included) that ROADMAP.md tracks. Printed only; it gates nothing.
+echo
+echo "==> Rust lines under crates/"
+find crates -name '*.rs' -print0 | xargs -0 cat | wc -l
+
 echo
 echo "all checks passed"
