@@ -1,12 +1,15 @@
 //! Benchmarks: checkpoint save / load for a trained PUP model — the cost
 //! a resilient run pays per epoch for crash safety (encode + fsync +
-//! rename on save; read + checksum + validate + restore on load).
+//! rename on save; read + checksum + validate + restore on load) — and a
+//! registry load, the checkpoint half of a hot swap's model build. Each
+//! run appends an entry to `BENCH_checkpointing.json`.
 
 #![allow(clippy::expect_used)]
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
+use pup_ckpt::registry::ModelRegistry;
 use pup_ckpt::store;
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_data::SplitRatios;
@@ -61,6 +64,13 @@ fn bench_checkpointing(c: &mut Criterion) {
     group.bench_function("decode_pup", |b| {
         let bytes = trainer.checkpoint(&model).to_bytes();
         b.iter(|| black_box(pup_ckpt::Checkpoint::from_bytes(black_box(&bytes)).expect("decode")))
+    });
+
+    // Publish once, then time the validated load a swap's factory makes.
+    let registry = ModelRegistry::open(&dir.join("registry")).expect("open registry");
+    let gen = registry.publish(&trainer.checkpoint(&model)).expect("publish").gen;
+    group.bench_function("registry_load_pup", |b| {
+        b.iter(|| black_box(registry.load(black_box(gen)).expect("registry load")))
     });
     group.finish();
 

@@ -1,7 +1,10 @@
 //! Benchmarks: building the unified heterogeneous graph and its rectified
-//! adjacency (paper §III-A / eq. 5) at increasing dataset scales.
+//! adjacency (paper §III-A / eq. 5) at increasing dataset scales. Each run
+//! appends an entry to `BENCH_graph_construction.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+#![allow(clippy::expect_used)]
+
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pup_data::synthetic::{generate, GeneratorConfig};
@@ -88,4 +91,11 @@ fn bench_normalization(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_graph_build, bench_normalization);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let path =
+        pup_bench::harness::write_bench_json("graph_construction", &criterion::take_results())
+            .expect("write BENCH_graph_construction.json");
+    println!("wrote {}", path.display());
+}

@@ -93,6 +93,33 @@ pub use pup_obs::bench::{
     BenchTrajectory, CaseDiff,
 };
 
+/// The fingerprint of this bench process, by the rule perfbench's
+/// `run.py` applies: available CPUs, build profile, `git rev-parse HEAD`
+/// (suffixed `-dirty` when `git status --porcelain` lists changes) and
+/// `rustc --version`. A field whose command fails reads `unknown`.
+fn bench_fingerprint() -> pup_obs::bench::BenchFingerprint {
+    let out = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .filter(|s| !s.is_empty())
+    };
+    let revision = match out("git", &["rev-parse", "HEAD"]) {
+        Some(rev) if out("git", &["status", "--porcelain"]).is_some() => format!("{rev}-dirty"),
+        Some(rev) => rev,
+        None => "unknown".to_string(),
+    };
+    pup_obs::bench::BenchFingerprint {
+        nproc: std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+        profile: if cfg!(debug_assertions) { "debug" } else { "release" }.to_string(),
+        revision,
+        rustc: out("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
+    }
+}
+
 /// Appends finished benchmark cases to `BENCH_<target>.json`.
 ///
 /// The file holds an append-only trajectory (`pup-bench/2`): one entry per
@@ -105,6 +132,8 @@ pub use pup_obs::bench::{
 ///   "target": "training",
 ///   "entries": [
 ///     {"seq": 0,
+///      "fingerprint": {"nproc": 2, "profile": "release",
+///                      "revision": "<git rev>", "rustc": "rustc 1.95.0 ..."},
 ///      "cases": [{"group": "bpr_epoch", "name": "bpr_mf",
 ///                 "median_ns": 12345678, "min_ns": 11111111,
 ///                 "max_ns": 14444444, "samples": 10}]}
@@ -112,7 +141,9 @@ pub use pup_obs::bench::{
 /// }
 /// ```
 ///
-/// Cases appear in run order; all times are wall-clock nanoseconds for one
+/// The fingerprint holds perfbench's fields (nproc, profile, revision,
+/// rustc); entries written before entries carried one have none. Cases
+/// appear in run order; all times are wall-clock nanoseconds for one
 /// invocation of the bench routine (median / min / max over `samples` timed
 /// runs, warm-up excluded). The file lands in `$PUP_BENCH_OUT` if set,
 /// otherwise the current directory, and is written atomically (tmp + rename) so
@@ -139,6 +170,7 @@ pub fn write_bench_json(
     let seq = entries.len() as u64;
     entries.push(BenchEntry {
         seq,
+        fingerprint: Some(bench_fingerprint()),
         cases: cases
             .iter()
             .map(|c| BenchCase {
@@ -169,10 +201,12 @@ pub fn write_bench_json(
                     ])
                 })
                 .collect();
-            Value::Obj(vec![
-                ("seq".to_string(), Value::num(e.seq as f64)),
-                ("cases".to_string(), Value::Arr(case_objs)),
-            ])
+            let mut obj = vec![("seq".to_string(), Value::num(e.seq as f64))];
+            if let Some(fp) = &e.fingerprint {
+                obj.push(("fingerprint".to_string(), pup_obs::bench::fingerprint_json(fp)));
+            }
+            obj.push(("cases".to_string(), Value::Arr(case_objs)));
+            Value::Obj(obj)
         })
         .collect();
     let doc = Value::Obj(vec![
@@ -213,6 +247,8 @@ mod tests {
         // here is safe even under the parallel test runner.
         std::env::set_var("PUP_BENCH_OUT", &dir);
         let path = write_bench_json("harness_test", &[case(1_500)]).expect("first write");
+        let first =
+            read_bench_trajectory(&path).expect("first trajectory").entries[0].fingerprint.clone();
         let path2 = write_bench_json("harness_test", &[case(1_800)]).expect("second write");
         std::env::remove_var("PUP_BENCH_OUT");
         assert_eq!(path, path2, "both runs land in the same trajectory file");
@@ -229,6 +265,9 @@ mod tests {
         assert_eq!(traj.entries[1].seq, 1);
         assert_eq!(traj.entries[0].cases[0].median_ns, 1_500);
         assert_eq!(traj.entries[1].cases[0].median_ns, 1_800);
+        assert!(first.as_ref().is_some_and(|fp| fp.nproc > 0), "each entry is fingerprinted");
+        assert_eq!(traj.entries[0].fingerprint, first, "the append keeps earlier fingerprints");
+        assert!(traj.entries[1].fingerprint.is_some());
 
         let diffs = diff_last_two(&traj).expect("two entries diff");
         assert_eq!(diffs.len(), 1);

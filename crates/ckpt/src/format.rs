@@ -5,7 +5,10 @@
 
 use pup_tensor::Matrix;
 
-use crate::{fnv1a, Checkpoint, CkptError, ConfigFingerprint, ParamBlob, FORMAT_VERSION, MAGIC};
+use crate::{
+    fnv1a, fnv1a_continue, Checkpoint, CkptError, ConfigFingerprint, ParamBlob, FORMAT_VERSION,
+    MAGIC,
+};
 
 /// magic (8) + version (4) + payload_len (8).
 const HEADER_LEN: usize = 20;
@@ -194,8 +197,23 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Hashes a checkpoint file in one pass. Returns `(body, file)`: FNV-1a
+/// over every byte before the trailer (the value a well-formed trailer
+/// stores) and over the whole file (the value a registry manifest stores),
+/// the second continuing the first over the trailer's bytes.
+pub(crate) fn hash_file(bytes: &[u8]) -> (u64, u64) {
+    let split = bytes.len().saturating_sub(TRAILER_LEN);
+    let body = fnv1a(&bytes[..split]);
+    (body, fnv1a_continue(body, &bytes[split..]))
+}
+
 /// Parses the framed wire format back into a [`Checkpoint`].
-pub(crate) fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
+///
+/// `body_hash`, when given, must be the first half of [`hash_file`] over
+/// `bytes`; the trailer is then checked against it instead of hashing the
+/// body again. The frame checks that run first guarantee the body is
+/// exactly the bytes before the trailer whenever the trailer is compared.
+pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<Checkpoint, CkptError> {
     // Frame: magic, version, declared payload length, checksum trailer.
     if bytes.len() < MAGIC.len() {
         return Err(CkptError::Truncated {
@@ -241,7 +259,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
     let mut c = [0u8; 8];
     c.copy_from_slice(&bytes[expected - TRAILER_LEN..]);
     let stored = u64::from_le_bytes(c);
-    let computed = fnv1a(body);
+    let computed = body_hash.unwrap_or_else(|| fnv1a(body));
     if stored != computed {
         return Err(CkptError::ChecksumMismatch { expected: computed, found: stored });
     }

@@ -118,7 +118,7 @@ impl Checkpoint {
     /// Detects truncation, bad magic, unsupported versions, checksum
     /// mismatches, and structurally invalid payloads as typed errors.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        format::decode(bytes)
+        format::decode(bytes, None)
     }
 
     /// Looks up a captured parameter by registry name.
@@ -247,9 +247,17 @@ impl From<io::Error> for CkptError {
     }
 }
 
+/// FNV-1a 64 offset basis: the hash of the empty string.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash — the same hash family `tape::canonical_hash` uses.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash whose state after the preceding bytes is `h`.
+/// FNV-1a is a streaming hash, so `fnv1a(a ++ b) == fnv1a_continue(fnv1a(a), b)`.
+pub(crate) fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);

@@ -41,7 +41,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::store::{clean_stale_tmps, write_atomic, EXTENSION};
-use crate::{chaos, fnv1a, Checkpoint, CkptError, ConfigFingerprint};
+use crate::{chaos, fnv1a, format, Checkpoint, CkptError, ConfigFingerprint};
 
 /// File-format magic of a generation manifest.
 pub const GEN_MAGIC: [u8; 8] = *b"PUPGEN\0\0";
@@ -206,6 +206,27 @@ impl ModelRegistry {
     /// payload decodes, and the payload's config fingerprint and epoch
     /// agree with the manifest. Returns the manifest on success.
     pub fn validate(&self, gen: u64) -> Result<GenerationManifest, CkptError> {
+        self.read_checked(gen).map(|(manifest, _, _)| manifest)
+    }
+
+    /// Loads (and fully validates) generation `gen`'s checkpoint. The
+    /// checkpoint returned is decoded from the very bytes checked against
+    /// the manifest: the file is read once.
+    pub fn load(&self, gen: u64) -> Result<Checkpoint, CkptError> {
+        let _t = pup_obs::time("io", "ckpt_load");
+        let (_, ckpt, len) = self.read_checked(gen)?;
+        pup_obs::counter_add("ckpt.bytes_read", len as u64);
+        Ok(ckpt)
+    }
+
+    /// The one read behind [`Self::validate`] and [`Self::load`]: reads the
+    /// checkpoint file once, hashes it in one pass and decodes it once.
+    /// Checks run in a fixed order, so the first failure names the same
+    /// typed error whichever caller asked: manifest, file length, file
+    /// checksum, then the checkpoint's frame, trailer and payload, then
+    /// config and epoch agreement. Returns the manifest, the checkpoint and
+    /// the file's length.
+    fn read_checked(&self, gen: u64) -> Result<(GenerationManifest, Checkpoint, usize), CkptError> {
         let manifest = self.manifest(gen)?;
         let bytes = fs::read(self.checkpoint_path(gen))?;
         if bytes.len() as u64 != manifest.ckpt_len {
@@ -214,26 +235,22 @@ impl ModelRegistry {
                 found: bytes.len(),
             });
         }
-        let computed = fnv1a(&bytes);
-        if computed != manifest.ckpt_checksum {
+        // The manifest stores the whole-file hash; the trailer stores the
+        // hash of the bytes before it. One pass yields both.
+        let (body_hash, file_hash) = format::hash_file(&bytes);
+        if file_hash != manifest.ckpt_checksum {
             return Err(CkptError::ChecksumMismatch {
                 expected: manifest.ckpt_checksum,
-                found: computed,
+                found: file_hash,
             });
         }
-        let ckpt = Checkpoint::from_bytes(&bytes)?;
+        let ckpt = format::decode(&bytes, Some(body_hash))?;
         if ckpt.config != manifest.config || ckpt.epoch != manifest.epoch {
             return Err(CkptError::StateMismatch {
                 what: format!("generation {gen} payload disagrees with its manifest"),
             });
         }
-        Ok(manifest)
-    }
-
-    /// Loads (and fully validates) generation `gen`'s checkpoint.
-    pub fn load(&self, gen: u64) -> Result<Checkpoint, CkptError> {
-        self.validate(gen)?;
-        crate::store::load(&self.checkpoint_path(gen))
+        Ok((manifest, ckpt, bytes.len()))
     }
 
     /// Validates generation `gen` and atomically flips `CURRENT` to it.

@@ -230,3 +230,192 @@ fn clean_stale_tmps_reports_what_it_removed() {
     assert!(clean_stale_tmps(&dir.join("missing")).expect("missing dir").is_empty());
     fs::remove_dir_all(&dir).ok();
 }
+
+// --- error parity: one read, one hash pass, one decode ----------------------
+
+/// FNV-1a 64, the hash of the checkpoint trailer and the manifest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Manifest byte offsets (see the `registry` module docs): the checkpoint
+/// length and checksum fields, and the frame length.
+const MANIFEST_CKPT_LEN: usize = 28;
+const MANIFEST_CKPT_SUM: usize = 36;
+const MANIFEST_LEN: usize = 101;
+/// Checkpoint header (magic, version, payload length) and trailer lengths.
+const CKPT_HEADER: usize = 20;
+const CKPT_TRAILER: usize = 8;
+
+/// Rewrites generation `gen`'s manifest so it vouches for `ckpt` (its
+/// length and checksum), with a valid manifest trailer. The damaged file
+/// then passes the manifest checks and the checkpoint's own checks decide.
+fn reseal_manifest(reg: &ModelRegistry, gen: u64, ckpt: &[u8]) {
+    let path = reg.manifest_path(gen);
+    let mut m = fs::read(&path).expect("read manifest");
+    assert_eq!(m.len(), MANIFEST_LEN);
+    m[MANIFEST_CKPT_LEN..MANIFEST_CKPT_LEN + 8].copy_from_slice(&(ckpt.len() as u64).to_le_bytes());
+    m[MANIFEST_CKPT_SUM..MANIFEST_CKPT_SUM + 8].copy_from_slice(&fnv1a(ckpt).to_le_bytes());
+    let sum = fnv1a(&m[..MANIFEST_LEN - 8]);
+    m[MANIFEST_LEN - 8..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&path, m).expect("write manifest");
+}
+
+/// Rewrites a checkpoint's trailer to match its (possibly damaged) body.
+fn reseal_trailer(ckpt: &mut [u8]) {
+    let split = ckpt.len() - CKPT_TRAILER;
+    let sum = fnv1a(&ckpt[..split]);
+    ckpt[split..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The two-step path `load` replaced, for inputs that pass the manifest
+/// checks: `Checkpoint::from_bytes` hashes and decodes on its own, then the
+/// payload must agree with the manifest's config and epoch.
+fn two_step_decode(bytes: &[u8], want: &Checkpoint) -> Result<Checkpoint, CkptError> {
+    let ckpt = Checkpoint::from_bytes(bytes)?;
+    if ckpt.config != want.config || ckpt.epoch != want.epoch {
+        return Err(CkptError::StateMismatch {
+            what: "generation 1 payload disagrees with its manifest".to_string(),
+        });
+    }
+    Ok(ckpt)
+}
+
+/// Writes `bytes` as generation 1's checkpoint and requires `validate`,
+/// `load` and `promote` to agree with `expected`: the same typed error
+/// (compared by its debug form), or success with `load` returning the
+/// checkpoint decoded from exactly these bytes.
+fn assert_all_paths(
+    reg: &ModelRegistry,
+    bytes: &[u8],
+    expected: &Result<Checkpoint, CkptError>,
+    case: &str,
+) {
+    fs::write(reg.checkpoint_path(1), bytes).expect("write damaged checkpoint");
+    let debug = |r: Result<(), CkptError>| format!("{:?}", r.err());
+    let want = format!("{:?}", expected.as_ref().err());
+    assert_eq!(debug(reg.validate(1).map(|_| ())), want, "validate, {case}");
+    let loaded = reg.load(1);
+    if let (Ok(got), Ok(exp)) = (&loaded, expected) {
+        assert_eq!(got.to_bytes(), exp.to_bytes(), "load, {case}");
+    }
+    assert_eq!(debug(loaded.map(|_| ())), want, "load, {case}");
+    assert_eq!(debug(reg.promote(1)), want, "promote, {case}");
+    let current = if expected.is_ok() { 1 } else { 0 };
+    assert_eq!(reg.current().expect("current"), Some(current), "CURRENT, {case}");
+    if current == 1 {
+        reg.promote(0).expect("restore CURRENT");
+    }
+}
+
+#[test]
+fn damaged_generation_errors_are_the_same_on_every_path() {
+    let dir = scratch_dir("parity");
+    let reg = ModelRegistry::open(&dir).expect("open");
+    reg.publish(&sample_checkpoint(1)).expect("publish g0");
+    let want = sample_checkpoint(3);
+    let g1 = reg.publish(&want).expect("publish g1");
+    let good = fs::read(reg.checkpoint_path(1)).expect("read g1");
+    let full = good.len();
+    assert_eq!(g1.ckpt_len, full as u64);
+    let read_u64 =
+        |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+
+    // Against the published manifest: a short file fails the length check,
+    // and any flipped byte fails the whole-file checksum.
+    for len in 0..full {
+        let expected = Err(CkptError::Truncated { expected: full, found: len });
+        assert_all_paths(&reg, &good[..len], &expected, &format!("truncated to {len}"));
+    }
+    for at in 0..full {
+        let mut bad = good.clone();
+        bad[at] ^= 0xFF;
+        let expected =
+            Err(CkptError::ChecksumMismatch { expected: g1.ckpt_checksum, found: fnv1a(&bad) });
+        assert_all_paths(&reg, &bad, &expected, &format!("byte {at} flipped"));
+    }
+
+    // Against a manifest resealed to the damaged file: the checkpoint's
+    // frame and trailer decide. A short file is short of its header, then
+    // of its declared payload.
+    for len in 0..full {
+        reseal_manifest(&reg, 1, &good[..len]);
+        let expected =
+            if len < CKPT_HEADER + CKPT_TRAILER { CKPT_HEADER + CKPT_TRAILER } else { full };
+        let expected = Err(CkptError::Truncated { expected, found: len });
+        assert_all_paths(&reg, &good[..len], &expected, &format!("resealed, truncated to {len}"));
+    }
+    for at in 0..full {
+        let mut bad = good.clone();
+        bad[at] ^= 0xFF;
+        reseal_manifest(&reg, 1, &bad);
+        let split = full - CKPT_TRAILER;
+        let expected = match at {
+            0..8 => {
+                let mut found = [0u8; 8];
+                found.copy_from_slice(&bad[..8]);
+                CkptError::BadMagic { found }
+            }
+            8..12 => CkptError::UnsupportedVersion(u32::from_le_bytes(
+                bad[8..12].try_into().expect("four bytes"),
+            )),
+            12..20 => {
+                let declared = (CKPT_HEADER + CKPT_TRAILER) as u64 + read_u64(&bad, 12);
+                if declared > full as u64 {
+                    CkptError::Truncated {
+                        expected: usize::try_from(declared).expect("fits"),
+                        found: full,
+                    }
+                } else {
+                    CkptError::Corrupt {
+                        what: format!("{} trailing bytes after checksum", full as u64 - declared),
+                    }
+                }
+            }
+            _ => CkptError::ChecksumMismatch {
+                expected: fnv1a(&bad[..split]),
+                found: read_u64(&bad, split),
+            },
+        };
+        assert_all_paths(&reg, &bad, &Err(expected), &format!("resealed, byte {at} flipped"));
+    }
+
+    // With the trailer resealed too, the payload decode and the manifest
+    // agreement decide: the same outcome as the two-step path.
+    let (mut ok, mut failed) = (0, 0);
+    for at in CKPT_HEADER..full - CKPT_TRAILER {
+        let mut bad = good.clone();
+        bad[at] ^= 0xFF;
+        reseal_trailer(&mut bad);
+        reseal_manifest(&reg, 1, &bad);
+        let expected = two_step_decode(&bad, &want);
+        if expected.is_ok() {
+            ok += 1;
+        } else {
+            failed += 1;
+        }
+        assert_all_paths(&reg, &bad, &expected, &format!("payload byte {at} flipped"));
+    }
+    assert!(ok > 0 && failed > 0, "payload flips must both decode and fail ({ok} / {failed})");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn registry_load_records_one_timing_and_its_bytes_once() {
+    let dir = scratch_dir("telemetry");
+    let reg = ModelRegistry::open(&dir).expect("open");
+    let m = reg.publish(&sample_checkpoint(2)).expect("publish");
+    pup_obs::start();
+    reg.validate(m.gen).expect("validate");
+    let validated = pup_obs::finish();
+    pup_obs::start();
+    reg.load(m.gen).expect("load");
+    let loaded = pup_obs::finish();
+    assert_eq!(validated.hist("io.ckpt_load").map(|h| h.count), None, "validate loads nothing");
+    assert_eq!(validated.counter("ckpt.bytes_read"), None);
+    assert_eq!(loaded.hist("io.ckpt_load").map(|h| h.count), Some(1), "one timed load");
+    assert_eq!(loaded.counter("ckpt.bytes_read"), Some(m.ckpt_len), "the file, counted once");
+    fs::remove_dir_all(&dir).ok();
+}

@@ -134,33 +134,48 @@ impl GraphBuilder {
         self.edges.push((n, a));
     }
 
-    /// Finalizes the symmetric adjacency.
+    /// Finalizes the symmetric adjacency in one bucket pass: both
+    /// directions of every edge go to their row's bucket, then each row is
+    /// sorted and its duplicates dropped. Repeat edges (repeat purchases)
+    /// stay 0/1: the paper's R is a binary interaction matrix.
     pub fn build(self) -> HeteroGraph {
         let n = self.layout.total();
-        let mut triplets = Vec::with_capacity(self.edges.len() * 2);
+        let mut indptr = vec![0usize; n + 1];
         for &(a, b) in &self.edges {
-            triplets.push((a, b, 1.0));
-            triplets.push((b, a, 1.0));
+            indptr[a + 1] += 1;
+            indptr[b + 1] += 1;
         }
-        let mut adjacency = CsrMatrix::from_triplets(n, n, &triplets);
-        // Duplicate edges (repeat purchases) must stay 0/1: the paper's R is a
-        // binary interaction matrix.
-        adjacency = binarize(&adjacency);
+        for r in 0..n {
+            indptr[r + 1] += indptr[r];
+        }
+        let mut cursor = indptr.clone();
+        let mut indices = vec![0usize; 2 * self.edges.len()];
+        for &(a, b) in &self.edges {
+            indices[cursor[a]] = b;
+            cursor[a] += 1;
+            indices[cursor[b]] = a;
+            cursor[b] += 1;
+        }
+        // Sort and dedup each bucket, compacting the rows leftwards.
+        let (mut start, mut nnz) = (0, 0);
+        for r in 0..n {
+            let end = indptr[r + 1];
+            indices[start..end].sort_unstable();
+            let row_start = nnz;
+            for k in start..end {
+                let c = indices[k];
+                if nnz == row_start || indices[nnz - 1] != c {
+                    indices[nnz] = c;
+                    nnz += 1;
+                }
+            }
+            indptr[r + 1] = nnz;
+            start = end;
+        }
+        indices.truncate(nnz);
+        let adjacency = CsrMatrix::from_csr_parts(n, n, indptr, indices, vec![1.0; nnz]);
         HeteroGraph { layout: self.layout, adjacency, n_edges: self.edges.len() }
     }
-}
-
-fn binarize(m: &CsrMatrix) -> CsrMatrix {
-    let mut triplets = Vec::with_capacity(m.nnz());
-    for r in 0..m.rows() {
-        for (c, v) in m.row_entries(r) {
-            // pup-lint: allow(float-eq) — structural nonzeros are exact by construction
-            if v != 0.0 {
-                triplets.push((r, c, 1.0));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(m.rows(), m.cols(), &triplets)
 }
 
 /// Convenience constructor for the standard PUP graph from dataset arrays.

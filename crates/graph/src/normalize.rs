@@ -14,55 +14,71 @@ use pup_tensor::CsrMatrix;
 /// Rows whose degree is zero (possible only with `self_loops = false`) are
 /// left as all-zero rows.
 pub fn row_normalized(adj: &CsrMatrix, self_loops: bool) -> CsrMatrix {
-    let n = adj.rows();
-    assert_eq!(n, adj.cols(), "adjacency must be square");
-    let with_loops = if self_loops { add_self_loops(adj) } else { adj.clone() };
-    let degrees = with_loops.row_sums();
-    let factors: Vec<f64> = (0..n)
-        .map(|r| {
-            let d = degrees.get(r, 0);
-            if d > 0.0 {
-                1.0 / d
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    with_loops.scale_rows(&factors)
+    let mut m = with_self_loops(adj, self_loops);
+    let factors = degree_factors(&m, |d| 1.0 / d);
+    m.scale_rows(&factors);
+    m
 }
 
 /// Symmetric normalization `D^{-1/2} (A [+ I]) D^{-1/2}` used by the GC-MC
 /// and NGCF baselines.
 pub fn sym_normalized(adj: &CsrMatrix, self_loops: bool) -> CsrMatrix {
-    let n = adj.rows();
-    assert_eq!(n, adj.cols(), "adjacency must be square");
-    let with_loops = if self_loops { add_self_loops(adj) } else { adj.clone() };
-    let degrees = with_loops.row_sums();
-    let factors: Vec<f64> = (0..n)
-        .map(|r| {
-            let d = degrees.get(r, 0);
-            if d > 0.0 {
-                1.0 / d.sqrt()
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    with_loops.scale_rows(&factors).scale_cols(&factors)
+    let mut m = with_self_loops(adj, self_loops);
+    let factors = degree_factors(&m, |d| 1.0 / d.sqrt());
+    m.scale_rows(&factors);
+    m.scale_cols(&factors);
+    m
 }
 
-/// Adds `I` to a square sparse matrix (eq. 5's `A + MI`).
+/// `adj + I` when `self_loops`, else a copy of `adj`: the matrix the
+/// normalizations scale in place.
+fn with_self_loops(adj: &CsrMatrix, self_loops: bool) -> CsrMatrix {
+    assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
+    if self_loops {
+        add_self_loops(adj)
+    } else {
+        adj.clone()
+    }
+}
+
+/// `factor(degree)` per row, 0 for rows of zero degree.
+fn degree_factors(m: &CsrMatrix, factor: impl Fn(f64) -> f64) -> Vec<f64> {
+    m.row_sums().as_slice().iter().map(|&d| if d > 0.0 { factor(d) } else { 0.0 }).collect()
+}
+
+/// Adds `I` to a square sparse matrix (eq. 5's `A + MI`) in one linear
+/// pass: each row's diagonal is merged into its sorted entries, summed
+/// with an entry already stored there.
 pub fn add_self_loops(adj: &CsrMatrix) -> CsrMatrix {
     let n = adj.rows();
     assert_eq!(n, adj.cols(), "adjacency must be square");
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(adj.nnz() + n);
+    let cap = adj.nnz() + n;
+    let (mut indptr, mut indices, mut values) =
+        (Vec::with_capacity(n + 1), Vec::with_capacity(cap), Vec::with_capacity(cap));
+    indptr.push(0);
     for r in 0..n {
+        let mut diagonal = false;
         for (c, v) in adj.row_entries(r) {
-            triplets.push((r, c, v));
+            if c >= r && !diagonal {
+                diagonal = true;
+                if c == r {
+                    indices.push(r);
+                    values.push(v + 1.0);
+                    continue;
+                }
+                indices.push(r);
+                values.push(1.0);
+            }
+            indices.push(c);
+            values.push(v);
         }
-        triplets.push((r, r, 1.0));
+        if !diagonal {
+            indices.push(r);
+            values.push(1.0);
+        }
+        indptr.push(indices.len());
     }
-    CsrMatrix::from_triplets(n, n, &triplets)
+    CsrMatrix::from_csr_parts(n, n, indptr, indices, values)
 }
 
 #[cfg(test)]
@@ -81,6 +97,16 @@ mod tests {
             assert_eq!(a.get(i, i), 1.0);
         }
         assert_eq!(a.nnz(), 7);
+    }
+
+    #[test]
+    fn self_loops_merge_into_a_stored_diagonal() {
+        let a = CsrMatrix::from_triplets(3, 3, &[(0, 2, 1.0), (1, 1, 0.5), (2, 0, 1.0)]);
+        let looped = add_self_loops(&a);
+        assert_eq!(looped.get(1, 1), 1.5);
+        assert_eq!(looped.nnz(), 5);
+        assert_eq!(looped.row_entries(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0)]);
+        assert_eq!(looped.row_entries(2).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0)]);
     }
 
     #[test]

@@ -175,14 +175,15 @@ impl StepRows<'_> {
 }
 
 impl Branch {
-    fn with_extras(
+    /// Builds a branch graph's rectified adjacency `Â` (eq. 5) and its
+    /// layout. Both branches of the full model propagate over the same
+    /// graph, so they share one result.
+    fn rectified_graph(
         data: &TrainData<'_>,
         spec: GraphSpec,
-        dim: usize,
         self_loops: bool,
         extras: &[ExtraAttribute],
-        rng: &mut StdRng,
-    ) -> Self {
+    ) -> (Arc<CsrMatrix>, Layout) {
         let graph = if extras.is_empty() {
             build_pup_graph(
                 data.n_users,
@@ -236,8 +237,11 @@ impl Branch {
             }
             b.build()
         };
-        let a_hat = Arc::new(row_normalized(graph.adjacency(), self_loops));
-        let layout = graph.layout().clone();
+        (Arc::new(row_normalized(graph.adjacency(), self_loops)), graph.layout().clone())
+    }
+
+    /// A branch over `a_hat` with a fresh `dim`-wide embedding table.
+    fn new(a_hat: Arc<CsrMatrix>, layout: Layout, dim: usize, rng: &mut StdRng) -> Self {
         let emb = Var::param(init::normal(layout.total(), dim, 0.1, rng));
         Self { emb, a_hat, layout, touched: TouchedRows::default(), step: None }
     }
@@ -330,18 +334,14 @@ impl Pup {
         } else {
             config.global_dim + config.category_dim
         };
-        let global =
-            Branch::with_extras(data, global_spec, global_dim, config.self_loops, extras, &mut rng);
+        // The category branch propagates over the full graph with the same
+        // self-loops and extras as the global one, so it shares `Â`. Draws
+        // keep their order: the global table, then the category table.
+        let (a_hat, layout) = Branch::rectified_graph(data, global_spec, config.self_loops, extras);
+        let global = Branch::new(a_hat.clone(), layout.clone(), global_dim, &mut rng);
         let category = if has_category_branch {
             assert!(config.category_dim > 0, "category branch needs dimensions");
-            Some(Branch::with_extras(
-                data,
-                GraphSpec::FULL,
-                config.category_dim,
-                config.self_loops,
-                extras,
-                &mut rng,
-            ))
+            Some(Branch::new(a_hat, layout, config.category_dim, &mut rng))
         } else {
             None
         };
@@ -643,6 +643,20 @@ mod tests {
         let data = price_data(&train, &price, &cat, 2);
         assert_eq!(Pup::new(&data, small_config(PupVariant::Full)).params().len(), 2);
         assert_eq!(Pup::new(&data, small_config(PupVariant::PriceOnly)).params().len(), 1);
+    }
+
+    #[test]
+    fn full_variant_branches_share_one_rectified_graph() {
+        let price = vec![0, 1, 1];
+        let cat = vec![0, 1, 0];
+        let train = vec![(0, 0), (1, 2), (1, 1)];
+        let data = price_data(&train, &price, &cat, 2);
+        let full = Pup::new(&data, small_config(PupVariant::Full));
+        let category = full.category.as_ref().expect("full PUP has a category branch");
+        assert!(Arc::ptr_eq(&full.global.a_hat, &category.a_hat), "one Â for both branches");
+        assert_eq!(full.global.layout, category.layout);
+        let price_only = Pup::new(&data, small_config(PupVariant::PriceOnly));
+        assert!(price_only.category.is_none(), "PriceOnly builds the global branch alone");
     }
 
     #[test]

@@ -26,11 +26,30 @@ pub struct BenchCase {
     pub samples: u64,
 }
 
+/// Where a [`BenchEntry`] was measured: the environment fields perfbench's
+/// result records carry. Timings from different fingerprints do not
+/// compare.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BenchFingerprint {
+    /// Logical CPUs available to the bench process.
+    pub nproc: u64,
+    /// Cargo profile the bench was built with (`release` or `debug`).
+    pub profile: String,
+    /// Git revision of the measured tree, suffixed `-dirty` when the tree
+    /// had uncommitted changes.
+    pub revision: String,
+    /// `rustc --version` of the toolchain.
+    pub rustc: String,
+}
+
 /// One bench run's worth of cases in a [`BenchTrajectory`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchEntry {
     /// Position in the trajectory, 0-based and append-ordered.
     pub seq: u64,
+    /// Where the run was measured; `None` for entries recorded before
+    /// entries carried one.
+    pub fingerprint: Option<BenchFingerprint>,
     /// Cases measured by this run, in run order.
     pub cases: Vec<BenchCase>,
 }
@@ -94,11 +113,40 @@ pub fn read_bench_trajectory_str(text: &str) -> Result<BenchTrajectory, String> 
         .map(|(i, e)| {
             Ok(BenchEntry {
                 seq: e.get("seq").and_then(Value::as_u64).unwrap_or(i as u64),
+                fingerprint: e.get("fingerprint").map(parse_fingerprint).transpose()?,
                 cases: parse_cases(e)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(BenchTrajectory { target, entries })
+}
+
+fn parse_fingerprint(obj: &Value) -> Result<BenchFingerprint, String> {
+    let text = |k: &str| {
+        obj.get(k)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("fingerprint lacks `{k}`"))
+    };
+    Ok(BenchFingerprint {
+        nproc: obj
+            .get("nproc")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| "fingerprint lacks `nproc`".to_string())?,
+        profile: text("profile")?,
+        revision: text("revision")?,
+        rustc: text("rustc")?,
+    })
+}
+
+/// The JSON object [`read_bench_trajectory_str`] reads back as `fp`.
+pub fn fingerprint_json(fp: &BenchFingerprint) -> Value {
+    Value::Obj(vec![
+        ("nproc".to_string(), Value::num(fp.nproc as f64)),
+        ("profile".to_string(), Value::str(&fp.profile)),
+        ("revision".to_string(), Value::str(&fp.revision)),
+        ("rustc".to_string(), Value::str(&fp.rustc)),
+    ])
 }
 
 fn parse_cases(obj: &Value) -> Result<Vec<BenchCase>, String> {
@@ -186,8 +234,16 @@ mod tests {
         let traj = BenchTrajectory {
             target: "t".to_string(),
             entries: vec![
-                BenchEntry { seq: 0, cases: vec![case("stable", 100), case("gone", 50)] },
-                BenchEntry { seq: 1, cases: vec![case("stable", 130), case("new", 10)] },
+                BenchEntry {
+                    seq: 0,
+                    fingerprint: None,
+                    cases: vec![case("stable", 100), case("gone", 50)],
+                },
+                BenchEntry {
+                    seq: 1,
+                    fingerprint: None,
+                    cases: vec![case("stable", 130), case("new", 10)],
+                },
             ],
         };
         let diffs = diff_last_two(&traj).expect("diffs");
@@ -203,10 +259,31 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_round_trip_and_stay_optional() {
+        let fp = BenchFingerprint {
+            nproc: 2,
+            profile: "release".to_string(),
+            revision: "abc123-dirty".to_string(),
+            rustc: "rustc 1.95.0".to_string(),
+        };
+        let text = format!(
+            r#"{{"schema": "pup-bench/2", "target": "t", "entries": [
+                {{"seq": 0, "cases": []}},
+                {{"seq": 1, "fingerprint": {}, "cases": []}}]}}"#,
+            fingerprint_json(&fp).render()
+        );
+        let traj = read_bench_trajectory_str(&text).expect("parses");
+        assert_eq!(traj.entries[0].fingerprint, None, "older entries carry none");
+        assert_eq!(traj.entries[1].fingerprint, Some(fp));
+        let partial = text.replace(r#""rustc":"rustc 1.95.0""#, r#""rustc":7"#);
+        assert!(read_bench_trajectory_str(&partial).unwrap_err().contains("rustc"));
+    }
+
+    #[test]
     fn single_entry_trajectory_refuses_to_diff() {
         let traj = BenchTrajectory {
             target: "t".to_string(),
-            entries: vec![BenchEntry { seq: 0, cases: vec![] }],
+            entries: vec![BenchEntry { seq: 0, fingerprint: None, cases: vec![] }],
         };
         assert!(diff_last_two(&traj).unwrap_err().contains("at least two"));
     }

@@ -82,6 +82,35 @@ impl CsrMatrix {
         Self { rows, cols, indptr, indices, values }
     }
 
+    /// Builds a CSR matrix from its three arrays, as produced by a caller
+    /// that has already bucketed, sorted and merged its entries.
+    ///
+    /// # Panics
+    /// Panics unless `indptr` has `rows + 1` non-decreasing offsets from 0
+    /// to `indices.len() == values.len()`, and each row's column indices
+    /// ascend strictly and lie below `cols`.
+    pub fn from_csr_parts(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(indptr.len(), rows + 1, "indptr needs rows + 1 offsets");
+        assert_eq!(indptr.first(), Some(&0), "indptr must start at 0");
+        assert_eq!(indices.len(), values.len(), "one value per column index");
+        assert_eq!(indptr.last(), Some(&indices.len()), "indptr must end at nnz");
+        for (r, w) in indptr.windows(2).enumerate() {
+            assert!(w[0] <= w[1], "indptr decreases at row {r}");
+            let row = &indices[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|p| p[0] < p[1]) && row.last().is_none_or(|&c| c < cols),
+                "row {r}: column indices must ascend strictly and lie below {cols}"
+            );
+        }
+        Self { rows, cols, indptr, indices, values }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -130,26 +159,24 @@ impl CsrMatrix {
         out
     }
 
-    /// Scales each row `r` by `factors[r]` (used for D^-1 normalization).
-    pub fn scale_rows(&self, factors: &[f64]) -> CsrMatrix {
+    /// Scales each row `r` by `factors[r]` in place (used for D^-1
+    /// normalization).
+    pub fn scale_rows(&mut self, factors: &[f64]) {
         assert_eq!(factors.len(), self.rows, "scale_rows: factor count mismatch");
-        let mut out = self.clone();
         for (r, &f) in factors.iter().enumerate() {
-            for v in &mut out.values[self.indptr[r]..self.indptr[r + 1]] {
+            for v in &mut self.values[self.indptr[r]..self.indptr[r + 1]] {
                 *v *= f;
             }
         }
-        out
     }
 
-    /// Scales each column `c` by `factors[c]` (used for symmetric normalization).
-    pub fn scale_cols(&self, factors: &[f64]) -> CsrMatrix {
+    /// Scales each column `c` by `factors[c]` in place (used for symmetric
+    /// normalization).
+    pub fn scale_cols(&mut self, factors: &[f64]) {
         assert_eq!(factors.len(), self.cols, "scale_cols: factor count mismatch");
-        let mut out = self.clone();
-        for (idx, &c) in self.indices.iter().enumerate() {
-            out.values[idx] *= factors[c];
+        for (v, &c) in self.values.iter_mut().zip(&self.indices) {
+            *v *= factors[c];
         }
-        out
     }
 
     /// The rows `rows` of this matrix, in that order: row `k` of the result
@@ -308,6 +335,25 @@ mod tests {
     }
 
     #[test]
+    fn csr_parts_round_trip_through_triplets() {
+        let s = sample();
+        let parts = CsrMatrix::from_csr_parts(
+            3,
+            4,
+            vec![0, 2, 3, 5],
+            vec![1, 3, 0, 0, 2],
+            vec![2.0, -1.0, 5.0, 0.5, 1.5],
+        );
+        assert_eq!(parts, s);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn csr_parts_reject_unsorted_rows() {
+        let _ = CsrMatrix::from_csr_parts(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "outside")]
     fn out_of_bounds_triplet_panics() {
         let _ = CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]);
@@ -337,10 +383,12 @@ mod tests {
     #[test]
     fn row_and_col_scaling() {
         let s = sample();
-        let rs = s.scale_rows(&[2.0, 0.0, 1.0]);
+        let mut rs = s.clone();
+        rs.scale_rows(&[2.0, 0.0, 1.0]);
         assert_eq!(rs.get(0, 1), 4.0);
         assert_eq!(rs.get(1, 0), 0.0);
-        let cs = s.scale_cols(&[10.0, 1.0, 1.0, 1.0]);
+        let mut cs = s;
+        cs.scale_cols(&[10.0, 1.0, 1.0, 1.0]);
         assert_eq!(cs.get(1, 0), 50.0);
         assert_eq!(cs.get(0, 1), 2.0);
     }

@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
-#                               # hot-path allocation count and the training pin only)
+#                               # hot-path allocation count, the training pin and the
+#                               # checkpoint and graph integrity tests only)
 #
 # Exits non-zero on the first failing step.
 set -euo pipefail
@@ -25,6 +26,10 @@ step cargo run -p pup-analysis --quiet -- audit-concurrency
 step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo test -q -p pup-recsys --test hot_allocs
 step cargo test -q -p pup-models --test training_pin
+# Checkpoint and graph integrity: registry error parity on every path, and
+# the graph kernels against their triplet-sort oracle.
+step cargo test -q -p pup-ckpt --test registry
+step cargo test -q -p pup-graph --test build_differential
 step cargo run -p pup-analysis --quiet -- audit-graph
 if [[ $fast -eq 0 ]]; then
     step cargo test --workspace -q
