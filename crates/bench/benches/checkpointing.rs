@@ -1,8 +1,8 @@
 //! Benchmarks: checkpoint save / load for a trained PUP model — the cost
 //! a resilient run pays per epoch for crash safety (encode + fsync +
 //! rename on save; read + checksum + validate + restore on load) — and a
-//! registry load, the checkpoint half of a hot swap's model build. Each
-//! run appends an entry to `BENCH_checkpointing.json`.
+//! registry load and a restore, the two halves of a hot swap's model
+//! build. Each run appends an entry to `BENCH_checkpointing.json`.
 
 #![allow(clippy::expect_used)]
 
@@ -12,12 +12,12 @@ use std::hint::black_box;
 use pup_ckpt::registry::ModelRegistry;
 use pup_ckpt::store;
 use pup_data::synthetic::{generate, GeneratorConfig};
-use pup_data::SplitRatios;
-use pup_models::{BprTrainer, Pup, PupConfig, TrainConfig, TrainData};
+use pup_models::{BprTrainer, Pup, PupConfig, TrainConfig};
+use pup_recsys::{FitConfig, ModelKind, Pipeline};
 
 /// A PUP model plus a trainer that has run one epoch, so the checkpoint
 /// carries warm Adam moments and a real RNG/shuffle state.
-fn fixture() -> (Pup, BprTrainer, std::path::PathBuf) {
+fn fixture() -> (Pipeline, Pup, BprTrainer, std::path::PathBuf) {
     let dataset = generate(&GeneratorConfig {
         n_users: 300,
         n_items: 250,
@@ -29,8 +29,8 @@ fn fixture() -> (Pup, BprTrainer, std::path::PathBuf) {
         ..Default::default()
     })
     .dataset;
-    let split = pup_data::split::temporal_split(&dataset, SplitRatios::PAPER);
-    let data = TrainData::new(&dataset, &split);
+    let pipeline = Pipeline::new(dataset);
+    let data = pipeline.train_data();
     let cfg = TrainConfig { epochs: 2, batch_size: 1024, ..Default::default() };
     let mut model = Pup::new(&data, PupConfig::default());
     let mut trainer = BprTrainer::new(&model, data.n_users, data.n_items, data.train, &cfg);
@@ -38,11 +38,11 @@ fn fixture() -> (Pup, BprTrainer, std::path::PathBuf) {
 
     let dir = std::env::temp_dir().join(format!("pup-bench-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
-    (model, trainer, dir)
+    (pipeline, model, trainer, dir)
 }
 
 fn bench_checkpointing(c: &mut Criterion) {
-    let (model, trainer, dir) = fixture();
+    let (pipeline, model, trainer, dir) = fixture();
     let path = store::checkpoint_path(&dir, 1);
 
     let mut group = c.benchmark_group("checkpoint");
@@ -71,6 +71,19 @@ fn bench_checkpointing(c: &mut Criterion) {
     let gen = registry.publish(&trainer.checkpoint(&model)).expect("publish").gen;
     group.bench_function("registry_load_pup", |b| {
         b.iter(|| black_box(registry.load(black_box(gen)).expect("registry load")))
+    });
+
+    // The other half of that build: a finalized model from the decoded
+    // checkpoint.
+    let ckpt = trainer.checkpoint(&model);
+    let fit = FitConfig::default();
+    group.bench_function("restore_pup", |b| {
+        b.iter(|| {
+            let kind = ModelKind::Pup(PupConfig::default());
+            black_box(
+                pipeline.restore_from_checkpoint(kind, &fit, black_box(&ckpt)).expect("restore"),
+            )
+        })
     });
     group.finish();
 

@@ -176,6 +176,12 @@ fn must_train(result: Result<TrainStats, TrainError>) -> TrainStats {
     }
 }
 
+/// `pup_cfg` with the dropout and seed of `cfg`, which every fitting and
+/// restore path gives PUP.
+fn fit_pup_config(pup_cfg: PupConfig, cfg: &FitConfig) -> PupConfig {
+    PupConfig { dropout: cfg.dropout, seed: cfg.seed, ..pup_cfg }
+}
+
 /// A model the shared BPR trainer fits, checkpoints and restores.
 trait Trainable: BprModel + ParamRegistry + Recommender {}
 
@@ -303,18 +309,29 @@ impl Pipeline {
 
     /// Rebuilds a trained model from an already-decoded [`pup_ckpt::Checkpoint`]
     /// — the registry-based path (`pup_ckpt::registry::ModelRegistry::load`)
-    /// and [`Pipeline::load_checkpointed`] share this restore logic.
+    /// and [`Pipeline::load_checkpointed`] share this restore logic. PUP is
+    /// built straight from the checkpoint's tables ([`Pup::restore`]); the
+    /// other kinds are built as for training and then overwritten.
     pub fn restore_from_checkpoint(
         &self,
         kind: ModelKind,
         cfg: &FitConfig,
         ckpt: &pup_ckpt::Checkpoint,
     ) -> Result<Box<dyn Recommender>, pup_ckpt::CkptError> {
-        if let ModelKind::Padq = kind {
-            return Err(pup_ckpt::CkptError::StateMismatch {
-                what: "PaDQ's sampled factorization state is not checkpointable; re-fit it"
-                    .to_string(),
-            });
+        match kind {
+            ModelKind::Padq => {
+                return Err(pup_ckpt::CkptError::StateMismatch {
+                    what: "PaDQ's sampled factorization state is not checkpointable; re-fit it"
+                        .to_string(),
+                })
+            }
+            ModelKind::Pup(pup_cfg) => {
+                let mut model =
+                    Pup::restore(&self.train_data(), fit_pup_config(pup_cfg, cfg), ckpt)?;
+                model.finalize();
+                return Ok(Box::new(model));
+            }
+            _ => {}
         }
         match self.untrained(kind, cfg) {
             Untrained::Fitted(model) => Ok(model),
@@ -326,9 +343,9 @@ impl Pipeline {
         }
     }
 
-    /// Builds a model of `kind` from `cfg`: the one place every fitting and
-    /// restore path constructs its model. PUP takes its dropout and seed
-    /// from `cfg`, not from its [`PupConfig`].
+    /// Builds a model of `kind` from `cfg`: the one place every fitting
+    /// path, and every restore but PUP's, constructs its model. PUP takes
+    /// its dropout and seed from `cfg`, not from its [`PupConfig`].
     fn untrained(&self, kind: ModelKind, cfg: &FitConfig) -> Untrained {
         let data = self.train_data();
         let model: Box<dyn Trainable> = match kind {
@@ -355,11 +372,7 @@ impl Pipeline {
             ModelKind::Ngcf => {
                 Box::new(Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed))
             }
-            ModelKind::Pup(mut pup_cfg) => {
-                pup_cfg.dropout = cfg.dropout;
-                pup_cfg.seed = cfg.seed;
-                Box::new(Pup::new(&data, pup_cfg))
-            }
+            ModelKind::Pup(pup_cfg) => Box::new(Pup::new(&data, fit_pup_config(pup_cfg, cfg))),
         };
         Untrained::Bpr(model)
     }

@@ -6,7 +6,10 @@
 //! bit, match the trained model's `score_batch` (within 1e-12 for BPR-MF,
 //! whose score is one dot product, and 1e-10 otherwise), and reject an
 //! out-of-range user with `ScoreError::UserOutOfRange`; ItemPop's must
-//! still score any user id.
+//! still score any user id. Each restored model must also score every user
+//! bit for bit as the restore path before PUP was built straight from its
+//! checkpoint ([`parent_restore`]) does, and a bad checkpoint must fail
+//! with the same typed error on both paths.
 
 #![allow(clippy::expect_used)]
 
@@ -14,13 +17,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pup_ckpt::Checkpoint;
+use pup_ckpt::{Checkpoint, CkptError, ParamBlob};
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_models::{
-    BprMf, BprModel, BprTrainer, DeepFm, Fm, GcMc, Ngcf, ParamRegistry, Pup, PupConfig, PupVariant,
-    Recommender, ScoreError, TrainConfig,
+    restore_params, BprMf, BprModel, BprTrainer, DeepFm, Fm, GcMc, Ngcf, ParamRegistry, Pup,
+    PupConfig, PupVariant, Recommender, ScoreError, TrainConfig,
 };
 use pup_recsys::{FitConfig, ModelKind, Pipeline};
+use pup_tensor::Matrix;
 
 fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
@@ -35,6 +39,42 @@ fn fit_config(seed: u64) -> FitConfig {
         deepfm_hidden: 5,
         seed,
         train: TrainConfig { epochs: 1, batch_size: 32, ..Default::default() },
+    }
+}
+
+/// `Pipeline::restore_from_checkpoint` as it was before PUP was built
+/// straight from its checkpoint: every kind is built as for training, with
+/// a random init, then overwritten by `restore_params` and finalized.
+fn parent_restore(
+    pipeline: &Pipeline,
+    kind: ModelKind,
+    cfg: &FitConfig,
+    ckpt: &Checkpoint,
+) -> Result<Box<dyn Recommender>, CkptError> {
+    fn overwrite<M>(mut model: M, ckpt: &Checkpoint) -> Result<Box<dyn Recommender>, CkptError>
+    where
+        M: BprModel + ParamRegistry + Recommender + 'static,
+    {
+        restore_params(&model, ckpt)?;
+        model.finalize();
+        Ok(Box::new(model))
+    }
+    let data = pipeline.train_data();
+    match kind {
+        ModelKind::BprMf => overwrite(BprMf::new(&data, cfg.dim, cfg.seed), ckpt),
+        ModelKind::Fm => overwrite(Fm::new(&data, cfg.dim, cfg.seed), ckpt),
+        ModelKind::DeepFm => {
+            overwrite(DeepFm::new(&data, cfg.dim, cfg.deepfm_hidden, cfg.seed), ckpt)
+        }
+        ModelKind::GcMc => overwrite(GcMc::new(&data, cfg.dim, cfg.dropout, cfg.seed), ckpt),
+        ModelKind::Ngcf => {
+            overwrite(Ngcf::new(&data, cfg.dim, cfg.ngcf_layers, cfg.dropout, cfg.seed), ckpt)
+        }
+        ModelKind::Pup(pup_cfg) => {
+            let pup_cfg = PupConfig { dropout: cfg.dropout, seed: cfg.seed, ..pup_cfg };
+            overwrite(Pup::new(&data, pup_cfg), ckpt)
+        }
+        other => panic!("{} is not restored from parameters", other.name()),
     }
 }
 
@@ -53,6 +93,7 @@ where
     model.finalize();
     let ckpt = trainer.checkpoint(&model);
     let tol = if matches!(kind, ModelKind::BprMf) { 1e-12 } else { 1e-10 };
+    let parent = parent_restore(pipeline, kind.clone(), cfg, &ckpt).expect("parent path restores");
     let restored = pipeline.restore_from_checkpoint(kind, cfg, &ckpt).expect("restores");
     let frozen = restored.freeze();
     assert_eq!(frozen.name(), restored.name());
@@ -63,6 +104,7 @@ where
     for user in 0..n_users {
         let scores = frozen.score_items(user);
         assert_eq!(bits(&scores), bits(&restored.score_items(user)), "user {user}");
+        assert_eq!(bits(&scores), bits(&parent.score_items(user)), "parent path, user {user}");
         let batch = model.score_batch(&vec![user; n_items], &items).value_clone();
         for (i, &s) in scores.iter().enumerate() {
             let diff = (batch.get(i, 0) - s).abs();
@@ -146,4 +188,62 @@ proptest! {
             prop_assert_eq!(bits(&anyone), reference.clone());
         }
     }
+}
+
+/// Every way a PUP checkpoint can disagree with the model asked for must
+/// fail with the typed error the parent path returns for it.
+#[test]
+fn pup_restore_errors_match_the_parent_path() {
+    let dataset = generate(&GeneratorConfig {
+        n_users: 20,
+        n_items: 16,
+        n_categories: 3,
+        n_price_levels: 3,
+        n_interactions: 150,
+        kcore: 0,
+        seed: 4,
+        ..Default::default()
+    })
+    .dataset;
+    let pipeline = Pipeline::new(dataset);
+    let cfg = fit_config(4);
+    let full = PupConfig { global_dim: 5, category_dim: 3, ..Default::default() };
+    let data = pipeline.train_data();
+    let model = Pup::new(&data, PupConfig { dropout: cfg.dropout, seed: cfg.seed, ..full });
+    let trainer = BprTrainer::new(&model, data.n_users, data.n_items, data.train, &cfg.train);
+    let good = trainer.checkpoint(&model);
+    let rows = model.named_params()[0].var.shape().0;
+
+    let without = |name: &str| {
+        let mut ckpt = good.clone();
+        ckpt.params.retain(|p| p.name != name);
+        ckpt
+    };
+    let mut unknown = good.clone();
+    unknown.params.push(ParamBlob { name: "extra.emb".into(), value: Matrix::zeros(1, 1) });
+    let mut reshaped = good.clone();
+    reshaped.params[1].value = Matrix::zeros(rows, 4);
+    let mut missing_and_unknown = without("global.emb");
+    missing_and_unknown.params.push(ParamBlob { name: "x".into(), value: Matrix::zeros(1, 1) });
+    let price_only = PupConfig { variant: PupVariant::PriceOnly, ..full };
+    let wider = PupConfig { global_dim: 6, ..full };
+
+    let cases = [
+        (full.clone(), without("category.emb"), "MissingParam"),
+        (full.clone(), without("global.emb"), "MissingParam"),
+        (full.clone(), unknown, "UnknownParam"),
+        (full.clone(), reshaped, "ShapeMismatch"),
+        (full.clone(), missing_and_unknown, "MissingParam"),
+        (price_only, good.clone(), "ShapeMismatch"),
+        (wider, good.clone(), "ShapeMismatch"),
+    ];
+    for (pup_cfg, ckpt, variant) in cases {
+        let kind = ModelKind::Pup(pup_cfg);
+        let got = pipeline.restore_from_checkpoint(kind.clone(), &cfg, &ckpt).err();
+        let want = parent_restore(&pipeline, kind, &cfg, &ckpt).err();
+        let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(got, want);
+        assert!(got.starts_with(&format!("Some({variant}")), "{got}");
+    }
+    assert!(pipeline.restore_from_checkpoint(ModelKind::Pup(full), &cfg, &good).is_ok());
 }

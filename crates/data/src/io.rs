@@ -14,9 +14,9 @@
 //! [`load_dataset`] maps string ids to dense indices, quantizes prices with
 //! the chosen scheme and returns the [`Dataset`] plus the id maps.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, Write as _};
 use std::path::Path;
 
@@ -103,7 +103,8 @@ impl From<io::Error> for LoadError {
 /// Loads a dataset from `items.csv` + `interactions.csv` content strings.
 ///
 /// This is the pure-parsing core of [`load_dataset`], usable without a
-/// filesystem (tests, embedding in services).
+/// filesystem (tests, embedding in services). The first bad line of a file
+/// is reported, whatever is wrong with it.
 pub fn parse_dataset(
     items_csv: &str,
     interactions_csv: &str,
@@ -111,9 +112,8 @@ pub fn parse_dataset(
     scheme: Quantization,
 ) -> Result<(Dataset, IdMaps), LoadError> {
     // --- items -----------------------------------------------------------
-    let mut item_index: HashMap<String, usize> = HashMap::new();
-    let mut cat_index: HashMap<String, usize> = HashMap::new();
-    let mut maps = IdMaps::default();
+    let mut item_ids = Interner::default();
+    let mut category_ids = Interner::default();
     let mut prices: Vec<f64> = Vec::new();
     let mut categories: Vec<usize> = Vec::new();
     for (lineno, line) in items_csv.lines().enumerate() {
@@ -131,7 +131,7 @@ pub fn parse_dataset(
                 })
             }
         };
-        if item_index.contains_key(id) {
+        if item_ids.id_of(id).is_some() {
             return Err(LoadError::Parse {
                 file: "items",
                 line: lineno + 1,
@@ -150,71 +150,21 @@ pub fn parse_dataset(
                 reason: format!("price must be positive, got {price}"),
             });
         }
-        let cat_id = *cat_index.entry(cat.to_string()).or_insert_with(|| {
-            maps.categories.push(cat.to_string());
-            maps.categories.len() - 1
-        });
-        item_index.insert(id.to_string(), maps.items.len());
-        maps.items.push(id.to_string());
+        categories.push(category_ids.intern(cat));
+        item_ids.intern(id);
         prices.push(price);
-        categories.push(cat_id);
     }
-    if maps.items.is_empty() {
+    if item_ids.len() == 0 {
         return Err(LoadError::Parse { file: "items", line: 1, reason: "no items found".into() });
     }
 
     // --- interactions ------------------------------------------------------
-    let mut user_index: HashMap<String, usize> = HashMap::new();
-    let mut interactions: Vec<Interaction> = Vec::new();
-    let mut seen_events: HashSet<(u32, u32, u64)> = HashSet::new();
-    for (lineno, line) in interactions_csv.lines().enumerate() {
-        if lineno == 0 || line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.splitn(3, ',');
-        let (user, item, ts) = match (fields.next(), fields.next(), fields.next()) {
-            (Some(a), Some(b), Some(c)) => (a.trim(), b.trim(), c.trim()),
-            _ => {
-                return Err(LoadError::Parse {
-                    file: "interactions",
-                    line: lineno + 1,
-                    reason: "expected user_id,item_id,timestamp".into(),
-                })
-            }
-        };
-        let &item_id = item_index.get(item).ok_or_else(|| LoadError::UnknownItem {
-            line: lineno + 1,
-            item_id: item.to_string(),
-        })?;
-        let ts: u64 = ts.parse().map_err(|_| LoadError::Parse {
-            file: "interactions",
-            line: lineno + 1,
-            reason: format!("bad timestamp {ts:?}"),
-        })?;
-        let user_id = *user_index.entry(user.to_string()).or_insert_with(|| {
-            maps.users.push(user.to_string());
-            maps.users.len() - 1
-        });
-        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-        if !seen_events.insert((user_id as u32, item_id as u32, ts)) {
-            return Err(LoadError::DuplicateInteraction {
-                line: lineno + 1,
-                user_id: user.to_string(),
-                item_id: item.to_string(),
-            });
-        }
-        interactions.push(Interaction {
-            // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-            user: user_id as u32,
-            // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
-            item: item_id as u32,
-            timestamp: ts,
-        });
-    }
-    if interactions.is_empty() {
-        return Err(LoadError::EmptyDataset);
-    }
-    interactions.sort_by_key(|it| it.timestamp);
+    let (interactions, user_ids) = parse_interactions(interactions_csv, &item_ids)?;
+    let maps = IdMaps {
+        users: user_ids.into_keys(),
+        items: item_ids.into_keys(),
+        categories: category_ids.into_keys(),
+    };
 
     let n_categories = maps.categories.len();
     let item_price_level = quantize(&prices, &categories, n_categories, n_price_levels, scheme);
@@ -230,6 +180,226 @@ pub fn parse_dataset(
     };
     dataset.validate();
     Ok((dataset, maps))
+}
+
+/// Parses the interactions CSV into the timestamp-sorted log (ties keep
+/// file order) and the user ids, indexed by first appearance.
+///
+/// One pass parses every line up to the first bad one. Repeated events
+/// are found afterwards by sorting, not by a set probed per line; a repeat
+/// on an earlier line than the bad one still wins, so the error is the
+/// one a line-by-line check would stop at. The pass keeps no line per
+/// event: an event's line follows from its index and the blank lines
+/// before it, so the log it fills is the one returned when the file is
+/// already in time order, as exports usually are.
+fn parse_interactions(
+    csv: &str,
+    items: &Interner,
+) -> Result<(Vec<Interaction>, Interner), LoadError> {
+    let mut users = Interner::default();
+    let mut log = Vec::with_capacity(csv.bytes().filter(|&b| b == b'\n').count());
+    // For each blank line, the number of events before it.
+    let mut blanks = Vec::new();
+    let mut bad_line = None;
+    for (lineno, line) in csv.lines().enumerate() {
+        if lineno == 0 {
+            continue; // header
+        }
+        if line.trim().is_empty() {
+            blanks.push(log.len());
+            continue;
+        }
+        match parse_event(line, lineno + 1, items, &mut users) {
+            Ok(event) => log.push(event),
+            Err(e) => {
+                bad_line = Some(e);
+                break;
+            }
+        }
+    }
+    // Events of one timestamp keep their file order.
+    let mut by_time: Vec<usize> = (0..log.len()).collect();
+    by_time.sort_unstable_by_key(|&k| (log[k].timestamp, k));
+    if let Some(k) = first_repeat(&log, &by_time) {
+        let event = log[k];
+        return Err(LoadError::DuplicateInteraction {
+            // The header, then the events and blank lines before event `k`.
+            line: k + 2 + blanks.partition_point(|&before| before <= k),
+            user_id: users.key(event.user as usize).to_string(),
+            item_id: items.key(event.item as usize).to_string(),
+        });
+    }
+    if let Some(e) = bad_line {
+        return Err(e);
+    }
+    if log.is_empty() {
+        return Err(LoadError::EmptyDataset);
+    }
+    if !log.is_sorted_by_key(|it| it.timestamp) {
+        log = by_time.iter().map(|&k| log[k]).collect();
+    }
+    Ok((log, users))
+}
+
+/// Parses one `user_id,item_id,timestamp` row, checking its fields in
+/// column order; only a user's first row copies its id.
+fn parse_event(
+    line: &str,
+    lineno: usize,
+    items: &Interner,
+    users: &mut Interner,
+) -> Result<Interaction, LoadError> {
+    let mut fields = line.splitn(3, ',');
+    let (user, item, ts) = match (fields.next(), fields.next(), fields.next()) {
+        (Some(a), Some(b), Some(c)) => (a.trim(), b.trim(), c.trim()),
+        _ => {
+            return Err(LoadError::Parse {
+                file: "interactions",
+                line: lineno,
+                reason: "expected user_id,item_id,timestamp".into(),
+            })
+        }
+    };
+    let item_id = items
+        .id_of(item)
+        .ok_or_else(|| LoadError::UnknownItem { line: lineno, item_id: item.to_string() })?;
+    let timestamp: u64 = ts.parse().map_err(|_| LoadError::Parse {
+        file: "interactions",
+        line: lineno,
+        reason: format!("bad timestamp {ts:?}"),
+    })?;
+    let user_id = users.intern(user);
+    Ok(Interaction {
+        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
+        user: user_id as u32,
+        // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
+        item: item_id as u32,
+        timestamp,
+    })
+}
+
+/// The index in `log` of the earliest event that repeats an earlier
+/// (user, item, timestamp) event, if any. `by_time` lists `log`'s indices
+/// in (timestamp, index) order, so repeats share a run of one timestamp:
+/// only runs longer than one are sorted, as packed (user, item, index)
+/// keys, to find them.
+fn first_repeat(log: &[Interaction], by_time: &[usize]) -> Option<usize> {
+    let mut first: Option<usize> = None;
+    let mut run = Vec::new();
+    for same_time in by_time.chunk_by(|&a, &b| log[a].timestamp == log[b].timestamp) {
+        if same_time.len() < 2 {
+            continue;
+        }
+        run.clear();
+        run.extend(same_time.iter().map(|&k| (log[k].user, log[k].item, k)));
+        run.sort_unstable();
+        for pair in run.windows(2) {
+            let ((u, i, _), (v, j, k)) = (pair[0], pair[1]);
+            if (u, i) == (v, j) && first.is_none_or(|f| k < f) {
+                first = Some(k);
+            }
+        }
+    }
+    first
+}
+
+/// Dense ids for the distinct strings of one CSV column, numbered in order
+/// of first appearance.
+///
+/// The keys sit end to end in one arena, so a lookup compares the probe
+/// with bytes packed together rather than with a `String` per key on the
+/// heap, and only a key's first occurrence copies it. The keys come from
+/// operator files, so slots are placed by std's keyed hasher.
+#[derive(Default)]
+struct Interner {
+    hasher: RandomState,
+    /// Every key, end to end in id order.
+    arena: String,
+    /// `ends[id]` is where key `id` ends in `arena`; it starts where key
+    /// `id - 1` ends.
+    ends: Vec<usize>,
+    /// Each key's hash, so growing the table hashes nothing again.
+    hashes: Vec<u64>,
+    /// Open-addressed table of `id + 1` (0 marks an empty slot); its
+    /// length is a power of two and it is at most half full.
+    slots: Vec<usize>,
+}
+
+impl Interner {
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The key with id `id`.
+    fn key(&self, id: usize) -> &str {
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.arena[start..self.ends[id]]
+    }
+
+    /// The id of `key`, if it has one.
+    fn id_of(&self, key: &str) -> Option<usize> {
+        self.probe(key, self.hasher.hash_one(key)).ok()
+    }
+
+    /// The id of `key`, assigning the next one on its first appearance.
+    fn intern(&mut self, key: &str) -> usize {
+        let hash = self.hasher.hash_one(key);
+        let slot = match self.probe(key, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = self.len();
+        self.arena.push_str(key);
+        self.ends.push(self.arena.len());
+        self.hashes.push(hash);
+        if 2 * (id + 1) > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = id + 1;
+        }
+        id
+    }
+
+    /// `Ok(id)` for a stored `key`, else `Err` with the empty slot where
+    /// it belongs. Linear probing from the hash's home slot.
+    fn probe(&self, key: &str, hash: u64) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                stored => {
+                    let id = stored - 1;
+                    if self.hashes[id] == hash && self.key(id) == key {
+                        return Ok(id);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the table (16 slots at first) and places every key again.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots = vec![0; len];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut at = hash as usize & (len - 1);
+            while self.slots[at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            self.slots[at] = id + 1;
+        }
+    }
+
+    /// The keys in id order.
+    fn into_keys(self) -> Vec<String> {
+        (0..self.len()).map(|id| self.key(id).to_string()).collect()
+    }
 }
 
 /// Loads a dataset from two CSV files on disk.

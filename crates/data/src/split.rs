@@ -8,9 +8,7 @@
 //! in an earlier part is dropped from later parts (re-buying a training item
 //! is not a new recommendation target).
 
-use std::collections::HashSet;
-
-use crate::types::Dataset;
+use crate::types::{Dataset, Interaction};
 
 /// Fractions of the interaction log assigned to train and validation; the
 /// remainder is test.
@@ -98,14 +96,13 @@ pub fn temporal_split(dataset: &Dataset, ratios: SplitRatios) -> Split {
     // pup-lint: allow(as-cast-truncation) — split boundary in [0, n] by the ratio contract
     let valid_end = (n as f64 * (ratios.train + ratios.valid)).floor() as usize;
 
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(n);
-    let mut collect = |range: std::ops::Range<usize>| -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for it in &dataset.interactions[range] {
-            if seen.insert((it.user, it.item)) {
-                out.push((it.user as usize, it.item as usize));
-            }
-        }
+    let first = first_occurrences(&dataset.interactions);
+    let collect = |range: std::ops::Range<usize>| -> Vec<(usize, usize)> {
+        let mut out = Vec::with_capacity(first[range.clone()].iter().filter(|&&f| f).count());
+        out.extend(range.filter(|&k| first[k]).map(|k| {
+            let it = &dataset.interactions[k];
+            (it.user as usize, it.item as usize)
+        }));
         out
     };
     let train = collect(0..train_end);
@@ -115,10 +112,52 @@ pub fn temporal_split(dataset: &Dataset, ratios: SplitRatios) -> Split {
     Split { n_users: dataset.n_users, n_items: dataset.n_items, train, valid, test }
 }
 
+/// Marks the first event of each `(user, item)` pair in the log.
+///
+/// Events are grouped by user with a counting pass, as packed
+/// `item << 32 | index` keys in log order, and each user's keys are sorted:
+/// a pair's events then sit together, its first event leading. This reads
+/// the log twice and sorts small groups, where a set of seen pairs would
+/// probe a table the size of the log once per event.
+fn first_occurrences(interactions: &[Interaction]) -> Vec<bool> {
+    let n = interactions.len();
+    assert!(u32::try_from(n).is_ok(), "the log must index in 32 bits");
+    let n_users = interactions.iter().map(|it| it.user as usize + 1).max().unwrap_or(0);
+    // `start[u]..start[u + 1]` is user `u`'s group.
+    let mut start = vec![0usize; n_users + 1];
+    for it in interactions {
+        start[it.user as usize + 1] += 1;
+    }
+    for u in 0..n_users {
+        start[u + 1] += start[u];
+    }
+    let mut keys = vec![0u64; n];
+    let mut next = start.clone();
+    for (index, it) in interactions.iter().enumerate() {
+        let at = &mut next[it.user as usize];
+        keys[*at] = u64::from(it.item) << 32 | index as u64;
+        *at += 1;
+    }
+    let mut first = vec![false; n];
+    for group in start.windows(2) {
+        let keys = &mut keys[group[0]..group[1]];
+        keys.sort_unstable();
+        let mut last_item = None;
+        for &key in keys.iter() {
+            let item = key >> 32;
+            if last_item != Some(item) {
+                last_item = Some(item);
+                first[(key & 0xffff_ffff) as usize] = true;
+            }
+        }
+    }
+    first
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Interaction;
+    use std::collections::HashSet;
 
     fn sequential_dataset(n_users: usize, n_items: usize, events: &[(u32, u32)]) -> Dataset {
         Dataset {

@@ -20,13 +20,14 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use pup_ckpt::{Checkpoint, CkptError};
 use pup_graph::normalize::row_normalized;
 use pup_graph::{build_pup_graph, GraphSpec, Layout, NodeRef};
 use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
 
 use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
 use crate::frozen::{DotScorer, Frozen};
-use crate::trainer::BprModel;
+use crate::trainer::{check_params, BprModel};
 
 /// Which PUP variant to build (paper Table III / Fig. 6 ablations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,10 +241,9 @@ impl Branch {
         (Arc::new(row_normalized(graph.adjacency(), self_loops)), graph.layout().clone())
     }
 
-    /// A branch over `a_hat` with a fresh `dim`-wide embedding table.
-    fn new(a_hat: Arc<CsrMatrix>, layout: Layout, dim: usize, rng: &mut StdRng) -> Self {
-        let emb = Var::param(init::normal(layout.total(), dim, 0.1, rng));
-        Self { emb, a_hat, layout, touched: TouchedRows::default(), step: None }
+    /// A branch over `a_hat` with embedding table `emb`, one row per node.
+    fn new(a_hat: Arc<CsrMatrix>, layout: Layout, emb: Matrix) -> Self {
+        Self { emb: Var::param(emb), a_hat, layout, touched: TouchedRows::default(), step: None }
     }
 
     /// `n_layers` graph-convolution passes `tanh(Â ·)`. The last pass
@@ -263,7 +263,7 @@ impl Branch {
     /// row of the whole propagation, bit for bit.
     fn repr_of(&self, n_layers: usize, nodes: &[NodeRef]) -> Matrix {
         let rows: Vec<usize> = nodes.iter().map(|&node| self.layout.index(node)).collect();
-        self.propagate(n_layers, &Arc::new(self.a_hat.select_rows(&rows))).value_clone()
+        self.propagate(n_layers, &Arc::new(self.a_hat.select_rows(&rows))).into_value()
     }
 
     /// Prepares a training step that reads `nodes`: propagates only their
@@ -293,6 +293,48 @@ impl Branch {
     }
 }
 
+/// Checkpoint name of the global branch's embedding table.
+const GLOBAL_EMB: &str = "global.emb";
+/// Checkpoint name of the category branch's embedding table.
+const CATEGORY_EMB: &str = "category.emb";
+
+/// What a PUP model is built on before its embedding tables: the shared
+/// rectified graph and each branch's width.
+struct Frame {
+    a_hat: Arc<CsrMatrix>,
+    layout: Layout,
+    global_dim: usize,
+    /// Present only for [`PupVariant::Full`].
+    category_dim: Option<usize>,
+}
+
+impl Frame {
+    /// Checks `config` and builds the graph both branches propagate over.
+    fn new(data: &TrainData<'_>, config: &PupConfig, extras: &[ExtraAttribute]) -> Self {
+        assert!(config.global_dim > 0, "global branch needs dimensions");
+        assert!((0.0..1.0).contains(&config.dropout), "dropout must be in [0,1)");
+        assert!(config.n_layers >= 1, "at least one propagation layer required");
+        let (spec, has_category_branch) = match config.variant {
+            PupVariant::Full => (GraphSpec::FULL, true),
+            PupVariant::PriceOnly => (GraphSpec::PRICE_ONLY, false),
+            PupVariant::CategoryOnly => (GraphSpec::CATEGORY_ONLY, false),
+            PupVariant::Bipartite => (GraphSpec::BIPARTITE, false),
+        };
+        // Single-branch variants get the full dimension budget so ablation
+        // comparisons hold capacity constant.
+        let (global_dim, category_dim) = if has_category_branch {
+            assert!(config.category_dim > 0, "category branch needs dimensions");
+            (config.global_dim, Some(config.category_dim))
+        } else {
+            (config.global_dim + config.category_dim, None)
+        };
+        // The category branch propagates over the full graph with the same
+        // self-loops and extras as the global one, so it shares `Â`.
+        let (a_hat, layout) = Branch::rectified_graph(data, spec, config.self_loops, extras);
+        Self { a_hat, layout, global_dim, category_dim }
+    }
+}
+
 /// The PUP recommender.
 pub struct Pup {
     config: PupConfig,
@@ -317,34 +359,53 @@ impl Pup {
     /// same way it flows through price nodes — while the decoder stays
     /// unchanged.
     pub fn with_extras(data: &TrainData<'_>, config: PupConfig, extras: &[ExtraAttribute]) -> Self {
-        assert!(config.global_dim > 0, "global branch needs dimensions");
-        assert!((0.0..1.0).contains(&config.dropout), "dropout must be in [0,1)");
-        assert!(config.n_layers >= 1, "at least one propagation layer required");
+        let frame = Frame::new(data, &config, extras);
+        // Draws keep their order: the global table, then the category table.
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let (global_spec, has_category_branch) = match config.variant {
-            PupVariant::Full => (GraphSpec::FULL, true),
-            PupVariant::PriceOnly => (GraphSpec::PRICE_ONLY, false),
-            PupVariant::CategoryOnly => (GraphSpec::CATEGORY_ONLY, false),
-            PupVariant::Bipartite => (GraphSpec::BIPARTITE, false),
+        let rows = frame.layout.total();
+        let global = init::normal(rows, frame.global_dim, 0.1, &mut rng);
+        let category = frame.category_dim.map(|dim| init::normal(rows, dim, 0.1, &mut rng));
+        Self::assemble(data, config, frame, global, category)
+    }
+
+    /// Rebuilds a trained PUP from `ckpt`'s own tables, without training
+    /// state: the names and shapes are checked as
+    /// [`restore_params`](crate::trainer::restore_params) checks them, with
+    /// the same typed errors, and no initial table is drawn. Call
+    /// [`BprModel::finalize`] before scoring.
+    pub fn restore(
+        data: &TrainData<'_>,
+        config: PupConfig,
+        ckpt: &Checkpoint,
+    ) -> Result<Self, CkptError> {
+        let frame = Frame::new(data, &config, &[]);
+        let rows = frame.layout.total();
+        let mut expected = vec![(GLOBAL_EMB, (rows, frame.global_dim))];
+        if let Some(dim) = frame.category_dim {
+            expected.push((CATEGORY_EMB, (rows, dim)));
+        }
+        check_params(&expected, ckpt)?;
+        let table = |name: &str| {
+            ckpt.param(name)
+                .map(|blob| blob.value.clone())
+                .ok_or_else(|| CkptError::MissingParam { name: name.to_string() })
         };
-        // Single-branch variants get the full dimension budget so ablation
-        // comparisons hold capacity constant.
-        let global_dim = if has_category_branch {
-            config.global_dim
-        } else {
-            config.global_dim + config.category_dim
-        };
-        // The category branch propagates over the full graph with the same
-        // self-loops and extras as the global one, so it shares `Â`. Draws
-        // keep their order: the global table, then the category table.
-        let (a_hat, layout) = Branch::rectified_graph(data, global_spec, config.self_loops, extras);
-        let global = Branch::new(a_hat.clone(), layout.clone(), global_dim, &mut rng);
-        let category = if has_category_branch {
-            assert!(config.category_dim > 0, "category branch needs dimensions");
-            Some(Branch::new(a_hat, layout, config.category_dim, &mut rng))
-        } else {
-            None
-        };
+        let global = table(GLOBAL_EMB)?;
+        let category = frame.category_dim.map(|_| table(CATEGORY_EMB)).transpose()?;
+        Ok(Self::assemble(data, config, frame, global, category))
+    }
+
+    /// A model over `frame` with the given embedding tables.
+    fn assemble(
+        data: &TrainData<'_>,
+        config: PupConfig,
+        frame: Frame,
+        global: Matrix,
+        category: Option<Matrix>,
+    ) -> Self {
+        let Frame { a_hat, layout, .. } = frame;
+        let global = Branch::new(a_hat.clone(), layout.clone(), global);
+        let category = category.map(|table| Branch::new(a_hat, layout, table));
         Self {
             config,
             global,
@@ -409,7 +470,7 @@ impl Pup {
     /// A branch's inference representations: every row propagated, no
     /// dropout.
     fn inference_repr(&self, branch: &Branch) -> Matrix {
-        branch.propagate(self.config.n_layers, &branch.a_hat).value_clone()
+        branch.propagate(self.config.n_layers, &branch.a_hat).into_value()
     }
 
     /// Global-branch affinity between a user and each price level
@@ -564,9 +625,9 @@ impl BprModel for Pup {
 
 impl ParamRegistry for Pup {
     fn named_params(&self) -> Vec<NamedParam> {
-        let mut p = vec![NamedParam::new("global.emb", &self.global.emb)];
+        let mut p = vec![NamedParam::new(GLOBAL_EMB, &self.global.emb)];
         if let Some(b) = &self.category {
-            p.push(NamedParam::new("category.emb", &b.emb));
+            p.push(NamedParam::new(CATEGORY_EMB, &b.emb));
         }
         p
     }

@@ -598,29 +598,43 @@ pub fn restore_params<M: ParamRegistry + ?Sized>(
     ckpt: &Checkpoint,
 ) -> Result<(), CkptError> {
     let named = model.named_params();
+    let expected: Vec<(&str, (usize, usize))> =
+        named.iter().map(|np| (np.name.as_str(), np.var.shape())).collect();
+    check_params(&expected, ckpt)?;
     for np in &named {
-        let blob = ckpt
-            .param(&np.name)
-            // pup-lint: allow(clone-in-loop) — cold error path, owning the name for the error.
-            .ok_or_else(|| CkptError::MissingParam { name: np.name.clone() })?;
-        let expected = np.var.shape();
-        let found = blob.value.shape();
-        if found != expected {
-            // pup-lint: allow(clone-in-loop) — cold error path, owning the name for the error.
-            return Err(CkptError::ShapeMismatch { name: np.name.clone(), expected, found });
-        }
-    }
-    for blob in &ckpt.params {
-        if !named.iter().any(|np| np.name == blob.name) {
-            // pup-lint: allow(clone-in-loop) — cold error path, owning the name for the error.
-            return Err(CkptError::UnknownParam { name: blob.name.clone() });
-        }
-    }
-    for np in &named {
-        // `param` was checked above; a vanished name here is impossible.
+        // `check_params` found every name; a vanished one here is impossible.
         if let Some(blob) = ckpt.param(&np.name) {
             // pup-lint: allow(clone-in-loop) — one copy per restored parameter is the operation itself.
             np.var.set_value(blob.value.clone());
+        }
+    }
+    Ok(())
+}
+
+/// Checks that `ckpt` holds exactly the `expected` `(name, shape)`
+/// parameters: a missing name, a shape mismatch (both in `expected`'s
+/// order) and then a checkpoint parameter outside the list each surface as
+/// their own typed [`CkptError`].
+pub(crate) fn check_params(
+    expected: &[(&str, (usize, usize))],
+    ckpt: &Checkpoint,
+) -> Result<(), CkptError> {
+    for &(name, shape) in expected {
+        let blob =
+            ckpt.param(name).ok_or_else(|| CkptError::MissingParam { name: name.to_string() })?;
+        let found = blob.value.shape();
+        if found != shape {
+            return Err(CkptError::ShapeMismatch {
+                name: name.to_string(),
+                expected: shape,
+                found,
+            });
+        }
+    }
+    for blob in &ckpt.params {
+        if !expected.iter().any(|&(name, _)| name == blob.name) {
+            // pup-lint: allow(clone-in-loop) — cold error path, owning the name for the error.
+            return Err(CkptError::UnknownParam { name: blob.name.clone() });
         }
     }
     Ok(())

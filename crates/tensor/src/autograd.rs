@@ -188,6 +188,15 @@ impl Var {
         self.inner.borrow().value.clone()
     }
 
+    /// The held value, moved out when this handle is the node's only one
+    /// and cloned otherwise.
+    pub fn into_value(self) -> Matrix {
+        match Rc::try_unwrap(self.inner) {
+            Ok(cell) => cell.into_inner().value,
+            Err(shared) => shared.borrow().value.clone(),
+        }
+    }
+
     /// Shape of the held value.
     pub fn shape(&self) -> (usize, usize) {
         self.inner.borrow().value.shape()
@@ -207,6 +216,12 @@ impl Var {
     /// Clones the accumulated gradient, if any.
     pub fn grad(&self) -> Option<Matrix> {
         self.inner.borrow().grad.clone()
+    }
+
+    /// Moves the accumulated gradient out, leaving none: an optimizer step
+    /// consumes it without a copy.
+    pub fn take_grad(&self) -> Option<Matrix> {
+        self.inner.borrow_mut().grad.take()
     }
 
     /// Squared L2 norm of the accumulated gradient, without cloning the

@@ -218,30 +218,24 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         // pup-lint: allow(as-cast-truncation) — exponent is a small bounded counter
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (b1, b2, lr, eps, wd) = (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
         for (p, (m, v)) in self.params.iter().zip(&mut self.moments) {
-            let Some(mut g) = p.grad() else { continue };
-            if self.weight_decay > 0.0 {
-                g.add_scaled_assign(self.weight_decay, &p.value());
-            }
-            // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
-            for ((mi, vi), &gi) in
-                m.as_mut_slice().iter_mut().zip(v.as_mut_slice()).zip(g.as_slice())
-            {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-            }
-            let lr = self.lr;
-            let eps = self.eps;
+            let Some(g) = p.take_grad() else { continue };
+            // One pass over (p, g, m, v), each element in the order of the
+            // textbook update: g + wd·p, the two moments, then p.
             p.update_value(|val| {
-                for ((pv, &mi), &vi) in
-                    val.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice())
+                let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+                for ((pv, &gi), (mi, vi)) in
+                    val.as_mut_slice().iter_mut().zip(g.as_slice()).zip(moments)
                 {
-                    let m_hat = mi / bc1;
-                    let v_hat = vi / bc2;
+                    let gi = if wd > 0.0 { gi + wd * *pv } else { gi };
+                    *mi = b1 * *mi + (1.0 - b1) * gi;
+                    *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+                    let m_hat = *mi / bc1;
+                    let v_hat = *vi / bc2;
                     *pv -= lr * m_hat / (v_hat.sqrt() + eps);
                 }
             });
-            p.zero_grad();
         }
     }
 

@@ -26,8 +26,10 @@ step cargo run -p pup-analysis --quiet -- audit-concurrency
 step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo test -q -p pup-recsys --test hot_allocs
 step cargo test -q -p pup-models --test training_pin
-# Checkpoint and graph integrity: registry error parity on every path, and
-# the graph kernels against their triplet-sort oracle.
+# Data, checkpoint and graph integrity: the CSV loader and split against
+# their set-based reference, registry error parity on every path, and the
+# graph kernels against their triplet-sort oracle.
+step cargo test -q -p pup-data --test loader_differential
 step cargo test -q -p pup-ckpt --test registry
 step cargo test -q -p pup-graph --test build_differential
 step cargo run -p pup-analysis --quiet -- audit-graph
