@@ -3,7 +3,9 @@
 //! sizes and feature counts. This is the ablation for the implementation
 //! choice called out in DESIGN.md §5.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+#![allow(clippy::expect_used)]
+
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pup_models::common::{pairwise_interactions, pairwise_interactions_naive};
@@ -42,4 +44,10 @@ fn bench_decoder_batches(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_decoder, bench_decoder_batches);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let path = pup_bench::harness::write_bench_json("decoder", &criterion::take_results())
+        .expect("write BENCH_decoder.json");
+    println!("wrote {}", path.display());
+}

@@ -2,7 +2,9 @@
 //! product forward, and forward+backward through the autograd tape — at the
 //! shapes PUP training uses.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+#![allow(clippy::expect_used)]
+
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -63,4 +65,10 @@ fn bench_spmm(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_spmm);
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let path = pup_bench::harness::write_bench_json("propagation", &criterion::take_results())
+        .expect("write BENCH_propagation.json");
+    println!("wrote {}", path.display());
+}

@@ -9,17 +9,25 @@
 //! request over real loopback TCP (parse + auth + rate-limit + queue +
 //! score + rank + write, vs. the in-process `primary_request` baseline)
 //! and the rate limiter's per-request admission decision alone.
+//! The scan group prices one top-K request over a serve-scale table
+//! (15,255 items × 65, the folded PUP's shape): the exact f64 scan and
+//! the certified f32 pass, back to back and paced one scan per 10 ms, as
+//! at 100 requests/s over two workers, when the table is no longer in
+//! cache.
 
 #![allow(clippy::expect_used)]
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pup_ckpt::chaos::FaultPlan;
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_data::SplitRatios;
-use pup_models::{train_bpr, BprMf, Frozen, Recommender, TrainConfig, TrainData};
+use pup_models::{
+    train_bpr, BprMf, Candidates, DotScorer, Frozen, Recommender, Shortlist, TrainConfig, TrainData,
+};
 use pup_serve::engine::handle_now;
 use pup_serve::{
     Deadline, Fallback, GenScorerFactory, RecommenderScorer, Request, Scorer, ServeConfig,
@@ -208,7 +216,61 @@ fn bench_net(c: &mut Criterion) {
     gateway.shutdown();
 }
 
-criterion_group!(benches, bench_serving, bench_swap, bench_net);
+/// The served PUP's folded table shape: catalog size and row width.
+const SCAN_ITEMS: usize = 15_255;
+const SCAN_WIDTH: usize = 65;
+const SCAN_K: usize = 20;
+
+fn bench_scan(c: &mut Criterion) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let users = pup_tensor::init::normal(64, SCAN_WIDTH, 0.3, &mut rng);
+    let items = pup_tensor::init::normal(SCAN_ITEMS, SCAN_WIDTH, 0.3, &mut rng);
+    let model = DotScorer::new("scan", users, items);
+    // Each user has seen 50 items spread over the catalog.
+    let seen: Vec<Vec<u32>> = (0..64u32)
+        .map(|u| {
+            let mut s: Vec<u32> = (0..50u32).map(|j| (u * 131 + j * 307) % 15_255).collect();
+            s.sort_unstable();
+            s.dedup();
+            s
+        })
+        .collect();
+    let candidates = |user: usize| Candidates::Unseen { n_items: SCAN_ITEMS, seen: &seen[user] };
+    let exact = |user: usize| {
+        let scores = model.try_score_items(user).expect("in range");
+        pup_eval::try_rank_unseen(&scores, SCAN_ITEMS, &seen[user], SCAN_K).expect("ranks")
+    };
+    let certified = |user: usize| {
+        model.try_top_k(user, candidates(user), SCAN_K).and_then(Shortlist::rank).expect("ranks")
+    };
+    assert_eq!(exact(0), certified(0));
+
+    let mut group = c.benchmark_group("serving_scan");
+    group.sample_size(30);
+    let mut user = 0usize;
+    type TopK<'a> = &'a dyn Fn(usize) -> Vec<u32>;
+    let cases: [(&str, TopK); 2] = [("exact_topk", &exact), ("certified_topk", &certified)];
+    for (name, top_k) in cases {
+        group.bench_function(format!("{name}_hot"), |b| {
+            b.iter(|| {
+                user = (user + 1) % 64;
+                black_box(top_k(user))
+            })
+        });
+        group.bench_function(format!("{name}_paced_10ms"), |b| {
+            b.iter_custom(|_| {
+                std::thread::sleep(Duration::from_millis(10));
+                user = (user + 1) % 64;
+                let t = Instant::now();
+                black_box(top_k(user));
+                t.elapsed()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_serving, bench_swap, bench_net, bench_scan);
 
 fn main() {
     benches();

@@ -49,6 +49,7 @@ use std::sync::Arc;
 use pup_data::io::{load_dataset, save_dataset, IdMaps};
 use pup_data::synthetic::{amazon_like, beibei_like, yelp_like};
 use pup_data::Quantization;
+use pup_models::{Candidates, Shortlist};
 use pup_recsys::prelude::*;
 use pup_recsys::{FitConfig, ModelKind, Pipeline};
 
@@ -528,8 +529,10 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let dataset = pipeline.dataset();
     let seen = &pipeline.split().train_items_by_user()[user];
-    let scores = model.try_score_items(user).map_err(|e| e.to_string())?;
-    let ranked = pup_eval::try_rank_unseen(&scores, dataset.n_items, seen, top)
+    let candidates = Candidates::Unseen { n_items: dataset.n_items, seen };
+    let ranked = model
+        .try_top_k(user, candidates, top)
+        .and_then(Shortlist::rank)
         .map_err(|e| e.to_string())?;
     println!("top {top} items for user {user_name:?}:");
     for (rank, &i) in ranked.iter().enumerate() {

@@ -31,7 +31,7 @@ use std::time::Duration;
 use pup_analysis::hotpath::{read_ratchet, RATCHET_PATH};
 use pup_data::synthetic::{generate, GeneratorConfig};
 use pup_eval::try_rank_candidates;
-use pup_models::{BprModel, BprTrainer, Pup, PupConfig, TrainConfig};
+use pup_models::{BprModel, BprTrainer, Candidates, Pup, PupConfig, Shortlist, TrainConfig};
 use pup_recsys::Pipeline;
 use pup_serve::engine::handle_now;
 use pup_serve::net::{handle_connection, MemTransport, NetConfig, NetShared, TenantConfig};
@@ -238,7 +238,8 @@ fn generation(scorer: &Arc<dyn Scorer>, hold: Duration) -> GenScorerFactory {
     Arc::new(move |_gen| Ok(Box::new(Held(Arc::clone(&scorer), hold)) as Box<dyn Scorer>))
 }
 
-/// A shared scorer that holds each score pass for a fixed time.
+/// A shared scorer that holds each score pass (full or top-K) for a fixed
+/// time.
 struct Held(Arc<dyn Scorer>, Duration);
 
 impl Scorer for Held {
@@ -251,6 +252,15 @@ impl Scorer for Held {
     fn score(&self, user: usize) -> Result<Vec<f64>, pup_models::ScoreError> {
         std::thread::sleep(self.1);
         self.0.score(user)
+    }
+    fn top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, pup_models::ScoreError> {
+        std::thread::sleep(self.1);
+        self.0.top_k(user, candidates, k)
     }
 }
 

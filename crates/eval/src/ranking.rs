@@ -4,11 +4,9 @@
 //! with in training (or validation) form the candidate pool; the model ranks
 //! them and Recall@K / NDCG@K are averaged over users.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use pup_data::Split;
-use pup_models::{Recommender, ScoreError};
+use pup_models::topk::select_top;
+use pup_models::{Candidates, Recommender, ScoreError, Shortlist};
 
 use crate::metrics::{ndcg_at_k, recall_at_k};
 
@@ -71,8 +69,7 @@ pub fn try_rank_candidates(
 
 /// [`try_rank_candidates`] over every item id below `n_items` that is not
 /// in `seen`, without building that candidate list. `seen` must be sorted
-/// ascending; ids in it at or above `n_items` are ignored. This is the one
-/// seen-item policy shared by serving and `pup recommend`.
+/// ascending; ids in it at or above `n_items` are ignored.
 pub fn try_rank_unseen(
     scores: &[f64],
     n_items: usize,
@@ -80,47 +77,7 @@ pub fn try_rank_unseen(
     top: usize,
 ) -> Result<Vec<u32>, ScoreError> {
     let _span = pup_obs::span("rank.topk");
-    let mut seen = seen.iter().copied().peekable();
-    // A forward merge: both the ids and `seen` ascend.
-    let unseen = (0..u32::try_from(n_items).unwrap_or(u32::MAX)).filter(move |&i| {
-        while seen.next_if(|&s| s < i).is_some() {}
-        seen.peek() != Some(&i)
-    });
-    select_top(scores, unseen, top)
-}
-
-/// The ranking core: one pass over `candidates` keeps the best `top` in a
-/// bounded max-heap whose root is the worst entry kept, then sorts them
-/// best first. The result equals a full sort (score descending under
-/// `total_cmp`, then item id ascending) truncated to `top`. The first
-/// candidate outside `scores` is an error.
-fn select_top(
-    scores: &[f64],
-    candidates: impl Iterator<Item = u32>,
-    top: usize,
-) -> Result<Vec<u32>, ScoreError> {
-    let mut heap = BinaryHeap::with_capacity(top.min(candidates.size_hint().1.unwrap_or(0)));
-    for item in candidates {
-        let Some(&score) = scores.get(item as usize) else {
-            return Err(ScoreError::ItemOutOfRange { item: item as usize, n_items: scores.len() });
-        };
-        // The greater entry ranks later: a lower score, then a higher id.
-        let entry = (Reverse(total_order_key(score)), item);
-        if heap.len() < top {
-            heap.push(entry);
-        } else if let Some(mut worst) = heap.peek_mut() {
-            if entry < *worst {
-                *worst = entry;
-            }
-        }
-    }
-    Ok(heap.into_sorted_vec().into_iter().map(|(_, item)| item).collect())
-}
-
-/// An integer key whose order is `f64::total_cmp`'s (the same bit flip).
-fn total_order_key(x: f64) -> i64 {
-    let bits = x.to_bits().cast_signed();
-    bits ^ ((bits >> 63).cast_unsigned() >> 1).cast_signed()
+    select_top(scores, Candidates::Unseen { n_items, seen }.iter(), top)
 }
 
 /// Standard evaluation: every user with test items, candidates are all items
@@ -219,13 +176,13 @@ pub fn evaluate_pools_per_user(
             continue;
         }
         pup_obs::counter_add("eval.users", 1);
-        let scores = {
+        let shortlist = {
             let _t = pup_obs::time("eval", "score_items");
-            model.score_items(u)
+            model.try_top_k(u, Candidates::Ids(pool), max_k)
         };
         let ranked = {
             let _t = pup_obs::time("eval", "rank_candidates");
-            rank_candidates(&scores, pool, max_k)
+            shortlist.and_then(Shortlist::rank).unwrap_or_else(|e| panic!("evaluate: {e}"))
         };
         for (slot, &k) in ks.iter().enumerate() {
             per_k[slot].push(MetricPair {

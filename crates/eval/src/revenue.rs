@@ -9,9 +9,7 @@
 //! ones — exactly the provider-side objective the paper gestures at.
 
 use pup_data::Split;
-use pup_models::Recommender;
-
-use crate::ranking::rank_candidates;
+use pup_models::{Candidates, Recommender, Shortlist};
 
 /// Revenue-oriented evaluation result.
 #[derive(Clone, Debug)]
@@ -74,8 +72,10 @@ pub fn evaluate_revenue(
             |i: &u32| train[u].binary_search(i).is_ok() || valid[u].binary_search(i).is_ok();
         // pup-lint: allow(as-cast-truncation) — dataset ids are dense and bounded well below u32::MAX
         let pool: Vec<u32> = (0..split.n_items as u32).filter(|i| !exclude(i)).collect();
-        let scores = model.score_items(u);
-        let ranked = rank_candidates(&scores, &pool, max_k);
+        let ranked = model
+            .try_top_k(u, Candidates::Ids(&pool), max_k)
+            .and_then(Shortlist::rank)
+            .unwrap_or_else(|e| panic!("evaluate_revenue: {e}"));
         for (slot, &k) in ks.iter().enumerate() {
             let hit_value: f64 = ranked
                 .iter()

@@ -9,6 +9,7 @@ use pup_data::{Dataset, Split};
 use pup_tensor::{ops, Var};
 
 use crate::frozen::Frozen;
+use crate::topk::{Candidates, Shortlist};
 
 /// A malformed id reached the scoring path.
 ///
@@ -82,6 +83,22 @@ pub trait Recommender {
             return Err(ScoreError::UserOutOfRange { user, n_users });
         }
         Ok(self.score_items(user))
+    }
+
+    /// The top-K entry point: scores every candidate that can reach the
+    /// top `k` of `candidates` (ascending ids) for `user`, bounds-checked
+    /// like [`try_score_items`](Self::try_score_items).
+    /// [`Shortlist::rank`] then orders them, bit for bit as ranking the
+    /// full `try_score_items` over `candidates` would. The default scores
+    /// the whole catalog; the dot-product decoder
+    /// ([`crate::frozen::DotScorer`]) rescores only certified survivors.
+    fn try_top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, ScoreError> {
+        Ok(Shortlist::dense(self.try_score_items(user)?, candidates, k))
     }
 }
 

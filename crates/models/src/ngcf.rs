@@ -22,8 +22,9 @@ use pup_graph::normalize::sym_normalized;
 use pup_graph::{build_pup_graph, GraphSpec};
 use pup_tensor::{init, ops, CsrMatrix, Var};
 
-use crate::common::{NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::common::{NamedParam, ParamRegistry, Recommender, ScoreError, TrainData};
 use crate::frozen::{DotScorer, Frozen};
+use crate::topk::{Candidates, Shortlist};
 use crate::trainer::BprModel;
 
 /// NGCF with price-aware item inputs.
@@ -159,16 +160,31 @@ impl ParamRegistry for Ngcf {
     }
 }
 
+impl Ngcf {
+    /// The finalized inference decoder.
+    #[expect(clippy::expect_used, reason = "inference-before-finalize is a caller bug.")]
+    fn finalized(&self) -> &DotScorer {
+        // pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
+        self.final_repr.as_ref().expect("finalize must run before inference")
+    }
+}
+
 impl Recommender for Ngcf {
     fn name(&self) -> &str {
         "NGCF"
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        #[expect(clippy::expect_used, reason = "inference-before-finalize is a caller bug.")]
-        // pup-audit: allow(hotpath-panic): lifecycle invariant: serve only loads models after finalize
-        let repr = self.final_repr.as_ref().expect("finalize must run before inference");
-        repr.score_items(user)
+        self.finalized().score_items(user)
+    }
+
+    fn try_top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, ScoreError> {
+        self.finalized().try_top_k(user, candidates, k)
     }
 
     fn n_users(&self) -> usize {

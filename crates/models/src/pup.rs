@@ -25,8 +25,11 @@ use pup_graph::normalize::row_normalized;
 use pup_graph::{build_pup_graph, GraphSpec, Layout, NodeRef};
 use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
 
-use crate::common::{pairwise_interactions, NamedParam, ParamRegistry, Recommender, TrainData};
+use crate::common::{
+    pairwise_interactions, NamedParam, ParamRegistry, Recommender, ScoreError, TrainData,
+};
 use crate::frozen::{DotScorer, Frozen};
+use crate::topk::{Candidates, Shortlist};
 use crate::trainer::{check_params, BprModel};
 
 /// Which PUP variant to build (paper Table III / Fig. 6 ablations).
@@ -652,6 +655,15 @@ impl Recommender for Pup {
 
     fn score_items(&self, user: usize) -> Vec<f64> {
         self.finalized().score_items(user)
+    }
+
+    fn try_top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, ScoreError> {
+        self.finalized().try_top_k(user, candidates, k)
     }
 
     fn n_users(&self) -> usize {

@@ -354,12 +354,12 @@ impl SloEngine {
             if event.level == SloLevel::Page {
                 *pages += 1;
             }
-            let rank = |l: SloLevel| match l {
+            let severity = |l: SloLevel| match l {
                 SloLevel::Page => 2,
                 SloLevel::Warn => 1,
                 SloLevel::Recovered => 0,
             };
-            if emitted.is_none_or(|prev| rank(event.level) > rank(prev)) {
+            if emitted.is_none_or(|prev| severity(event.level) > severity(prev)) {
                 emitted = Some(event.level);
             }
             events.push(event);

@@ -9,8 +9,7 @@
 use std::time::Instant;
 
 use pup_ckpt::chaos::FaultPlan;
-use pup_eval::try_rank_unseen;
-use pup_models::ScoreError;
+use pup_models::{Candidates, ScoreError};
 use pup_obs::slo::SloEngine;
 use pup_obs::trace::{TraceContext, TraceId, TraceSink};
 
@@ -268,8 +267,9 @@ enum PrimaryOutcome {
 }
 
 /// Primary scoring with retry-and-backoff under the deadline budget. The
-/// `score` span covers the whole attempt loop (retries included); the
-/// `rank` span nests under it.
+/// `score` span covers the whole attempt loop (retries included) and the
+/// scorer's top-K shortlist ([`Scorer::top_k`]); the `rank` span nests
+/// under it and covers ordering the shortlist.
 fn primary_attempts(
     shared: &ServiceShared,
     scorer: &dyn Scorer,
@@ -308,9 +308,11 @@ fn primary_attempts(
         if !deadline.fits(cfg.primary_cost_hint_ns) {
             return Ok(PrimaryOutcome::Degraded(Degraded::Deadline));
         }
+        let seen = shared.fallback.seen_items(req.user);
+        let candidates = Candidates::Unseen { n_items: scorer.n_items(), seen };
         let t0 = Instant::now();
-        match scorer.score(req.user) {
-            Ok(scores) => {
+        match scorer.top_k(req.user, candidates, req.k) {
+            Ok(shortlist) => {
                 let primary_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 shared.stats.observe_primary_ns(primary_ns);
                 shared.breaker.record_success();
@@ -323,12 +325,10 @@ fn primary_attempts(
                     });
                 }
                 let rank_span = score_span.ctx().span("rank");
-                let seen = shared.fallback.seen_items(req.user);
-                let ranked =
-                    try_rank_unseen(&scores, scorer.n_items(), seen, req.k).map_err(|e| {
-                        shared.stats.note_rejected_invalid();
-                        ServeError::Score(e)
-                    })?;
+                let ranked = shortlist.rank().map_err(|e| {
+                    shared.stats.note_rejected_invalid();
+                    ServeError::Score(e)
+                })?;
                 drop(rank_span);
                 if deadline.exceeded() {
                     shared.stats.note_rejected_deadline();

@@ -7,7 +7,7 @@
 //! inference code, so the autograd `Var`s (`Rc<RefCell>`) never cross a
 //! thread.
 
-use pup_models::{Frozen, Recommender, ScoreError};
+use pup_models::{Candidates, Frozen, Recommender, ScoreError, Shortlist};
 
 /// A loaded model generation that scores the full catalog for one user.
 pub trait Scorer: Send + Sync {
@@ -20,6 +20,18 @@ pub trait Scorer: Send + Sync {
     /// Scores every item for `user`; malformed ids surface as typed
     /// errors, never as panics.
     fn score(&self, user: usize) -> Result<Vec<f64>, ScoreError>;
+
+    /// The top-K entry point ([`Recommender::try_top_k`]): every candidate
+    /// that can reach the top `k` for `user`, with its exact score, for
+    /// [`Shortlist::rank`] to order. The default scores the whole catalog.
+    fn top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, ScoreError> {
+        Ok(Shortlist::dense(self.score(user)?, candidates, k))
+    }
 }
 
 /// Adapts any [`Recommender`] into a [`Scorer`] by freezing it.
@@ -47,5 +59,14 @@ impl Scorer for RecommenderScorer {
 
     fn score(&self, user: usize) -> Result<Vec<f64>, ScoreError> {
         self.model.try_score_items(user)
+    }
+
+    fn top_k<'a>(
+        &self,
+        user: usize,
+        candidates: Candidates<'a>,
+        k: usize,
+    ) -> Result<Shortlist<'a>, ScoreError> {
+        self.model.try_top_k(user, candidates, k)
     }
 }

@@ -16,9 +16,10 @@
 //!   never be consumed).
 //! - **Scalar roots** — `backward()` must start from a 1x1 loss.
 //!
-//! All checks are active under `debug_assertions` (so `cargo test` always
-//! audits) and in release builds that enable the `strict-checks` cargo
-//! feature; a plain release build pays nothing.
+//! All checks are active under `debug_assertions`, in this crate's own
+//! unit tests (so `cargo test --release -p pup-tensor` runs the guards
+//! those tests exercise), and in release builds that enable the
+//! `strict-checks` cargo feature; a plain release build pays nothing.
 
 use std::cell::Cell;
 
@@ -26,7 +27,7 @@ use crate::matrix::Matrix;
 use crate::Var;
 
 /// Whether the tape auditor is compiled in.
-pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "strict-checks"));
+pub const ENABLED: bool = cfg!(any(debug_assertions, test, feature = "strict-checks"));
 
 thread_local! {
     /// True while a `backward()` walk is running on this thread.

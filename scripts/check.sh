@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
-#                               # hot-path allocation count, the training pin and the
+#                               # hot-path allocation count, the certified top-K
+#                               # differential, the training pin and the
 #                               # checkpoint and graph integrity tests only)
 #
 # Exits non-zero on the first failing step.
@@ -25,6 +26,7 @@ step cargo run -p pup-analysis --quiet -- lint --strict
 step cargo run -p pup-analysis --quiet -- audit-concurrency
 step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo test -q -p pup-recsys --test hot_allocs
+step cargo test -q -p pup-recsys --test certified_topk
 step cargo test -q -p pup-models --test training_pin
 # Data, checkpoint and graph integrity: the CSV loader and split against
 # their set-based reference, registry error parity on every path, and the
@@ -35,6 +37,9 @@ step cargo test -q -p pup-graph --test build_differential
 step cargo run -p pup-analysis --quiet -- audit-graph
 if [[ $fast -eq 0 ]]; then
     step cargo test --workspace -q
+    # The tape auditor's own unit tests in release: cfg(test) compiles its
+    # guards in without debug assertions.
+    step cargo test --release -q -p pup-tensor
     # Benchmark build: perfbench/ builds the library crates as path
     # dependencies from its own manifest, so a public-API change that breaks
     # the benchmark fails here rather than in the benchmark run.

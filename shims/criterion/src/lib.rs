@@ -5,7 +5,7 @@
 //! workspace's `[[bench]]` targets compiling and runnable with the subset of
 //! the criterion 0.5 API they use: [`Criterion::benchmark_group`],
 //! [`BenchmarkGroup::bench_function`] / [`BenchmarkGroup::bench_with_input`],
-//! [`Bencher::iter`], [`BenchmarkId`] and the `criterion_group!` /
+//! [`Bencher::iter`] / [`Bencher::iter_custom`], [`BenchmarkId`] and the `criterion_group!` /
 //! `criterion_main!` macros.
 //!
 //! Measurement is intentionally simple — median of `sample_size` wall-clock
@@ -180,6 +180,17 @@ impl Bencher {
             let start = Instant::now();
             hint::black_box(routine());
             self.samples.push(start.elapsed());
+        }
+    }
+
+    /// Times `sample_size` samples, each the [`Duration`] `routine` reports
+    /// for one iteration (its argument, always 1 here), after one warm-up.
+    /// The routine times only what it means to measure, so set-up such as
+    /// a pause between iterations stays out of the sample.
+    pub fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
+        hint::black_box(routine(1)); // warm-up
+        for _ in 0..self.sample_size {
+            self.samples.push(routine(1));
         }
     }
 
