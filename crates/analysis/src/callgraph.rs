@@ -16,7 +16,9 @@
 //!   resolves to workspace fns named `method` inside an `impl` (or `trait`)
 //!   block for `Type`; if none exists the callee is foreign (std or a shim)
 //!   and the edge is dropped. An unqualified call `helper(…)` resolves to
-//!   the non-test workspace fns with that name (nearest scope first), and
+//!   the non-test workspace free fns with that name (nearest scope first) —
+//!   never to a method or associated fn, which Rust cannot name bare, so a
+//!   local closure `rank(…)` reaches no `Shortlist::rank` — and
 //!   a method call `recv.method(…)` to **every** non-test method with that
 //!   name — the conservative trait-impl fan-out that makes
 //!   `scorer.score(u)` reach every `Scorer::score` implementation without a
@@ -164,10 +166,13 @@ impl CallGraph {
     ///   `module::f` to fns defined in a file named `module.rs`. A
     ///   qualifier matching none of those is foreign (`Vec::new`,
     ///   `Instant::now`): no workspace edge at all.
-    /// - A bare call `helper(…)` resolves same-file first, then
-    ///   same-crate, then (for `use`-imported fns) workspace-wide. A bare
-    ///   `drop(x)` is `std::mem::drop` and resolves to nothing (implicit
-    ///   drops are not modelled either).
+    /// - A bare call `helper(…)` resolves to free fns only (a fn outside
+    ///   any `impl` or `trait` block, or nested in a fn body): same-file
+    ///   first, then same-crate, then (for `use`-imported fns)
+    ///   workspace-wide. A bare name that matches no free fn is a local
+    ///   closure, a tuple constructor or a foreign fn: no workspace edge. A
+    ///   bare `drop(x)` is `std::mem::drop` and resolves to nothing
+    ///   (implicit drops are not modelled either).
     /// - A method call `recv.method(…)` fans out to **every** non-test
     ///   method (a fn inside an `impl` or `trait` block) with the name —
     ///   the conservative trait-impl fan-out that makes `scorer.score(u)`
@@ -215,15 +220,16 @@ impl CallGraph {
         if call.callee == "drop" {
             return Vec::new();
         }
-        let same_file = pick(&|f| f.file == self.fns[caller].file);
+        let free = |pred: &dyn Fn(&FnNode) -> bool| pick(&|f| f.impl_type.is_none() && pred(f));
+        let same_file = free(&|f| f.file == self.fns[caller].file);
         if !same_file.is_empty() {
             return same_file;
         }
-        let same_crate = pick(&|f| f.crate_name == caller_crate);
+        let same_crate = free(&|f| f.crate_name == caller_crate);
         if !same_crate.is_empty() {
             return same_crate;
         }
-        allowed(self, all.to_vec())
+        allowed(self, free(&|_| true))
     }
 
     /// The fns annotated `// pup-hot: <label>`, as `(label, index)` pairs.
@@ -383,10 +389,19 @@ fn extract_fns(path: &Path, source: &str, out: &mut Vec<FnNode>) {
     for (k, def) in defs.iter().enumerate() {
         let kw_at = file.tokens[def.kw].start;
         let name = def.name.map(|i| file.text(i)).unwrap_or("?").to_string();
+        // A fn is a method of the innermost `impl`/`trait` block around it,
+        // unless a fn body lies between the two: then it is a nested item.
+        let enclosing_body = bodies
+            .iter()
+            .flatten()
+            .filter(|span| kw_at > span.0 && kw_at < span.1)
+            .map(|span| span.0)
+            .max();
         let impl_type = impls
             .iter()
             .filter(|(_, span)| kw_at >= span.0 && kw_at < span.1)
             .min_by_key(|(_, span)| span.1 - span.0)
+            .filter(|(_, span)| enclosing_body.is_none_or(|body| body < span.0))
             .map(|(ty, _)| ty.to_string());
         let qual = match &impl_type {
             Some(ty) => format!("{stem}::{ty}::{name}"),
@@ -601,6 +616,57 @@ mod tests {
         let on_iter = idx(&g, "on_iter");
         let call = g.fns[on_iter].calls.iter().find(|c| c.callee == "sum").expect("call").clone();
         assert!(g.callees(on_iter, &call).iter().all(|&i| g.fns[i].impl_type.is_some()));
+    }
+
+    #[test]
+    fn bare_calls_never_resolve_to_methods() {
+        // The SLO engine's case: a local closure named like a method
+        // elsewhere in the workspace is not a call into that method.
+        let g = graph(&[
+            (
+                "crates/models/src/topk.rs",
+                "pub struct Shortlist;
+                 impl Shortlist {
+    pub fn rank(self) -> Vec<u32> { Vec::new() }
+}
+",
+            ),
+            (
+                "crates/obs/src/slo.rs",
+                "fn worst(levels: &[u8]) -> u8 {
+    let rank = |l: u8| l * 2;
+                     levels.iter().map(|&l| rank(l)).max().unwrap_or(0)
+}
+",
+            ),
+        ]);
+        let worst = idx(&g, "worst");
+        let call = g.fns[worst].calls.iter().find(|c| c.callee == "rank").expect("call").clone();
+        assert!(!call.is_method && call.qualifier.is_none(), "a bare call: {call:?}");
+        assert!(
+            g.callees(worst, &call).is_empty(),
+            "`rank(l)` is the closure, not Shortlist::rank"
+        );
+    }
+
+    #[test]
+    fn fns_nested_in_method_bodies_are_free_fns() {
+        let g = graph(&[(
+            "crates/serve/src/lib.rs",
+            "struct S;
+impl S {
+    fn method(&self) -> u8 {
+                     fn helper() -> u8 { 1 }
+        helper()
+    }
+}
+",
+        )]);
+        assert_eq!(find(&g, "method").impl_type.as_deref(), Some("S"));
+        assert_eq!(find(&g, "helper").impl_type, None, "nested in a body, not in the impl");
+        let method = idx(&g, "method");
+        let callees = g.callees(method, &g.fns[method].calls[0]);
+        assert_eq!(callees, [idx(&g, "helper")]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Benchmarks: checkpoint save / load for a trained PUP model — the cost
 //! a resilient run pays per epoch for crash safety (encode + fsync +
-//! rename on save; read + checksum + validate + restore on load) — and a
+//! rename on save; read + checksum + validate + restore on load) — a
 //! registry load and a restore, the two halves of a hot swap's model
-//! build. Each run appends an entry to `BENCH_checkpointing.json`.
+//! build, and the registry check a swap runs beside them. Each run appends
+//! an entry to `BENCH_checkpointing.json`.
 
 #![allow(clippy::expect_used)]
 
@@ -71,6 +72,11 @@ fn bench_checkpointing(c: &mut Criterion) {
     let gen = registry.publish(&trainer.checkpoint(&model)).expect("publish").gen;
     group.bench_function("registry_load_pup", |b| {
         b.iter(|| black_box(registry.load(black_box(gen)).expect("registry load")))
+    });
+    // The check a swap runs beside that build, and the promote hook runs
+    // alone: every check `load` runs.
+    group.bench_function("registry_validate_pup", |b| {
+        b.iter(|| black_box(registry.validate(black_box(gen)).expect("registry validate")))
     });
 
     // The other half of that build: a finalized model from the decoded

@@ -1,6 +1,7 @@
 //! Benchmarks: the graph-convolution core `tanh(Â E)` — sparse-dense
 //! product forward, and forward+backward through the autograd tape — at the
-//! shapes PUP training uses.
+//! shapes PUP training uses, and PUP's inference fold, which propagates
+//! every row once and folds eq. 7 into the serving tables.
 
 #![allow(clippy::expect_used)]
 
@@ -9,12 +10,15 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use pup_data::synthetic::{generate, GeneratorConfig};
+use pup_data::Dataset;
 use pup_graph::normalize::row_normalized;
 use pup_graph::{build_pup_graph, GraphSpec};
+use pup_models::{BprModel, Pup, PupConfig};
+use pup_recsys::Pipeline;
 use pup_tensor::{init, ops, CsrMatrix, Var};
 
-fn pup_a_hat(scale: usize) -> Arc<CsrMatrix> {
-    let d = generate(&GeneratorConfig {
+fn catalog(scale: usize) -> Dataset {
+    generate(&GeneratorConfig {
         n_users: 200 * scale,
         n_items: 150 * scale,
         n_categories: 20,
@@ -24,7 +28,11 @@ fn pup_a_hat(scale: usize) -> Arc<CsrMatrix> {
         seed: 1,
         ..Default::default()
     })
-    .dataset;
+    .dataset
+}
+
+fn pup_a_hat(scale: usize) -> Arc<CsrMatrix> {
+    let d = catalog(scale);
     let pairs = d.unique_pairs();
     let g = build_pup_graph(
         d.n_users,
@@ -64,7 +72,22 @@ fn bench_spmm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_spmm);
+/// `finalize` on an untrained full PUP (56 + 8 dims, one layer): both
+/// branches' inference passes over every row, then the eq. 7 fold.
+fn bench_fold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("propagation");
+    group.sample_size(20);
+    for scale in [4usize, 32] {
+        let pipeline = Pipeline::new(catalog(scale));
+        let mut model = Pup::new(&pipeline.train_data(), PupConfig::default());
+        group.bench_function(BenchmarkId::new("pup_inference_fold", scale), |b| {
+            b.iter(|| model.finalize())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_spmm, bench_fold);
 
 fn main() {
     benches();

@@ -169,31 +169,106 @@ impl<'a> Reader<'a> {
     }
 
     fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, CkptError> {
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(c);
-                f64::from_bits(u64::from_le_bytes(b))
-            })
-            .collect())
+        Ok(f64s(self.take(n * 8)?))
     }
 
-    fn matrix(&mut self, what: &str) -> Result<Matrix, CkptError> {
+    /// Reads a `rows × cols` table's header and claims its bytes, without
+    /// copying them out.
+    fn table(&mut self, what: &str) -> Result<RawTable<'a>, CkptError> {
         let rows = self.u64()? as usize;
         let cols = self.u64()? as usize;
         let len = rows.checked_mul(cols).ok_or_else(|| CkptError::Corrupt {
             what: format!("{what}: {rows}x{cols} overflows"),
         })?;
-        // Re-check feasibility against the remaining bytes before allocating.
+        // Re-check feasibility against the remaining bytes before claiming.
         if len.checked_mul(8).map(|b| b > self.bytes.len() - self.pos).unwrap_or(true) {
             return Err(CkptError::Corrupt {
                 what: format!("{what}: {rows}x{cols} matrix exceeds remaining payload"),
             });
         }
-        let data = self.f64_vec(len)?;
-        Ok(Matrix::from_vec(rows, cols, data))
+        Ok(RawTable { rows, cols, bytes: self.take(len * 8)? })
+    }
+}
+
+/// A matrix table as it sits in the payload: its shape and its
+/// `rows × cols` little-endian f64 bit patterns, not yet copied out.
+struct RawTable<'a> {
+    rows: usize,
+    cols: usize,
+    bytes: &'a [u8],
+}
+
+impl RawTable<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    fn to_matrix(&self) -> Matrix {
+        Matrix::from_vec(self.rows, self.cols, f64s(self.bytes))
+    }
+}
+
+/// Little-endian f64 bit patterns, eight bytes each.
+fn f64s(raw: &[u8]) -> Vec<f64> {
+    raw.chunks_exact(8)
+        .map(|c| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(c);
+            f64::from_bits(u64::from_le_bytes(b))
+        })
+        .collect()
+}
+
+/// A checkpoint file that passed every check of the format, its tables
+/// still in place in the file's bytes. [`decode`] builds a [`Checkpoint`]
+/// from it; a registry check reads only its epoch and config.
+pub(crate) struct Walked<'a> {
+    epoch: u64,
+    lr_factor: f64,
+    retries_used: u32,
+    config: ConfigFingerprint,
+    epoch_losses: Vec<f64>,
+    order: Vec<u64>,
+    rng_state: [u64; 4],
+    params: Vec<(String, RawTable<'a>)>,
+    adam_t: u64,
+    adam_moments: Vec<(RawTable<'a>, RawTable<'a>)>,
+}
+
+impl Walked<'_> {
+    /// Training epoch the checkpoint was taken at.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The payload's config fingerprint.
+    pub(crate) fn config(&self) -> &ConfigFingerprint {
+        &self.config
+    }
+
+    /// Copies the tables out into an owned [`Checkpoint`]. Infallible: every
+    /// check ran during the walk.
+    pub(crate) fn build(self) -> Checkpoint {
+        Checkpoint {
+            epoch: self.epoch,
+            lr_factor: self.lr_factor,
+            retries_used: self.retries_used,
+            config: self.config,
+            epoch_losses: self.epoch_losses,
+            order: self.order,
+            rng_state: self.rng_state,
+            params: self
+                .params
+                .into_iter()
+                .map(|(name, table)| ParamBlob { name, value: table.to_matrix() })
+                .collect(),
+            adam_t: self.adam_t,
+            adam_moments: self
+                .adam_moments
+                .into_iter()
+                .map(|(m, v)| (m.to_matrix(), v.to_matrix()))
+                .collect(),
+        }
     }
 }
 
@@ -211,9 +286,18 @@ pub(crate) fn hash_file(bytes: &[u8]) -> (u64, u64) {
 ///
 /// `body_hash`, when given, must be the first half of [`hash_file`] over
 /// `bytes`; the trailer is then checked against it instead of hashing the
-/// body again. The frame checks that run first guarantee the body is
-/// exactly the bytes before the trailer whenever the trailer is compared.
+/// body again.
 pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<Checkpoint, CkptError> {
+    walk(bytes, body_hash).map(Walked::build)
+}
+
+/// Runs every check of the wire format over `bytes`, in a fixed order, and
+/// returns the checked payload with its tables left in place. A caller
+/// that only validates drops the result; [`decode`] copies the tables out,
+/// so both see the same first failure as the same typed error. The frame
+/// checks that run first guarantee the body is exactly the bytes before
+/// the trailer whenever the trailer is compared.
+pub(crate) fn walk(bytes: &[u8], body_hash: Option<u64>) -> Result<Walked<'_>, CkptError> {
     // Frame: magic, version, declared payload length, checksum trailer.
     if bytes.len() < MAGIC.len() {
         return Err(CkptError::Truncated {
@@ -325,8 +409,8 @@ pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<Checkpoint,
         let name = std::str::from_utf8(r.take(name_len)?)
             .map_err(|_| CkptError::Corrupt { what: format!("param {i} name is not UTF-8") })?
             .to_string();
-        let value = r.matrix(&format!("param `{name}`"))?;
-        params.push(ParamBlob { name, value });
+        let value = r.table(&format!("param `{name}`"))?;
+        params.push((name, value));
     }
 
     let adam_t = r.u64()?;
@@ -338,8 +422,8 @@ pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<Checkpoint,
     }
     let mut adam_moments = Vec::with_capacity(n_moments);
     for i in 0..n_moments {
-        let m = r.matrix(&format!("adam moment m[{i}]"))?;
-        let v = r.matrix(&format!("adam moment v[{i}]"))?;
+        let m = r.table(&format!("adam moment m[{i}]"))?;
+        let v = r.table(&format!("adam moment v[{i}]"))?;
         if m.shape() != v.shape() {
             return Err(CkptError::Corrupt {
                 what: format!(
@@ -358,7 +442,7 @@ pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<Checkpoint,
         });
     }
 
-    Ok(Checkpoint {
+    Ok(Walked {
         epoch,
         lr_factor,
         retries_used,

@@ -204,9 +204,10 @@ impl ModelRegistry {
     /// Fully validates generation `gen`: the manifest decodes, the
     /// checkpoint file matches the manifest's length and checksum, the
     /// payload decodes, and the payload's config fingerprint and epoch
-    /// agree with the manifest. Returns the manifest on success.
+    /// agree with the manifest. Returns the manifest on success. Runs the
+    /// checks [`Self::load`] runs, but copies no table out of the file.
     pub fn validate(&self, gen: u64) -> Result<GenerationManifest, CkptError> {
-        self.read_checked(gen).map(|(manifest, _, _)| manifest)
+        self.read_checked(gen, |_| ()).map(|(manifest, (), _)| manifest)
     }
 
     /// Loads (and fully validates) generation `gen`'s checkpoint. The
@@ -214,19 +215,24 @@ impl ModelRegistry {
     /// the manifest: the file is read once.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, CkptError> {
         let _t = pup_obs::time("io", "ckpt_load");
-        let (_, ckpt, len) = self.read_checked(gen)?;
+        let (_, ckpt, len) = self.read_checked(gen, |walked| walked.build())?;
         pup_obs::counter_add("ckpt.bytes_read", len as u64);
         Ok(ckpt)
     }
 
     /// The one read behind [`Self::validate`] and [`Self::load`]: reads the
-    /// checkpoint file once, hashes it in one pass and decodes it once.
-    /// Checks run in a fixed order, so the first failure names the same
-    /// typed error whichever caller asked: manifest, file length, file
+    /// checkpoint file once, hashes it in one pass and walks its payload
+    /// once. Checks run in a fixed order, so the first failure names the
+    /// same typed error whichever caller asked: manifest, file length, file
     /// checksum, then the checkpoint's frame, trailer and payload, then
-    /// config and epoch agreement. Returns the manifest, the checkpoint and
-    /// the file's length.
-    fn read_checked(&self, gen: u64) -> Result<(GenerationManifest, Checkpoint, usize), CkptError> {
+    /// config and epoch agreement. Only then does `finish` take the checked
+    /// payload. Returns the manifest, what `finish` made of the payload,
+    /// and the file's length.
+    fn read_checked<T>(
+        &self,
+        gen: u64,
+        finish: impl FnOnce(format::Walked<'_>) -> T,
+    ) -> Result<(GenerationManifest, T, usize), CkptError> {
         let manifest = self.manifest(gen)?;
         let bytes = fs::read(self.checkpoint_path(gen))?;
         if bytes.len() as u64 != manifest.ckpt_len {
@@ -244,13 +250,13 @@ impl ModelRegistry {
                 found: file_hash,
             });
         }
-        let ckpt = format::decode(&bytes, Some(body_hash))?;
-        if ckpt.config != manifest.config || ckpt.epoch != manifest.epoch {
+        let walked = format::walk(&bytes, Some(body_hash))?;
+        if *walked.config() != manifest.config || walked.epoch() != manifest.epoch {
             return Err(CkptError::StateMismatch {
                 what: format!("generation {gen} payload disagrees with its manifest"),
             });
         }
-        Ok((manifest, ckpt, bytes.len()))
+        Ok((manifest, finish(walked), bytes.len()))
     }
 
     /// Validates generation `gen` and atomically flips `CURRENT` to it.

@@ -471,9 +471,26 @@ impl Pup {
     }
 
     /// A branch's inference representations: every row propagated, no
-    /// dropout.
+    /// dropout. Trained tables are fixed, so the `n_layers` passes
+    /// `tanh(Â ·)` run on plain matrices, off the tape, with `Â`'s rows
+    /// split over every core; the result is the tape's, bit for bit.
     fn inference_repr(&self, branch: &Branch) -> Matrix {
-        branch.propagate(self.config.n_layers, &branch.a_hat).into_value()
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        self.inference_repr_blocks(branch, cores)
+    }
+
+    /// [`Self::inference_repr`] with `Â`'s rows split into `blocks` ranges.
+    fn inference_repr_blocks(&self, branch: &Branch, blocks: usize) -> Matrix {
+        let layer = |h: &Matrix| {
+            let out = branch.a_hat.spmm_map_blocks(h, blocks, f64::tanh);
+            pup_tensor::checks::assert_finite("Pup::inference_repr", "propagated table", &out);
+            out
+        };
+        let mut h = layer(&branch.emb.value());
+        for _ in 1..self.config.n_layers {
+            h = layer(&h);
+        }
+        h
     }
 
     /// Global-branch affinity between a user and each price level
@@ -513,9 +530,16 @@ impl Pup {
     /// category branch ([`PupVariant::Full`] only). The bipartite variant
     /// has no attribute node, so it folds to `[e_u] · [e_i]`.
     fn fold(&self) -> DotScorer {
-        let (lay, alpha, variant) = (&self.global.layout, self.config.alpha, self.config.variant);
         let global = self.inference_repr(&self.global);
-        let category = self.category.as_ref().map(|b| (self.inference_repr(b), &b.layout));
+        let category = self.category.as_ref().map(|b| self.inference_repr(b));
+        self.fold_from(global, category)
+    }
+
+    /// [`Self::fold`] over the given inference representations of the
+    /// global and (for [`PupVariant::Full`]) the category branch.
+    fn fold_from(&self, global: Matrix, category: Option<Matrix>) -> DotScorer {
+        let (lay, alpha, variant) = (&self.global.layout, self.config.alpha, self.config.variant);
+        let category = category.zip(self.category.as_ref().map(|b| &b.layout));
         let has_bias = variant != PupVariant::Bipartite;
         let width = global.cols()
             + category.as_ref().map_or(0, |(repr, _)| repr.cols())
@@ -1053,6 +1077,82 @@ mod tests {
         ];
         let config = PupConfig { dropout: 0.1, ..small_config(PupVariant::Full) };
         assert_restricted_step_is_exact(&config, &extras);
+    }
+
+    /// Test-only copy of the tape-based inference pass the off-tape fold
+    /// replaced: `n_layers` taped `tanh(spmm(Â, ·))` ops over the branch's
+    /// parameter.
+    fn tape_inference_repr(m: &Pup, branch: &Branch) -> Matrix {
+        branch.propagate(m.config.n_layers, &branch.a_hat).into_value()
+    }
+
+    /// Checks the off-tape fold of `m` against the tape oracle bit for bit:
+    /// each branch's representations under every block count in `blocks`
+    /// (and the machine's), then the folded scorer.
+    fn assert_fold_matches_tape(m: &Pup, blocks: &[usize], label: &str) {
+        let branches = std::iter::once(&m.global).chain(m.category.as_ref());
+        let oracle: Vec<Matrix> = branches.clone().map(|b| tape_inference_repr(m, b)).collect();
+        for (branch, want) in branches.zip(&oracle) {
+            for &n in blocks {
+                let got = m.inference_repr_blocks(branch, n);
+                assert_eq!(got.shape(), want.shape(), "{label}, {n} block(s)");
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{label}, {n} block(s)");
+            }
+            let got = m.inference_repr(branch);
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{label}, all cores");
+        }
+        let mut oracle = oracle.into_iter();
+        let global = oracle.next().expect("a global branch");
+        let want = m.fold_from(global, oracle.next());
+        let got = m.fold();
+        assert_eq!(bits(got.users.as_slice()), bits(want.users.as_slice()), "{label}: users");
+        for user in 0..m.n_users() {
+            let (g, w) = (got.score_items(user), want.score_items(user));
+            assert_eq!(bits(&g), bits(&w), "{label}: scores of user {user}");
+        }
+    }
+
+    const VARIANTS: [PupVariant; 4] =
+        [PupVariant::Full, PupVariant::PriceOnly, PupVariant::CategoryOnly, PupVariant::Bipartite];
+
+    #[test]
+    fn fold_matches_the_tape_on_tiny_graphs() {
+        /// Training pairs, item prices, item categories and the user count.
+        type Graph = (&'static [(usize, usize)], &'static [usize], &'static [usize], usize);
+        // 4, 5, 7 and 9 rows.
+        let graphs: [Graph; 4] = [
+            (&[(0, 0)], &[0], &[0], 1),
+            (&[(0, 0), (1, 0)], &[0], &[0], 2),
+            (&[(0, 0), (1, 1), (2, 1)], &[0, 0], &[0, 0], 3),
+            (&[(0, 0), (1, 1), (2, 2), (0, 2)], &[0, 1, 1], &[0, 0, 0], 3),
+        ];
+        for (train, price, cat, n_users) in graphs {
+            let data = price_data(train, price, cat, n_users);
+            for variant in VARIANTS {
+                for n_layers in 1..=3 {
+                    let config = PupConfig { n_layers, ..small_config(variant) };
+                    let m = Pup::new(&data, config);
+                    let rows = m.global.layout.total();
+                    let label = format!("{variant:?}, {n_layers} layer(s), {rows} rows");
+                    let blocks: Vec<usize> = (0..=rows + 1).collect();
+                    assert_fold_matches_tape(&m, &blocks, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_tape_on_a_generated_catalog() {
+        let (dataset, split) = fixture();
+        let data = TrainData::new(&dataset, &split);
+        for variant in VARIANTS {
+            for n_layers in 1..=3 {
+                let m = Pup::new(&data, PupConfig { n_layers, ..small_config(variant) });
+                let rows = m.global.layout.total();
+                let label = format!("{variant:?}, {n_layers} layer(s), {rows} rows");
+                assert_fold_matches_tape(&m, &[1, 2, 3, 4, 7, rows - 1, rows, rows + 1], &label);
+            }
+        }
     }
 
     #[test]

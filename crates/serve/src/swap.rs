@@ -6,7 +6,8 @@
 //!
 //! ```text
 //!            initiate_swap(to_gen)
-//!                   │ validate: manifest + checksum + decode + NaN probe
+//!                   │ validate: manifest + checksum + decode (beside the
+//!                   │ candidate's build) + NaN probe
 //!                   │ (failure → RolledBack(ValidationFailed | NanProbe),
 //!                   │  recorded, N keeps serving)
 //!                   ▼
@@ -604,7 +605,8 @@ fn mean_abs_delta(served: &[u32], primary: &[f64], shadow: &[f64]) -> f64 {
 /// payload decode, NaN probe), and opens the shadow window with the
 /// probed scorer as the shared candidate. A validation failure is an
 /// *instant* rollback — recorded in the trace, surfaced as a typed
-/// [`SwapError`], serving generation untouched.
+/// [`SwapError`], serving generation untouched. The registry check runs
+/// beside the candidate's build (see [`checked_build`]).
 pub fn initiate_swap(
     shared: &ServiceShared,
     registry: &ModelRegistry,
@@ -623,10 +625,7 @@ pub fn initiate_swap(
         shared.swap.record_rejected(seq, to_gen, RollbackReason::ValidationFailed);
         Err(SwapError::Validation { gen: to_gen, detail })
     };
-    if let Err(e) = registry.validate(to_gen) {
-        return invalid(e.to_string());
-    }
-    let probe: Arc<dyn Scorer> = match factory(to_gen) {
+    let probe: Arc<dyn Scorer> = match checked_build(registry, factory, to_gen) {
         Ok(p) => Arc::from(p),
         Err(detail) => return invalid(detail),
     };
@@ -647,6 +646,30 @@ pub fn initiate_swap(
         }
     }
     shared.swap.begin_shadow(&shared.faults, seq, to_gen, probe, forced_divergence)
+}
+
+/// Checks generation `to_gen` in `registry` and builds its scorer, the two
+/// side by side: the check on a scoped thread of its own, the build on the
+/// caller's thread, so the factory's telemetry stays where it was. The
+/// verdict is the serial one: a failed check wins, with its own detail,
+/// whatever the build did; a passed check returns the build's result. If
+/// no thread can be started, the check runs first and the build only after
+/// it passed, as in a serial swap.
+fn checked_build(
+    registry: &ModelRegistry,
+    factory: &GenScorerFactory,
+    to_gen: u64,
+) -> Result<Box<dyn Scorer>, String> {
+    std::thread::scope(|s| {
+        let check = std::thread::Builder::new().spawn_scoped(s, || registry.validate(to_gen));
+        let built = check.is_ok().then(|| factory(to_gen));
+        let checked = match check {
+            Ok(handle) => handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => registry.validate(to_gen),
+        };
+        checked.map_err(|e| e.to_string())?;
+        built.unwrap_or_else(|| factory(to_gen))
+    })
 }
 
 /// Installs the standard durable promotion hook: the registry's atomic

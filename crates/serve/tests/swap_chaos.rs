@@ -353,3 +353,64 @@ fn same_fault_schedule_replays_identical_transition_traces() {
     assert_eq!(first[2].outcome, SwapOutcome::Promoted);
     assert_eq!((first[2].from_gen, first[2].to_gen), (0, 2));
 }
+
+// --- the registry check beside the candidate's build ------------------------
+
+/// A factory that builds without reading the registry, or fails with a
+/// fixed message of its own.
+fn detached_factory(fail_with: Option<&'static str>) -> GenScorerFactory {
+    Arc::new(move |_gen| match fail_with {
+        Some(detail) => Err(detail.to_string()),
+        None => Ok(Box::new(GenScorer { n_items: N_ITEMS }) as Box<dyn Scorer>),
+    })
+}
+
+/// Runs one swap attempt to generation 1, with `factory` building the
+/// candidate, and returns its error, after checking that the attempt left
+/// generation 0 serving, durable, and without a shadow window, with one
+/// rejection in the trace.
+fn rejected_swap(tag: &str, plan: FaultPlan, factory: &GenScorerFactory) -> SwapError {
+    let dir = scratch_dir(tag);
+    let reg = seeded_registry(&dir, 2);
+    let shared = make_shared(plan, swap_cfg(3));
+    wire_registry_promotion(&shared, reg.clone());
+    let mut model = WorkerModel::build(&shared, &detached_factory(None)).expect("worker build");
+    let err = initiate_swap(&shared, &reg, factory, 1).expect_err("swap rejected");
+    assert_eq!(shared.swap.shadow_pending(), None, "{tag}: no shadow window opened");
+    assert_eq!(shared.swap.active_gen(), 0, "{tag}: serving generation untouched");
+    assert_eq!(reg.current().expect("current"), Some(0), "{tag}: CURRENT did not move");
+    let trace = shared.swap.transitions();
+    assert_eq!(trace.len(), 1, "{tag}: one rejection recorded");
+    assert_eq!(trace[0].outcome, SwapOutcome::RolledBack(RollbackReason::ValidationFailed));
+    assert_eq!(shared.swap.rollbacks(), 1, "{tag}");
+    assert_eq!(serve(&mut model, &shared, 0).source, Source::Primary);
+    // The damage (if any) is still on disk: the registry's own verdict on
+    // the candidate, for the caller to compare against.
+    if let Err(e) = reg.validate(1) {
+        assert_eq!(err, SwapError::Validation { gen: 1, detail: e.to_string() }, "{tag}");
+    }
+    fs::remove_dir_all(&dir).ok();
+    err
+}
+
+#[test]
+fn corrupt_candidate_is_rejected_even_when_the_build_never_reads_it() {
+    let plan = FaultPlan::none().with_swap_corruption([0]);
+    let err = rejected_swap("detached-corrupt", plan, &detached_factory(None));
+    assert!(matches!(&err, SwapError::Validation { gen: 1, .. }), "got {err:?}");
+}
+
+#[test]
+fn a_failed_check_and_a_failed_build_report_the_check() {
+    let plan = FaultPlan::none().with_swap_corruption([0]);
+    let err = rejected_swap("both-fail", plan, &detached_factory(Some("build refused")));
+    let SwapError::Validation { gen: 1, detail } = &err else { panic!("got {err:?}") };
+    assert_ne!(detail, "build refused", "the registry check's detail wins");
+}
+
+#[test]
+fn a_failed_build_alone_reports_the_build() {
+    let err =
+        rejected_swap("build-fails", FaultPlan::none(), &detached_factory(Some("build refused")));
+    assert_eq!(err, SwapError::Validation { gen: 1, detail: "build refused".to_string() });
+}

@@ -217,6 +217,21 @@ impl CsrMatrix {
     /// # Panics
     /// Panics when inner dimensions disagree.
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        self.spmm_rows_into(dense, 0, out.as_mut_slice());
+        out
+    }
+
+    /// Rows `first..first + out.len() / d` of `self * dense`, written over
+    /// `out` (row-major, `d = dense.cols()` values a row). Each row starts
+    /// at zero and adds its entries in stored order, so any split of the
+    /// rows into ranges reproduces [`Self::spmm`] bit for bit. Allocates
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics when inner dimensions disagree, or when `out` is not a whole
+    /// number of rows within `self`'s.
+    pub fn spmm_rows_into(&self, dense: &Matrix, first: usize, out: &mut [f64]) {
         // pup-audit: allow(hotpath-panic): fail-fast shape precondition
         assert_eq!(
             self.cols,
@@ -228,22 +243,74 @@ impl CsrMatrix {
             dense.cols()
         );
         let d = dense.cols();
-        let mut out = Matrix::zeros(self.rows, d);
-        for r in 0..self.rows {
-            // Split borrow: the output row and the input rows never alias.
+        // pup-audit: allow(hotpath-panic): fail-fast precondition: the output range lies within the rows
+        assert!(
+            d == 0 || (out.len().is_multiple_of(d) && first + out.len() / d <= self.rows),
+            "spmm: {} values from row {first} do not fit {} rows of {d}",
+            out.len(),
+            self.rows
+        );
+        if d == 0 {
+            return;
+        }
+        for (r, dst) in (first..).zip(out.chunks_exact_mut(d)) {
+            dst.fill(0.0);
             // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
             for e in self.indptr[r]..self.indptr[r + 1] {
                 // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
                 let c = self.indices[e];
                 // pup-audit: allow(hotpath-panic): CSR invariant: indptr has rows + 1 entries; indices/values are indexed by indptr ranges
                 let v = self.values[e];
-                let src = dense.row(c);
-                // pup-audit: allow(hotpath-panic): row slice in-bounds by the shape assert above
-                let dst = &mut out.as_mut_slice()[r * d..(r + 1) * d];
-                for (o, &s) in dst.iter_mut().zip(src) {
+                for (o, &s) in dst.iter_mut().zip(dense.row(c)) {
                     *o += v * s;
                 }
             }
+        }
+    }
+
+    /// `f` of every entry of `self * dense`, with the rows split into
+    /// `blocks` contiguous ranges of near-equal length, each written into
+    /// its own slice of the one output: the first range on the calling
+    /// thread, every other on a scoped thread of its own. A range runs
+    /// [`Self::spmm_rows_into`] and then `f` in place, and allocates
+    /// nothing, so the result is `self.spmm(dense).map(f)` bit for bit,
+    /// whatever `blocks` is. A range whose thread cannot be started runs on
+    /// the calling thread afterwards.
+    ///
+    /// # Panics
+    /// Panics when inner dimensions disagree.
+    pub fn spmm_map_blocks(
+        &self,
+        dense: &Matrix,
+        blocks: usize,
+        f: impl Fn(f64) -> f64 + Sync,
+    ) -> Matrix {
+        let d = dense.cols();
+        let mut out = Matrix::zeros(self.rows, d);
+        let per = self.rows.div_ceil(blocks.max(1)).max(1);
+        let run = |first: usize, block: &mut [f64]| {
+            self.spmm_rows_into(dense, first, block);
+            for x in block.iter_mut() {
+                *x = f(*x);
+            }
+        };
+        let chunk = (per * d).max(1);
+        let mut missed = Vec::new();
+        std::thread::scope(|s| {
+            let mut ranges = out.as_mut_slice().chunks_mut(chunk).enumerate();
+            let head = ranges.next();
+            for (b, block) in ranges {
+                let run = &run;
+                if std::thread::Builder::new().spawn_scoped(s, move || run(b * per, block)).is_err()
+                {
+                    missed.push(b);
+                }
+            }
+            run(0, head.map_or(&mut [], |(_, block)| block));
+        });
+        for b in missed {
+            let end = ((b + 1) * chunk).min(out.as_slice().len());
+            run(b * per, &mut out.as_mut_slice()[b * chunk..end]);
         }
         out
     }
@@ -433,6 +500,60 @@ mod tests {
     #[should_panic(expected = "out of 3 rows")]
     fn select_rows_rejects_out_of_range_rows() {
         let _ = sample().select_rows(&[3]);
+    }
+
+    /// A `rows x 5` matrix with 0 to 3 entries a row (so some rows are
+    /// empty) and values that round differently in every order.
+    fn uneven(rows: usize) -> CsrMatrix {
+        let triplets: Vec<(usize, usize, f64)> = (0..rows)
+            .flat_map(|r| {
+                (0..(r * 7 + 2) % 4)
+                    .map(move |k| (r, (r * 3 + k * 2) % 5, 0.1 * (r + k) as f64 + 1.0 / 3.0))
+            })
+            .collect();
+        CsrMatrix::from_triplets(rows, 5, &triplets)
+    }
+
+    fn bits(m: &[f64]) -> Vec<u64> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_split_of_the_rows_concatenates_to_spmm() {
+        let d = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) as f64 * 0.7).sin() * 1e3);
+        for rows in [1, 2, 3, 5, 7] {
+            let s = uneven(rows);
+            let want = s.spmm(&d);
+            // Each bit of `cuts` says whether a range ends after that row.
+            for cuts in 0u32..1 << (rows - 1) {
+                let mut got = vec![f64::NAN; rows * 3];
+                let mut first = 0;
+                for r in 0..rows {
+                    if r + 1 == rows || cuts & (1 << r) != 0 {
+                        s.spmm_rows_into(&d, first, &mut got[first * 3..(r + 1) * 3]);
+                        first = r + 1;
+                    }
+                }
+                assert_eq!(bits(&got), bits(want.as_slice()), "{rows} rows, cuts {cuts:b}");
+            }
+            for blocks in 0..=rows + 2 {
+                let got = s.spmm_map_blocks(&d, blocks, f64::tanh);
+                let want = want.map(f64::tanh);
+                assert_eq!(got.shape(), want.shape());
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "{rows} rows, {blocks} blocks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn a_row_range_past_the_last_row_is_refused() {
+        let d = Matrix::ones(5, 2);
+        uneven(3).spmm_rows_into(&d, 2, &mut [0.0; 4]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
-#                               # hot-path allocation count, the certified top-K
-#                               # differential, the training pin and the
+#                               # hot-path allocation count, the certified top-K and
+#                               # inference fold differentials, the training pin and the
 #                               # checkpoint and graph integrity tests only)
 #
 # Exits non-zero on the first failing step.
@@ -27,6 +27,9 @@ step cargo run -p pup-analysis --quiet -- audit-concurrency
 step cargo run -p pup-analysis --quiet -- audit-hotpath
 step cargo test -q -p pup-recsys --test hot_allocs
 step cargo test -q -p pup-recsys --test certified_topk
+step cargo test -q -p pup-models --lib fold_matches_the_tape
+step cargo test -q -p pup-tensor --lib every_split_of_the_rows
+step cargo test -q -p pup-tensor --test spmm_blocks_alloc
 step cargo test -q -p pup-models --test training_pin
 # Data, checkpoint and graph integrity: the CSV loader and split against
 # their set-based reference, registry error parity on every path, and the
