@@ -11,9 +11,9 @@
 //! and the rate limiter's per-request admission decision alone.
 //! The scan group prices one top-K request over a serve-scale table
 //! (15,255 items × 65, the folded PUP's shape): the exact f64 scan and
-//! the certified f32 pass, back to back and paced one scan per 10 ms, as
-//! at 100 requests/s over two workers, when the table is no longer in
-//! cache.
+//! the certified pass over the scorer's compact copy of its table, back
+//! to back and paced one scan per 10 ms, as at 100 requests/s over two
+//! workers, when the table is no longer in cache.
 
 #![allow(clippy::expect_used)]
 

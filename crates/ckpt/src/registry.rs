@@ -188,14 +188,31 @@ impl ModelRegistry {
     /// This is the crash-recovery entry point — a corrupt pointer or a
     /// damaged current generation degrades to the best earlier one.
     pub fn serving_generation(&self) -> Result<GenerationManifest, CkptError> {
-        if let Ok(Some(gen)) = self.current() {
-            if let Ok(m) = self.validate(gen) {
-                return Ok(m);
-            }
+        self.first_serving(|gen| self.validate(gen))
+    }
+
+    /// [`Self::serving_generation`] and [`Self::load`] in one read: the
+    /// generation a server should load, in the same fallback order, and
+    /// its checkpoint, decoded from the very bytes checked against the
+    /// manifest. Each generation tried is read once.
+    pub fn load_serving(&self) -> Result<(GenerationManifest, Checkpoint), CkptError> {
+        let _t = pup_obs::time("io", "ckpt_load");
+        self.first_serving(|gen| self.load_checked(gen))
+    }
+
+    /// The first success of `try_gen` on the `CURRENT` pointee, then on
+    /// every other listed generation, newest first.
+    fn first_serving<T>(
+        &self,
+        mut try_gen: impl FnMut(u64) -> Result<T, CkptError>,
+    ) -> Result<T, CkptError> {
+        let current = self.current().ok().flatten();
+        if let Some(found) = current.and_then(|gen| try_gen(gen).ok()) {
+            return Ok(found);
         }
-        for m in self.list()?.into_iter().rev() {
-            if self.validate(m.gen).is_ok() {
-                return Ok(m);
+        for m in self.list()?.into_iter().rev().filter(|m| Some(m.gen) != current) {
+            if let Ok(found) = try_gen(m.gen) {
+                return Ok(found);
             }
         }
         Err(CkptError::NoCheckpoint)
@@ -215,19 +232,25 @@ impl ModelRegistry {
     /// the manifest: the file is read once.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, CkptError> {
         let _t = pup_obs::time("io", "ckpt_load");
-        let (_, ckpt, len) = self.read_checked(gen, |walked| walked.build())?;
-        pup_obs::counter_add("ckpt.bytes_read", len as u64);
-        Ok(ckpt)
+        self.load_checked(gen).map(|(_, ckpt)| ckpt)
     }
 
-    /// The one read behind [`Self::validate`] and [`Self::load`]: reads the
-    /// checkpoint file once, hashes it in one pass and walks its payload
-    /// once. Checks run in a fixed order, so the first failure names the
-    /// same typed error whichever caller asked: manifest, file length, file
-    /// checksum, then the checkpoint's frame, trailer and payload, then
-    /// config and epoch agreement. Only then does `finish` take the checked
-    /// payload. Returns the manifest, what `finish` made of the payload,
-    /// and the file's length.
+    /// [`Self::read_checked`] building the checkpoint, with its bytes
+    /// counted once.
+    fn load_checked(&self, gen: u64) -> Result<(GenerationManifest, Checkpoint), CkptError> {
+        let (manifest, ckpt, len) = self.read_checked(gen, |walked| walked.build())?;
+        pup_obs::counter_add("ckpt.bytes_read", len as u64);
+        Ok((manifest, ckpt))
+    }
+
+    /// The one read behind [`Self::validate`], [`Self::load`] and
+    /// [`Self::load_serving`]: reads the checkpoint file once, hashes it in
+    /// one pass and walks its payload once. Checks run in a fixed order, so
+    /// the first failure names the same typed error whichever caller asked:
+    /// manifest, file length, file checksum, then the checkpoint's frame,
+    /// trailer and payload, then config and epoch agreement. Only then does
+    /// `finish` take the checked payload. Returns the manifest, what
+    /// `finish` made of the payload, and the file's length.
     fn read_checked<T>(
         &self,
         gen: u64,

@@ -419,3 +419,43 @@ fn registry_load_records_one_timing_and_its_bytes_once() {
     assert_eq!(loaded.counter("ckpt.bytes_read"), Some(m.ckpt_len), "the file, counted once");
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn load_serving_falls_back_like_serving_generation_and_reads_one_file() {
+    let dir = scratch_dir("load-serving");
+    let reg = ModelRegistry::open(&dir).expect("open");
+    let g0 = reg.publish(&sample_checkpoint(1)).expect("publish g0");
+    let g1 = reg.publish(&sample_checkpoint(2)).expect("publish g1");
+    let g2 = reg.publish(&sample_checkpoint(3)).expect("publish g2");
+    reg.promote(g1.gen).expect("promote g1");
+
+    // Returns what serving_generation then load return, with one timed
+    // load and the bytes of one file.
+    let load_serving = |want: &pup_ckpt::registry::GenerationManifest, epoch| {
+        assert_eq!(reg.serving_generation().expect("serving"), *want);
+        pup_obs::start();
+        let (m, ckpt) = reg.load_serving().expect("load serving");
+        let obs = pup_obs::finish();
+        assert_eq!(m, *want);
+        assert_eq!(ckpt.to_bytes(), sample_checkpoint(epoch).to_bytes());
+        assert_eq!(obs.hist("io.ckpt_load").map(|h| h.count), Some(1), "one timed load");
+        assert_eq!(obs.counter("ckpt.bytes_read"), Some(want.ckpt_len), "one file's bytes");
+    };
+    // CURRENT wins over the newer generation 2.
+    load_serving(&g1, 2);
+    // A corrupt CURRENT generation falls back to the newest valid one.
+    reg.corrupt_generation_for_chaos(g1.gen).expect("corrupt g1");
+    load_serving(&g2, 3);
+    // So does a corrupt pointer.
+    reg.promote(g0.gen).expect("promote g0");
+    chaos::flip_byte(&dir.join("CURRENT"), 10).expect("flip pointer");
+    load_serving(&g2, 3);
+    reg.corrupt_generation_for_chaos(g2.gen).expect("corrupt g2");
+    load_serving(&g0, 1);
+
+    // Nothing valid left: the same typed error.
+    reg.corrupt_generation_for_chaos(g0.gen).expect("corrupt g0");
+    assert!(matches!(reg.serving_generation(), Err(CkptError::NoCheckpoint)));
+    assert!(matches!(reg.load_serving(), Err(CkptError::NoCheckpoint)));
+    fs::remove_dir_all(&dir).ok();
+}

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pup_data::io::{load_dataset, save_dataset, IdMaps};
 use pup_data::synthetic::{amazon_like, beibei_like, yelp_like};
@@ -760,15 +760,35 @@ fn start_serving(
     serve_cfg.deadline_ns = (deadline_ms * 1e6) as u64;
     serve_cfg.max_retries = get_parsed(flags, "retries", serve_cfg.max_retries)?;
 
+    // Telemetry starts before the first checkpoint read, so set-up's read
+    // is counted with the rest.
+    let telemetry = flags.get("telemetry").map(PathBuf::from);
+    if telemetry.is_some() {
+        pup_obs::start();
+    }
+
     // Where generations come from, and which one serves first.
     type LoadCheckpoint = Box<dyn Fn(u64) -> Result<pup_ckpt::Checkpoint, String> + Send + Sync>;
     let (load_ckpt, serving_gen, source): (LoadCheckpoint, _, _) =
         match (&registry, flags.get("checkpoint-dir")) {
             (Some(reg), _) => {
-                let gen = reg.serving_generation().map_err(|e| e.to_string())?.gen;
+                let (manifest, first) = reg.load_serving().map_err(|e| e.to_string())?;
+                let gen = manifest.gen;
                 let source = format!("registry generation {gen} in {}", reg.dir().display());
                 let reg = reg.clone();
-                let load = move |gen| reg.load(gen).map_err(|e| format!("generation {gen}: {e}"));
+                // The first build restores from the checkpoint read here;
+                // later builds (swaps) read their generation afresh.
+                let first = Mutex::new(Some(first));
+                let load = move |to_gen| {
+                    let preloaded = first
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .take_if(|_| to_gen == gen);
+                    match preloaded {
+                        Some(ckpt) => Ok(ckpt),
+                        None => reg.load(to_gen).map_err(|e| format!("generation {to_gen}: {e}")),
+                    }
+                };
                 (Box::new(load), Some(gen), source)
             }
             (None, Some(dir)) => {
@@ -784,10 +804,6 @@ fn start_serving(
             (None, None) => return Err("either --checkpoint-dir or --registry is required".into()),
         };
 
-    let telemetry = flags.get("telemetry").map(PathBuf::from);
-    if telemetry.is_some() {
-        pup_obs::start();
-    }
     let slo_spec = match flags.get("slo").map(String::as_str) {
         None => None,
         Some("default") => Some(pup_obs::slo::SloSpec::default()),

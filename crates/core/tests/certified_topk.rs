@@ -3,17 +3,20 @@
 //! `Recommender::try_top_k` followed by `Shortlist::rank` must equal
 //! `try_score_items` followed by `try_rank_candidates` bit for bit: the
 //! same ids in the same order, and the same typed error. The dot-product
-//! decoder (`DotScorer`) answers from an f32 copy of its item table and
-//! rescores only the candidates its error bound cannot rule out, so this
-//! checks that bound end to end:
+//! decoder (`DotScorer`) answers from a per-row-scaled i8 copy of its item
+//! table against the user's row in i16, and rescores only the candidates
+//! its error bound cannot rule out, so this checks that bound end to end:
 //!
 //! - every restorable model kind, restored from its checkpoint, and its
 //!   frozen form, at k = 0, 1, 20, 50 and more than the candidates, over
 //!   all items, a subset, the unseen items and no item at all (a user who
 //!   has seen everything), plus an out-of-range user;
 //! - exact ties (duplicate item rows) and signed zeros;
-//! - NaN, ±inf, subnormal and huge entries, which take the exact path;
-//! - an item pair whose f32 scores order the other way round from their
+//! - NaN, ±inf, subnormal and huge entries, and rows wider than 516,
+//!   which take the exact path;
+//! - item rows and user rows with one dominant entry, whose small entries
+//!   round to code 0, and user codes at ±32767;
+//! - an item pair whose i8 scores order the other way round from their
 //!   f64 scores, and tables of near-duplicate rows, where such reversals
 //!   are common;
 //! - proptest-generated tables.
@@ -207,24 +210,93 @@ fn non_finite_subnormal_and_huge_entries_take_the_exact_path() {
     assert_eq!(sweep_table(&model, 2), 0);
 }
 
+/// `row`'s i8 score against a user row of ones: `s·Σq`, with
+/// `s = max|row| / 127` (in f32) and `q = round(row / s)`.
+fn code_score(row: &[f64]) -> f64 {
+    let scale = f64::from(row.iter().fold(0.0f64, |m, x| m.max(x.abs())) as f32 / 127.0);
+    scale * row.iter().map(|x| (x / scale).round()).sum::<f64>()
+}
+
 #[test]
 fn a_rounding_reversal_keeps_the_exact_winner() {
-    // Near 1, f32 values are 2^-23 apart. Item 0 rounds its first entry
-    // down by 0.49 of that step and item 1 rounds its first entry up by
-    // 0.49, so item 1 wins in f32 although item 0 wins in f64 by 0.02.
-    let ulp = f64::from(f32::EPSILON);
-    let items = vec![1.0 + 0.49 * ulp, 0.25, 1.0 + 0.51 * ulp, 0.25 - 0.04 * ulp];
-    let (a, b) = (&items[..2], &items[2..]);
+    // Both rows have scale 1/127. Item 0's second entry rounds down by
+    // 0.49 of a step and item 1's rounds up by 0.49, so item 1 wins on
+    // codes although item 0 wins in f64 by 0.02 of a step.
+    let step = 1.0 / 127.0;
+    let items = vec![1.0, 10.49 * step, 0.0, 1.0, 10.51 * step, -0.04 * step];
+    let (a, b) = (&items[..3], &items[3..]);
     let exact = |row: &[f64]| row.iter().sum::<f64>();
-    let approx = |row: &[f64]| row.iter().map(|&x| x as f32).sum::<f32>();
-    assert!(exact(a) > exact(b) && approx(a) < approx(b), "the pair reverses");
-    let model = scorer(2, vec![1.0, 1.0], items);
+    assert!(exact(a) > exact(b) && code_score(a) < code_score(b), "the pair reverses");
+    let model = scorer(3, vec![1.0, 1.0, 1.0], items);
     assert!(same_top_k(&model, 0, Candidates::Ids(&[0, 1]), 1));
     sweep_table(&model, 2);
 }
 
+#[test]
+fn a_dominant_item_entry_leaves_a_residual_the_bound_covers() {
+    // Every second entry is below half a step of its row's scale
+    // (0.0039 < 0.5 · 0.998 / 127), so all round to code 0, and the rows
+    // differ on codes only by their first entry: item 1 wins on codes,
+    // item 0 in f64. Only the residual term `t‖p‖·r_i` keeps item 0 in
+    // the shortlist.
+    let items = vec![
+        0.998, 0.0039, // 0: 1.0019, codes 0.998
+        1.0, 0.0, // 1: 1.0, codes 1.0
+        0.5, 0.003, // 2
+        -1.0, 0.002, // 3
+    ];
+    let model = scorer(2, vec![1.0, 1.0, 0.5, -2.0], items);
+    assert!(same_top_k(&model, 0, Candidates::Ids(&[0, 1, 2, 3]), 1));
+    assert!(sweep_table(&model, 4) > 0);
+}
+
+#[test]
+fn a_dominant_user_entry_leaves_a_residual_the_bound_covers() {
+    // The user's second entry is a third of a code step, so it rounds to
+    // code 0. The item rows are exact multiples of their scales (no item
+    // residual), and on codes item 0 (0.98438) beats item 1 (0.984375),
+    // while in f64 item 1 wins by 5e-6. Only `‖ρ_u‖` keeps item 1.
+    let delta = 1e-5;
+    let s0 = f64::from((0.98438f64 / 127.0) as f32);
+    let items = vec![127.0 * s0, 0.0, 126.0 / 128.0, 127.0 / 128.0];
+    assert!(126.0 / 128.0 < 127.0 * s0 && 127.0 * s0 < 126.0 / 128.0 + delta * 127.0 / 128.0);
+    let model = scorer(2, vec![1.0, delta], items);
+    assert!(same_top_k(&model, 0, Candidates::Ids(&[0, 1]), 1));
+    sweep_table(&model, 2);
+}
+
+#[test]
+fn user_codes_at_the_limit_stay_in_range() {
+    // `t = 2^-10` exactly, so the largest entries sit at ±32767·t and
+    // round to codes ±32767.
+    let t = 1.0 / 1024.0;
+    let users =
+        vec![32_767.0 * t, -32_767.0 * t, 5.0 * t, 0.3, -32_767.0 * t, 32_767.0 * t, 0.0, 1.0];
+    let mut rng = StdRng::seed_from_u64(11);
+    let items: Vec<f64> = (0..40 * 4).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let model = scorer(4, users, items);
+    assert!(sweep_table(&model, 40) > 0);
+}
+
+#[test]
+fn rows_wider_than_516_take_the_exact_path() {
+    // At width 516 the largest codes give `p · q = 516·32767·127`, just
+    // below 2^31; one more entry would overflow i32.
+    let mut rng = StdRng::seed_from_u64(13);
+    for (width, certified) in [(516, true), (517, false)] {
+        let n_items = 30;
+        let mut items: Vec<f64> = vec![1.0; width];
+        items.extend(vec![-1.0; width]);
+        items.extend((0..(n_items - 2) * width).map(|_| rng.gen_range(-1.0..1.0)));
+        let mut users = vec![1.0; width];
+        users.extend((0..width).map(|_| rng.gen_range(-1.0..1.0)));
+        let model = scorer(width, users, items);
+        assert_eq!(sweep_table(&model, n_items) > 0, certified, "width {width}");
+    }
+}
+
 /// A table of `n_items` rows, each a small relative perturbation of one
-/// base row: f32 rounding reorders many of their scores.
+/// base row: rounding to codes reorders many of their scores.
 fn near_duplicates(rng: &mut StdRng, d: usize, n_items: usize, spread: f64) -> Vec<f64> {
     let base: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
     (0..n_items)

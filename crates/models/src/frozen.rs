@@ -9,10 +9,12 @@
 //! BPR-MF, PaDQ, GC-MC, NGCF and PUP (whose eq. 7 `Pup::finalize` folds
 //! into one dot product per item) all freeze into [`DotScorer`].
 //!
-//! [`DotScorer`] ranks a top-K request from a certified f32 pass: it
-//! scores every candidate from an f32 copy of its item table, bounds each
-//! score's distance to the exact f64 score, and rescores in f64 only the
-//! candidates whose bound can still reach the top K (DESIGN.md §17).
+//! [`DotScorer`] ranks a top-K request from a certified integer pass: it
+//! keeps a per-row-scaled i8 copy of its item table, scores every
+//! candidate exactly in integers against the user's row rounded to i16,
+//! bounds each score's distance to the exact f64 score, and rescores in
+//! f64 only the candidates whose bound can still reach the top K
+//! (DESIGN.md §17).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,58 +44,109 @@ pub struct DotScorer {
     /// The user representations, one row per user.
     pub(crate) users: Arc<Matrix>,
     items: Arc<Matrix>,
-    /// The f32 copy of `items` the certified top-K pass reads; `None` when
+    /// The i8 copy of `items` the certified top-K pass reads; `None` when
     /// the table is outside the bound's valid range.
-    mirror: Option<Arc<Mirror>>,
+    codes: Option<Arc<ItemCodes>>,
 }
 
-/// An f32 copy of an item table, with what the certified bound needs.
+/// A per-row-scaled i8 copy of an item table, with what the certified
+/// bound needs.
 #[derive(Clone, Debug)]
-struct Mirror {
-    /// `items` rounded to f32, row-major.
-    items: Vec<f32>,
-    /// The L2 norm of each f64 item row.
-    norms: Vec<f64>,
-    /// The bound's constant for this row width ([`bound_constant`]).
+struct ItemCodes {
+    /// `q_i = round(e_i / s_i)`, row-major, each in `[−127, 127]`.
+    codes: Vec<i8>,
+    /// Each row's scale and bound terms.
+    rows: Vec<RowScale>,
+    /// The bound's rounding coefficient for this row width
+    /// ([`rounding_coefficient`]).
     c: f64,
+}
+
+/// One item row's scale and the two norms its bound reads. Stored as
+/// f32, since the pass reads every row's: rounded up, they only widen
+/// the bound.
+#[derive(Clone, Copy, Debug)]
+struct RowScale {
+    /// `s_i = max|e_i| / 127`, rounded up to f32; the codes are rounded
+    /// against this exact value.
+    scale: f32,
+    /// `r_i ≥ ‖e_i − s_i·q_i‖`.
+    residual: f32,
+    /// `‖e_i‖`, rounded up.
+    norm: f32,
 }
 
 /// The smallest nonzero row norm the bound admits, 2^-40: above it, an
 /// underflow's absolute error is a negligible share of `‖e_u‖·‖e_i‖`.
 const NORM_MIN: f64 = 1.0 / 1_099_511_627_776.0;
-/// The largest row norm the bound admits, 2^60: below it, no f32 value,
-/// product or partial sum can overflow.
+/// The largest row norm the bound admits, 2^60: below it, every stored
+/// scale and norm fits f32, and no f64 product or sum overflows.
 const NORM_MAX: f64 = 1_152_921_504_606_846_976.0;
-/// The widest row the bound admits; `n·u` stays far below 1.
-const MAX_WIDTH: usize = 1 << 20;
+/// The largest item code: `q_i ∈ [−127, 127]`.
+const ITEM_CODE_MAX: f64 = 127.0;
+/// The largest user code: `p ∈ [−32767, 32767]`.
+const USER_CODE_MAX: f64 = 32_767.0;
+/// The widest row the integer pass admits: `|p · q_i| ≤ n·32767·127`
+/// stays below 2^31, so no partial sum of an i32 dot product overflows.
+const MAX_WIDTH: usize = 516;
+const _: () = assert!(MAX_WIDTH * 32_767 * 127 < 1 << 31);
+/// The bound's relative slack: it covers the f64 rounding of the norms,
+/// of `t‖p‖` and of `ε` itself, each a relative 2^-40 or less.
+const SLACK: f64 = 1.01;
 
-/// The constant `c` of the certified bound `|ŝ − s| ≤ c·‖e_u‖·‖e_i‖`
-/// between the f32 score `ŝ` (entries rounded to f32, summed in f32 in
-/// any order) and the exact f64 score `s` (summed in order), for rows of
-/// `width` entries whose norms lie in `[NORM_MIN, NORM_MAX]` (derivation:
-/// DESIGN.md §17). With `u`, `v` the f32 and f64 unit roundoffs and
-/// `γ(n, u) = n·u / (1 − n·u)`, the terms are:
-/// - `2u + u²`: rounding `e_u` and `e_i` to f32;
-/// - `γ(n, u)·(1 + u)²`: the f32 products and their sum;
-/// - `γ(n, v)`: the f64 path's own rounding;
-/// - `18·n·2^-150 / NORM_MIN²`: underflow in either path.
-///
-/// The 1% slack covers rounding in the norms and in `ε = c·‖e_u‖·‖e_i‖`
-/// and `ŝ ± ε` themselves, each a relative 2^-50 or less.
-fn bound_constant(width: usize) -> f64 {
+/// The coefficient `c` of `‖e_u‖·‖e_i‖` in the certified bound
+/// `|ŝ_i − σ_i| ≤ t‖p‖·r_i + (‖ρ_u‖ + c·‖e_u‖)·‖e_i‖` on the distance from
+/// the integer pass's score `ŝ_i` to the exact f64 score `σ_i` (summed in
+/// order; derivation: DESIGN.md §17), for rows of `width` entries whose
+/// norms lie in `[NORM_MIN, NORM_MAX]`. With `v` the f64 unit roundoff and
+/// `γ(n) = n·v / (1 − n·v)`, the terms are:
+/// - `γ(n)`: the exact path's own rounding;
+/// - `7v`: rounding `ŝ_i = t·s_i·D` (at most `2.2v`), computing the two
+///   residuals (`2.02v`) and `ŝ_i ± ε_i` (`1.1v`), each against
+///   `‖e_u‖·‖e_i‖`;
+/// - the last two: underflow in the exact path and in the residual norms.
+fn rounding_coefficient(width: usize) -> f64 {
     let n = width as f64;
-    let u = f64::from(f32::EPSILON) / 2.0;
     let v = f64::EPSILON / 2.0;
-    let gamma = |unit: f64| n * unit / (1.0 - n * unit);
-    let eta = f64::from(f32::from_bits(1)) / 2.0;
-    let underflow = 18.0 * n * eta / (NORM_MIN * NORM_MIN);
-    let c = 2.0 * u + u * u + gamma(u) * (1.0 + u) * (1.0 + u) + gamma(v) + underflow;
-    c * 1.01
+    let eta = f64::from_bits(1);
+    let underflow = n * eta / (NORM_MIN * NORM_MIN) + 2.01 * (n * eta).sqrt() / NORM_MIN;
+    n * v / (1.0 - n * v) + 7.0 * v + underflow
 }
 
 /// The L2 norm of `row`, in f64.
 fn norm(row: &[f64]) -> f64 {
     row.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// The largest `|x|` in `row`.
+fn max_abs(row: &[f64]) -> f64 {
+    row.iter().map(|x| x.abs()).reduce(f64::max).unwrap_or(0.0)
+}
+
+/// `x ≥ 0` rounded up to f32; `x` must be below f32's overflow.
+fn f32_up(x: f64) -> f32 {
+    // pup-lint: allow(as-cast-truncation) — a value rounded down steps up below
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// Rounds each entry of `row` to the nearest multiple `scale·q` with
+/// `|q| ≤ limit`, hands each `q` to `emit`, and returns the residual norm
+/// `‖row − scale·q‖`. A zero `scale` (an all-zero row) emits zeros.
+fn quantize(row: &[f64], scale: f64, limit: f64, mut emit: impl FnMut(f64)) -> f64 {
+    let mut sum = 0.0;
+    for &x in row {
+        // pup-lint: allow(float-eq) — only an all-zero row has a zero scale
+        let q = if scale == 0.0 { 0.0 } else { (x / scale).round().clamp(-limit, limit) };
+        let d = x - scale * q;
+        sum += d * d;
+        emit(q);
+    }
+    sum.sqrt()
 }
 
 /// Whether a row can enter the certified bound: every entry zero or
@@ -106,20 +159,28 @@ fn in_bound_range(row: &[f64], norm: f64) -> bool {
         && ((NORM_MIN..=NORM_MAX).contains(&norm) || row.iter().all(|&x| x == 0.0))
 }
 
-impl Mirror {
-    /// The mirror of `items`, or `None` when a row is outside the bound's
-    /// valid range.
+impl ItemCodes {
+    /// The i8 copy of `items`, or `None` when the table is wider than the
+    /// integer pass admits or a row is outside the bound's valid range.
     fn build(items: &Matrix) -> Option<Self> {
-        if items.cols() == 0 || items.cols() > MAX_WIDTH {
+        let width = items.cols();
+        if width == 0 || width > MAX_WIDTH {
             return None;
         }
-        let norms: Vec<f64> = (0..items.rows()).map(|i| norm(items.row(i))).collect();
-        if !norms.iter().enumerate().all(|(i, &n)| in_bound_range(items.row(i), n)) {
-            return None;
+        let mut codes = Vec::with_capacity(items.rows() * width);
+        let mut rows = Vec::with_capacity(items.rows());
+        for i in 0..items.rows() {
+            let row = items.row(i);
+            let norm = norm(row);
+            if !in_bound_range(row, norm) {
+                return None;
+            }
+            let scale = f32_up(max_abs(row) / ITEM_CODE_MAX);
+            // pup-lint: allow(as-cast-truncation) — q is an integer in [−127, 127]
+            let residual = quantize(row, f64::from(scale), ITEM_CODE_MAX, |q| codes.push(q as i8));
+            rows.push(RowScale { scale, residual: f32_up(residual), norm: f32_up(norm) });
         }
-        // pup-lint: allow(as-cast-truncation) — rounding to f32 is the point; the bound covers it
-        let items32 = items.as_slice().iter().map(|&x| x as f32).collect();
-        Some(Self { items: items32, norms, c: bound_constant(items.cols()) })
+        Some(Self { codes, rows, c: rounding_coefficient(width) })
     }
 }
 
@@ -133,30 +194,31 @@ fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// The f32 score over eight running sums; the bound holds for any order.
-fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    const LANES: usize = 8;
-    let (a_blocks, a_tail) = a.as_chunks::<LANES>();
-    let (b_blocks, b_tail) = b.as_chunks::<LANES>();
-    let mut lanes = [0.0f32; LANES];
-    for (x, y) in a_blocks.iter().zip(b_blocks) {
+/// `p · q`, exact: integer sums are exact in any order, and
+/// [`MAX_WIDTH`] keeps every partial sum inside i32.
+fn dot_codes(p: &[i16], q: &[i8]) -> i32 {
+    const LANES: usize = 32;
+    let (p_blocks, p_tail) = p.as_chunks::<LANES>();
+    let (q_blocks, q_tail) = q.as_chunks::<LANES>();
+    let mut lanes = [0i32; LANES];
+    for (x, y) in p_blocks.iter().zip(q_blocks) {
         for ((acc, &x), &y) in lanes.iter_mut().zip(x).zip(y) {
-            *acc += x * y;
+            *acc += i32::from(x) * i32::from(y);
         }
     }
-    let mut sum = lanes.iter().sum::<f32>();
-    for (&x, &y) in a_tail.iter().zip(b_tail) {
-        sum += x * y;
+    let mut sum = lanes.iter().sum::<i32>();
+    for (&x, &y) in p_tail.iter().zip(q_tail) {
+        sum += i32::from(x) * i32::from(y);
     }
     sum
 }
 
 impl DotScorer {
     /// A decoder named `name` over `users` (one row per user) and `items`
-    /// (one row per item). Builds the f32 mirror of `items` once.
+    /// (one row per item). Builds the i8 copy of `items` once.
     pub fn new(name: &'static str, users: Matrix, items: Matrix) -> Self {
-        let mirror = Mirror::build(&items).map(Arc::new);
-        Self { name, users: Arc::new(users), items: Arc::new(items), mirror }
+        let codes = ItemCodes::build(&items).map(Arc::new);
+        Self { name, users: Arc::new(users), items: Arc::new(items), codes }
     }
 
     /// A decoder over `repr`, which stacks `n_users` user rows on top of
@@ -173,21 +235,24 @@ impl DotScorer {
     }
 
     /// The certified top-K pass for an in-range `user` (DESIGN.md §17):
-    /// 1. score every candidate from the f32 mirror;
-    /// 2. bound each score's distance to the exact one by
-    ///    `ε_i = c·‖e_u‖·‖e_i‖`;
-    /// 3. take `L`, the k-th best lower bound `ŝ_i − ε_i`;
-    /// 4. rescore in f64 every candidate whose upper bound `ŝ_i + ε_i`
+    /// 1. round the user row to i16 codes `p = round(e_u / t)` with
+    ///    `t = max|e_u| / 32767`, leaving `ρ_u = e_u − t·p`;
+    /// 2. score every candidate as `ŝ_i = t·s_i·(p · q_i)`, the dot
+    ///    product exact in i32;
+    /// 3. bound each score's distance to the exact one by
+    ///    `ε_i = 1.01·(t‖p‖·r_i + (‖ρ_u‖ + c·‖e_u‖)·‖e_i‖)`;
+    /// 4. take `L`, the k-th best lower bound `ŝ_i − ε_i`;
+    /// 5. rescore in f64 every candidate whose upper bound `ŝ_i + ε_i`
     ///    reaches `L`, which every item of the exact top K does.
     ///
     /// The pass keeps the k best lower bounds so far, so a candidate whose
     /// upper bound is below the k-th of them is dropped at once: `L` only
-    /// rises. [`Shortlist::rank`] is step 5. `None` sends the call to the
+    /// rises. [`Shortlist::rank`] is step 6. `None` sends the call to the
     /// exact path: `k = 0`, a user row outside the bound's valid range, or
     /// a candidate outside the catalog (the exact path reports it).
     fn certified<'a>(
         &self,
-        mirror: &Mirror,
+        table: &ItemCodes,
         user: usize,
         candidates: Candidates<'a>,
         k: usize,
@@ -195,16 +260,24 @@ impl DotScorer {
         let e_u = self.users.row(user);
         let norm_u = norm(e_u);
         let in_catalog = match candidates {
-            Candidates::Ids(ids) => ids.iter().all(|&i| (i as usize) < mirror.norms.len()),
-            Candidates::Unseen { n_items, .. } => n_items <= mirror.norms.len(),
+            Candidates::Ids(ids) => ids.iter().all(|&i| (i as usize) < table.rows.len()),
+            Candidates::Unseen { n_items, .. } => n_items <= table.rows.len(),
         };
         if k == 0 || !in_catalog || !in_bound_range(e_u, norm_u) || norm_u < NORM_MIN {
             return None;
         }
         let width = e_u.len();
-        let c_u = mirror.c * norm_u;
-        // pup-lint: allow(as-cast-truncation) — rounding to f32 is the point; the bound covers it
-        let e_u32: Vec<f32> = e_u.iter().map(|&x| x as f32).collect();
+        let t = max_abs(e_u) / USER_CODE_MAX;
+        let mut p: Vec<i16> = Vec::with_capacity(width);
+        // `‖p‖²`, exact: fewer than 2^39 in f64.
+        let mut p_sq = 0.0;
+        let rho = quantize(e_u, t, USER_CODE_MAX, |q| {
+            p_sq += q * q;
+            // pup-lint: allow(as-cast-truncation) — q is an integer in [−32767, 32767]
+            p.push(q as i16);
+        });
+        let residual_coef = SLACK * t * p_sq.sqrt();
+        let norm_coef = SLACK * (rho + table.c * norm_u);
         // The k best lower bounds so far, as total-order keys; the root is
         // the worst of them, and `floor` its value.
         let mut lows = BinaryHeap::with_capacity(k);
@@ -213,13 +286,13 @@ impl DotScorer {
         let mut kept: Vec<(u32, f64)> = Vec::with_capacity(candidates.max_len());
         candidates.iter().for_each(|item| {
             let i = item as usize;
-            let (Some(row), Some(&norm_i)) =
-                (mirror.items.get(i * width..(i + 1) * width), mirror.norms.get(i))
+            let (Some(codes), Some(row)) =
+                (table.codes.get(i * width..(i + 1) * width), table.rows.get(i))
             else {
                 return;
             };
-            let score = f64::from(dot_f32(&e_u32, row));
-            let eps = c_u * norm_i;
+            let score = t * f64::from(row.scale) * f64::from(dot_codes(&p, codes));
+            let eps = residual_coef * f64::from(row.residual) + norm_coef * f64::from(row.norm);
             let high = score + eps;
             if high < floor {
                 return;
@@ -279,7 +352,7 @@ impl Recommender for DotScorer {
         if user >= n_users {
             return Err(ScoreError::UserOutOfRange { user, n_users });
         }
-        let certified = self.mirror.as_ref().and_then(|m| self.certified(m, user, candidates, k));
+        let certified = self.codes.as_ref().and_then(|c| self.certified(c, user, candidates, k));
         Ok(certified.unwrap_or_else(|| Shortlist::dense(self.score_items(user), candidates, k)))
     }
 }
