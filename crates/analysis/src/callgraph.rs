@@ -2,8 +2,9 @@
 //!
 //! The hot-path certifier ([`crate::hotpath`]) needs to answer "which
 //! functions can a serve-time scoring request reach?" without running
-//! anything. This module builds the conservative call graph that question
-//! is asked against:
+//! anything, and the concurrency audit's lock pass ([`crate::concurrency`])
+//! needs to know which fns a call under a guard may run. This module builds
+//! the conservative call graph both questions are asked against:
 //!
 //! - **Nodes** are every `fn` defined in `crates/*/src` — free functions,
 //!   inherent methods, trait methods and trait default bodies. Closures are
@@ -245,6 +246,22 @@ impl CallGraph {
     }
 }
 
+/// The fn among `candidates` (indices into `fns`) whose body most tightly
+/// encloses byte `offset`: sites inside a nested fn belong to it, not to
+/// its parent.
+pub(crate) fn innermost(
+    fns: &[FnNode],
+    candidates: impl IntoIterator<Item = usize>,
+    offset: usize,
+) -> Option<usize> {
+    candidates
+        .into_iter()
+        .filter_map(|i| fns[i].body.map(|span| (i, span)))
+        .filter(|&(_, span)| offset > span.0 && offset < span.1)
+        .min_by_key(|&(_, span)| span.1 - span.0)
+        .map(|(i, _)| i)
+}
+
 /// Reads each `crates/<name>/Cargo.toml` and returns the transitive
 /// dependency closure keyed by crate directory name. Only `pup-*`
 /// workspace dependencies matter; `[dev-dependencies]` are excluded —
@@ -303,7 +320,9 @@ fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
 }
 
 /// The crate directory name for a workspace file path (`crates/<name>/…`).
-fn crate_of(path: &Path) -> String {
+/// The *last* `crates` component wins so roots that themselves live under
+/// a `crates/` directory (or contain `..` hops) resolve correctly.
+pub(crate) fn crate_of(path: &Path) -> String {
     let comps: Vec<String> =
         path.components().map(|c| c.as_os_str().to_string_lossy().into_owned()).collect();
     comps
@@ -463,13 +482,8 @@ fn extract_fns(path: &Path, source: &str, out: &mut Vec<FnNode>) {
                 }
             })
             .flatten();
-        let owner = (0..defs.len())
-            .filter_map(|k| bodies[k].map(|span| (k, span)))
-            .filter(|&(_, span)| at > span.0 && at < span.1)
-            .min_by_key(|&(_, span)| span.1 - span.0)
-            .map(|(k, _)| k);
-        let Some(owner) = owner else { continue };
-        out[base + owner].calls.push(CallSite {
+        let Some(owner) = innermost(out, base..out.len(), at) else { continue };
+        out[owner].calls.push(CallSite {
             callee: name.to_string(),
             qualifier,
             is_method,

@@ -12,10 +12,11 @@
 //!   mandatory). Other crates (the single-threaded autograd tape in
 //!   `pup-tensor` included) are unconstrained.
 //! - **lock discipline** — Mutex/RwLock declarations and acquisitions are
-//!   collected into an acquisition-order graph (interprocedural, with
-//!   guard-returning helpers like `locked()` resolved through parameter
-//!   substitution). Ordering cycles are findings, as is holding a guard
-//!   across a call into scoring code (`crates/models`).
+//!   collected into an acquisition-order graph over the workspace
+//!   [`CallGraph`] (the one `audit-hotpath` runs on), with guard-returning
+//!   helpers like `locked()` resolved through parameter substitution.
+//!   Ordering cycles are findings, as is holding a guard across a call
+//!   into scoring code (`crates/models`).
 //! - **atomic-ordering lint** — `Ordering::Relaxed` on an `AtomicBool`
 //!   load/store is flagged: a relaxed flag publishes no happens-before
 //!   edge, so gating a data handoff on it is a race.
@@ -31,9 +32,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::callgraph::{crate_of, innermost, CallGraph, FnNode};
+use crate::hotpath::{escape_comments, EscapeComment};
 use crate::lex::TokenKind;
 use crate::lint::workspace_rs_files;
-use crate::syntax::{in_any, FnDef, SourceFile};
+use crate::syntax::{in_any, FnDef, SourceFile, Stmt};
 
 /// Escape kinds this audit owns (reason + staleness are checked here).
 pub const CONCURRENCY_KINDS: &[&str] =
@@ -114,26 +117,10 @@ fn must_be_send(crate_name: &str) -> bool {
     matches!(crate_name, "serve" | "obs" | "ckpt")
 }
 
-/// The crate directory name for a workspace file path (`crates/<name>/…`).
-/// The *last* `crates` component wins so roots that themselves live under
-/// a `crates/` directory (or contain `..` hops) resolve correctly.
-fn crate_of(path: &Path) -> String {
-    let comps: Vec<String> =
-        path.components().map(|c| c.as_os_str().to_string_lossy().into_owned()).collect();
-    comps
-        .iter()
-        .rposition(|c| c == "crates")
-        .and_then(|i| comps.get(i + 1))
-        .cloned()
-        .unwrap_or_default()
-}
-
-/// A `// pup-audit: allow(<kind>): <reason>` escape.
+/// A `// pup-audit: allow(<kind>): <reason>` escape in file `file`.
 struct AuditEscape {
     file: usize,
-    line: usize,
-    kind: String,
-    has_reason: bool,
+    comment: EscapeComment,
     used: bool,
 }
 
@@ -145,48 +132,43 @@ enum LockRef {
     Param(usize),
 }
 
-/// An ordered event inside a function body.
-#[derive(Debug, Clone)]
-enum Event {
-    /// A direct `.lock()`/`.read()`/`.write()` acquisition; the guard is
-    /// live until byte offset `until`.
-    Acquire { lock: LockRef, offset: usize, line: usize, until: usize },
-    /// A call to a named function; `args` holds each argument's resolved
-    /// lock reference (when its base identifier names one). If the call is
-    /// `let`-bound and the target returns a guard, the substituted locks
-    /// stay live until `until_if_guard`.
-    Call {
-        name: String,
-        offset: usize,
-        line: usize,
-        args: Vec<Option<LockRef>>,
-        let_bound: bool,
-        until_if_guard: usize,
-        stmt_end: usize,
-    },
+/// A guard: the lock it holds, where it is taken, and the byte offset at
+/// which it stops being live.
+#[derive(Debug)]
+struct Guard {
+    lock: LockRef,
+    offset: usize,
+    line: usize,
+    until: usize,
 }
 
-impl Event {
-    fn offset(&self) -> usize {
-        match self {
-            Event::Acquire { offset, .. } | Event::Call { offset, .. } => *offset,
-        }
-    }
-}
-
-/// A function's audit-relevant shape.
-struct FnInfo {
+/// A non-method call site with at least one workspace callee.
+#[derive(Debug)]
+struct LockCall {
     name: String,
-    /// Parameter names; `true` marks a Mutex/RwLock-typed parameter. Only
-    /// read back by unit tests — the passes consume params during event
-    /// construction — but kept on the struct as the fn's audit record.
-    #[cfg_attr(not(test), allow(dead_code))]
+    offset: usize,
+    line: usize,
+    /// The callees, from [`CallGraph::callees`].
+    targets: Vec<usize>,
+    /// Each argument's lock reference, when its base identifier names one.
+    args: Vec<Option<LockRef>>,
+    /// Where a guard the call returns stops being live (0 when no target
+    /// returns a guard).
+    guard_until: usize,
+}
+
+/// A fn body's lock-relevant shape, indexed like [`CallGraph::fns`]. Test
+/// fns keep the empty default: the lock pass leaves test code alone.
+#[derive(Debug, Default)]
+struct LockBody {
+    /// Index of the file in the audited source list.
+    file: usize,
+    /// Parameter names; `true` marks a Mutex/RwLock-typed parameter.
     params: Vec<(String, bool)>,
     returns_guard: bool,
-    scoring: bool,
-    events: Vec<Event>,
-    /// Locks acquired directly or transitively (fixpoint-computed).
-    summary: BTreeSet<LockRef>,
+    /// Direct `.lock()`/`.read()`/`.write()` acquisitions.
+    acquires: Vec<Guard>,
+    calls: Vec<LockCall>,
 }
 
 /// Everything extracted from one file before the global passes run.
@@ -199,35 +181,38 @@ struct FileFacts {
     atomic_bools: BTreeSet<String>,
     non_send_sites: Vec<(usize, String)>,
     relaxed_sites: Vec<(usize, String)>,
-    escapes: Vec<(usize, String, bool)>,
-    fns: Vec<FnInfo>,
 }
 
 /// Runs the full audit over `<root>/crates/*/src`.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let files = workspace_rs_files(root)?;
-    let mut facts = Vec::new();
-    for file in &files {
-        let source = fs::read_to_string(file)?;
-        facts.push(extract_facts(file, &source));
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let text = fs::read_to_string(&file)?;
+        sources.push((file, text));
     }
+    let mut graph = CallGraph::build_from_sources(&sources);
+    graph.attach_crate_deps(root);
+    let parsed: Vec<SourceFile<'_>> =
+        sources.iter().map(|(_, text)| SourceFile::parse(text)).collect();
+    let facts: Vec<FileFacts> =
+        sources.iter().zip(&parsed).map(|((path, _), file)| extract_facts(path, file)).collect();
+    let bodies = lock_bodies(&graph, &parsed, &facts);
     let mut report = AuditReport {
         findings: Vec::new(),
         locks: Vec::new(),
         lock_edges: Vec::new(),
-        files_checked: files.len(),
+        files_checked: sources.len(),
         stale_escapes: Vec::new(),
     };
 
-    let mut escapes: Vec<AuditEscape> = facts
+    let mut escapes: Vec<AuditEscape> = parsed
         .iter()
         .enumerate()
-        .flat_map(|(fi, f)| {
-            f.escapes.iter().map(move |(line, kind, has_reason)| AuditEscape {
-                file: fi,
-                line: *line,
-                kind: kind.to_string(),
-                has_reason: *has_reason,
+        .flat_map(|(file, parsed)| {
+            escape_comments(parsed).into_iter().map(move |comment| AuditEscape {
+                file,
+                comment,
                 used: false,
             })
         })
@@ -235,37 +220,35 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
 
     send_sync_pass(&facts, &mut escapes, &mut report);
     relaxed_pass(&facts, &mut escapes, &mut report);
-    lock_pass(&facts, &mut escapes, &mut report);
+    lock_pass(&facts, &graph, &bodies, &mut escapes, &mut report);
 
     // Escape hygiene: every escape must name a known pass, carry a reason,
     // and still suppress something. Kinds owned by other audits are left
     // to them (only unknown-kind detection is centralised here).
     for esc in &escapes {
-        let known = ALL_ESCAPE_KINDS.contains(&esc.kind.as_str());
-        let owned = CONCURRENCY_KINDS.contains(&esc.kind.as_str());
-        let message = if !known {
-            format!("audit escape names unknown pass `{}`", esc.kind)
-        } else if !owned {
+        let kind = esc.comment.kind.as_str();
+        let message = if !ALL_ESCAPE_KINDS.contains(&kind) {
+            format!("audit escape names unknown pass `{kind}`")
+        } else if !CONCURRENCY_KINDS.contains(&kind) {
             continue;
-        } else if !esc.has_reason {
+        } else if !esc.comment.has_reason {
             format!(
-                "audit escape `allow({})` has no reason; write \
-                 `// pup-audit: allow({}): <why this is safe>`",
-                esc.kind, esc.kind
+                "audit escape `allow({kind})` has no reason; write \
+                 `// pup-audit: allow({kind}): <why this is safe>`"
             )
         } else if !esc.used {
             report.stale_escapes.push((
                 facts[esc.file].path.to_path_buf(),
-                esc.line,
-                esc.kind.to_string(),
+                esc.comment.line,
+                kind.to_string(),
             ));
-            format!("stale audit escape: `allow({})` suppresses nothing; delete it", esc.kind)
+            format!("stale audit escape: `allow({kind})` suppresses nothing; delete it")
         } else {
             continue;
         };
         report.findings.push(Finding {
             file: facts[esc.file].path.to_path_buf(),
-            line: esc.line,
+            line: esc.comment.line,
             pass: Pass::Escape,
             message,
         });
@@ -280,10 +263,11 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
 fn suppressed(escapes: &mut [AuditEscape], file: usize, line: usize, kind: &str) -> bool {
     let mut hit = false;
     for esc in escapes.iter_mut() {
+        let c = &esc.comment;
         if esc.file == file
-            && esc.kind == kind
-            && esc.has_reason
-            && (esc.line == line || esc.line + 1 == line)
+            && c.kind == kind
+            && c.has_reason
+            && (c.line == line || c.line + 1 == line)
         {
             esc.used = true;
             hit = true;
@@ -337,112 +321,73 @@ fn relaxed_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut A
     }
 }
 
+/// A callee's lock reference as seen from the call site: concrete ids pass
+/// through, parameter locks take the matching argument's lock (if any).
+fn substitute(lock: &LockRef, args: &[Option<LockRef>]) -> Option<LockRef> {
+    match lock {
+        LockRef::Concrete(_) => Some(lock.clone()),
+        LockRef::Param(i) => args.get(*i).cloned().flatten(),
+    }
+}
+
 /// The interprocedural lock-discipline pass: fixpoint acquire summaries,
 /// edge construction, cycle detection, guard-across-scoring.
-fn lock_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut AuditReport) {
-    // Global lock-name resolution: name -> ids (ambiguity kept to detect).
-    let mut global: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for f in facts {
-        for (name, id) in &f.lock_decls {
-            global.entry(name).or_default().insert(id);
-        }
-    }
-    report.locks = global
-        .values()
-        .flatten()
-        .map(|s| s.to_string())
+fn lock_pass(
+    facts: &[FileFacts],
+    graph: &CallGraph,
+    bodies: &[LockBody],
+    escapes: &mut [AuditEscape],
+    report: &mut AuditReport,
+) {
+    report.locks = facts
+        .iter()
+        .flat_map(|f| f.lock_decls.values().cloned())
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
 
-    // fn name -> indices into a flat fn list.
-    let all_fns: Vec<(usize, usize)> = facts
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, f)| (0..f.fns.len()).map(move |k| (fi, k)))
-        .collect();
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (flat, &(fi, k)) in all_fns.iter().enumerate() {
-        by_name.entry(&facts[fi].fns[k].name).or_default().push(flat);
-    }
-
     // Fixpoint: propagate summaries through calls with param substitution.
+    // Monotone over a finite set of lock refs, so it terminates.
     let mut summaries: Vec<BTreeSet<LockRef>> =
-        all_fns.iter().map(|&(fi, k)| facts[fi].fns[k].summary.clone()).collect();
-    for _ in 0..summaries.len().max(4) {
+        bodies.iter().map(|b| b.acquires.iter().map(|g| g.lock.clone()).collect()).collect();
+    loop {
         let mut changed = false;
-        for (flat, &(fi, k)) in all_fns.iter().enumerate() {
-            let f = &facts[fi].fns[k];
-            let mut add = Vec::new();
-            for ev in &f.events {
-                let Event::Call { name, args, .. } = ev else { continue };
-                for &target in by_name.get(name.as_str()).into_iter().flatten() {
-                    for lock in &summaries[target] {
-                        match lock {
-                            LockRef::Concrete(id) => add.push(LockRef::Concrete(id.to_string())),
-                            LockRef::Param(i) => {
-                                if let Some(Some(arg)) = args.get(*i) {
-                                    // pup-lint: allow(clone-in-loop) — a two-variant enum, not a matrix
-                                    add.push(arg.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for (i, body) in bodies.iter().enumerate() {
+            let add: Vec<LockRef> = body
+                .calls
+                .iter()
+                .flat_map(|c| c.targets.iter().map(move |&t| (c, t)))
+                .flat_map(|(c, t)| summaries[t].iter().filter_map(|l| substitute(l, &c.args)))
+                .collect();
             for lock in add {
-                changed |= summaries[flat].insert(lock);
+                changed |= summaries[i].insert(lock);
             }
         }
         if !changed {
             break;
         }
     }
+    let concrete = |lock: &LockRef, args: &[Option<LockRef>]| match substitute(lock, args) {
+        Some(LockRef::Concrete(id)) => Some(id),
+        _ => None,
+    };
 
-    // Per-fn: expand guard-returning calls into acquisitions, then build
-    // ordering edges among everything held concurrently.
+    // Per fn: guard-returning calls are acquisitions at the call site; then
+    // build ordering edges among everything held concurrently.
     let mut edges: BTreeMap<(String, String), (PathBuf, usize)> = BTreeMap::new();
-    for &(fi, k) in &all_fns {
-        let f = &facts[fi].fns[k];
+    for body in bodies {
+        let fi = body.file;
+        let path = &facts[fi].path;
         let mut held: Vec<(String, usize, usize, usize)> = Vec::new(); // (id, offset, until, line)
-        let mut calls: Vec<(&Event, Vec<usize>)> = Vec::new();
-        for ev in &f.events {
-            match ev {
-                Event::Acquire { lock: LockRef::Concrete(id), offset, line, until } => {
-                    held.push((id.to_string(), *offset, *until, *line));
-                }
-                Event::Acquire { .. } => {}
-                Event::Call { name, .. } => {
-                    let targets: Vec<usize> =
-                        by_name.get(name.as_str()).cloned().unwrap_or_default();
-                    calls.push((ev, targets));
-                }
+        for g in &body.acquires {
+            if let LockRef::Concrete(id) = &g.lock {
+                held.push((id.to_string(), g.offset, g.until, g.line));
             }
         }
-        // Guard-returning helper calls are acquisitions at the call site.
-        for (ev, targets) in &calls {
-            let Event::Call { args, line, offset, let_bound, until_if_guard, stmt_end, .. } = ev
-            else {
-                continue;
-            };
-            for &t in targets {
-                let (tfi, tk) = all_fns[t];
-                let target = &facts[tfi].fns[tk];
-                if !target.returns_guard {
-                    continue;
-                }
-                let until = if *let_bound { *until_if_guard } else { *stmt_end };
-                for lock in &summaries[t] {
-                    let id = match lock {
-                        LockRef::Concrete(id) => Some(id.to_string()),
-                        LockRef::Param(i) => match args.get(*i) {
-                            Some(Some(LockRef::Concrete(id))) => Some(id.to_string()),
-                            _ => None,
-                        },
-                    };
-                    if let Some(id) = id {
-                        held.push((id, *offset, until, *line));
-                    }
+        for c in &body.calls {
+            for &t in c.targets.iter().filter(|&&t| bodies[t].returns_guard) {
+                for id in summaries[t].iter().filter_map(|l| concrete(l, &c.args)) {
+                    held.push((id, c.offset, c.guard_until, c.line));
                 }
             }
         }
@@ -456,46 +401,36 @@ fn lock_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut Audi
                 {
                     edges
                         .entry((a_id.to_string(), b_id.to_string()))
-                        .or_insert_with(|| (facts[fi].path.to_path_buf(), *b_line));
+                        .or_insert_with(|| (path.to_path_buf(), *b_line));
                 }
             }
             // Calls made while the guard is live: transitive edges plus the
             // guard-across-scoring check.
-            for (ev, targets) in &calls {
-                let Event::Call { name, offset, line, args, .. } = ev else { continue };
-                if *offset <= *a_off || *offset >= *a_until {
+            for c in &body.calls {
+                if c.offset <= *a_off || c.offset >= *a_until {
                     continue;
                 }
-                for &t in targets {
-                    let (tfi, tk) = all_fns[t];
-                    let target = &facts[tfi].fns[tk];
-                    if target.scoring && !suppressed(escapes, fi, *line, "guard-across-scoring") {
-                        report.findings.push(Finding {
-                            file: facts[fi].path.to_path_buf(),
-                            line: *line,
-                            pass: Pass::GuardAcrossScoring,
-                            message: format!(
-                                "guard on `{a_id}` held across call into scoring fn \
-                                 `{name}`: scoring latency becomes lock hold time and \
-                                 stalls every other thread; drop the guard first, or \
-                                 annotate `// pup-audit: allow(guard-across-scoring): \
-                                 <reason>`"
-                            ),
-                        });
-                    }
-                    for lock in &summaries[t] {
-                        let id = match lock {
-                            LockRef::Concrete(id) => Some(id.to_string()),
-                            LockRef::Param(i) => match args.get(*i) {
-                                Some(Some(LockRef::Concrete(id))) => Some(id.to_string()),
-                                _ => None,
-                            },
-                        };
-                        let Some(id) = id else { continue };
-                        if id != *a_id && !suppressed(escapes, fi, *line, "lock-order") {
+                let scoring = c.targets.iter().any(|&t| graph.fns[t].crate_name == "models");
+                if scoring && !suppressed(escapes, fi, c.line, "guard-across-scoring") {
+                    report.findings.push(Finding {
+                        file: path.to_path_buf(),
+                        line: c.line,
+                        pass: Pass::GuardAcrossScoring,
+                        message: format!(
+                            "guard on `{a_id}` held across call into scoring fn `{}`: \
+                             scoring latency becomes lock hold time and stalls every \
+                             other thread; drop the guard first, or annotate \
+                             `// pup-audit: allow(guard-across-scoring): <reason>`",
+                            c.name
+                        ),
+                    });
+                }
+                for &t in &c.targets {
+                    for id in summaries[t].iter().filter_map(|l| concrete(l, &c.args)) {
+                        if id != *a_id && !suppressed(escapes, fi, c.line, "lock-order") {
                             edges
                                 .entry((a_id.to_string(), id))
-                                .or_insert_with(|| (facts[fi].path.to_path_buf(), *line));
+                                .or_insert_with(|| (path.to_path_buf(), c.line));
                         }
                     }
                 }
@@ -578,13 +513,9 @@ fn is_accessor_path(file: &SourceFile<'_>, p: usize) -> bool {
         && !matches!(file.text(member), "new" | "from" | "clone" | "downgrade" | "default")
 }
 
-/// Keywords that look like calls when followed by `(`.
-const CALL_KEYWORDS: &[&str] =
-    &["if", "while", "for", "match", "loop", "return", "in", "else", "fn", "move", "as"];
-
-/// Extracts every audit-relevant fact from one file.
-fn extract_facts(path: &Path, source: &str) -> FileFacts {
-    let file = SourceFile::parse(source);
+/// Extracts the per-file facts: non-Send sites, lock and `AtomicBool`
+/// declarations, relaxed flag accesses.
+fn extract_facts(path: &Path, file: &SourceFile<'_>) -> FileFacts {
     let test_spans = file.test_spans();
     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?").to_string();
     let mut facts = FileFacts {
@@ -594,29 +525,7 @@ fn extract_facts(path: &Path, source: &str) -> FileFacts {
         atomic_bools: BTreeSet::new(),
         non_send_sites: Vec::new(),
         relaxed_sites: Vec::new(),
-        escapes: Vec::new(),
-        fns: Vec::new(),
     };
-
-    // Escapes.
-    const MARKER: &str = "pup-audit: allow(";
-    for t in &file.tokens {
-        let plain = matches!(
-            t.kind,
-            TokenKind::LineComment { doc: false } | TokenKind::BlockComment { doc: false }
-        );
-        if !plain {
-            continue;
-        }
-        let text = t.text(source);
-        let Some(at) = text.find(MARKER) else { continue };
-        let rest = &text[at + MARKER.len()..];
-        let Some(close) = rest.find(')') else { continue };
-        let kind = rest[..close].trim().to_string();
-        let after = rest[close + 1..].trim_start();
-        let has_reason = after.strip_prefix(':').map(str::trim).is_some_and(|r| !r.is_empty());
-        facts.escapes.push((file.line_of(t.start + at), kind, has_reason));
-    }
 
     // Non-Send constructs.
     for (p, &ti) in file.code.iter().enumerate() {
@@ -626,7 +535,7 @@ fn extract_facts(path: &Path, source: &str) -> FileFacts {
         }
         let construct = match file.tokens[ti].kind {
             TokenKind::Ident => match file.text(ti) {
-                w @ ("Rc" | "RefCell" | "Cell" | "UnsafeCell") if !is_accessor_path(&file, p) => {
+                w @ ("Rc" | "RefCell" | "Cell" | "UnsafeCell") if !is_accessor_path(file, p) => {
                     Some(w.to_string())
                 }
                 "thread_local" if file.code.get(p + 1).is_some_and(|&n| file.is_punct(n, b'!')) => {
@@ -661,14 +570,8 @@ fn extract_facts(path: &Path, source: &str) -> FileFacts {
         if file.match_seq(p, &[word, ":", ":", "new"]) {
             let at = file.tokens[ti].start;
             if let Some(stmt) = file.enclosing_statement(at) {
-                if stmt.is_let {
-                    if let Some(sp) = file.code_pos(stmt.first) {
-                        if let Some(&name_ti) = file.code.get(sp + 1) {
-                            if file.tokens[name_ti].kind == TokenKind::Ident {
-                                register_decl(&mut facts, word, file.text(name_ti), &stem);
-                            }
-                        }
-                    }
+                if let Some(name) = let_binding(file, &stmt) {
+                    register_decl(&mut facts, word, name, &stem);
                 }
             }
             continue;
@@ -728,12 +631,6 @@ fn extract_facts(path: &Path, source: &str) -> FileFacts {
             }
         }
     }
-
-    // Function shapes and events.
-    let defs = file.fn_defs();
-    for def in &defs {
-        facts.fns.push(extract_fn(&file, def, &facts.lock_decls, path));
-    }
     facts
 }
 
@@ -745,210 +642,201 @@ fn register_decl(facts: &mut FileFacts, type_word: &str, name: &str, stem: &str)
     }
 }
 
-fn extract_fn(
-    file: &SourceFile<'_>,
-    def: &FnDef,
-    lock_decls: &BTreeMap<String, String>,
-    path: &Path,
-) -> FnInfo {
-    let name = def.name.map(|i| file.text(i)).unwrap_or("?").to_string();
-    let path_str = path.to_string_lossy().replace('\\', "/");
-    let scoring = path_str.contains("models/src");
+/// The name a `let` statement binds, when its pattern is a plain
+/// (optionally `mut`) identifier.
+fn let_binding<'a>(file: &SourceFile<'a>, stmt: &Stmt) -> Option<&'a str> {
+    if !stmt.is_let {
+        return None;
+    }
+    let p = file.code_pos(stmt.first)?;
+    let mut name = *file.code.get(p + 1)?;
+    if file.is_ident(name, "mut") {
+        name = *file.code.get(p + 2)?;
+    }
+    (file.tokens[name].kind == TokenKind::Ident).then(|| file.text(name))
+}
 
-    // Parameters: split the param list on depth-0 commas.
-    let mut params: Vec<(String, bool)> = Vec::new();
-    if let Some((open, close)) = def.params {
-        let (Some(op), Some(cp)) = (file.code_pos(open), file.code_pos(close)) else {
-            return FnInfo {
-                name,
-                params,
-                returns_guard: false,
-                scoring,
-                events: Vec::new(),
-                summary: BTreeSet::new(),
-            };
-        };
-        let mut seg: Vec<usize> = Vec::new();
-        let mut q = op + 1;
-        while q < cp {
-            let ti = file.code[q];
-            if file.is_punct(ti, b'(') || file.is_punct(ti, b'[') || file.is_punct(ti, b'{') {
-                if let Some(mp) = file.matching(ti).and_then(|c| file.code_pos(c)) {
-                    for r in q..=mp {
-                        seg.push(file.code[r]);
-                    }
-                    q = mp + 1;
-                    continue;
-                }
-            }
-            if file.is_punct(ti, b',') {
-                push_param(file, &seg, &mut params);
-                seg.clear();
-            } else {
-                seg.push(ti);
-            }
-            q += 1;
+/// The code tokens between the brackets at code positions `open` and
+/// `close`, split at depth-0 commas (bracketed groups stay whole).
+fn comma_segments(file: &SourceFile<'_>, open: usize, close: usize) -> Vec<Vec<usize>> {
+    let mut segs: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut q = open + 1;
+    while q < close {
+        let ti = file.code[q];
+        let group = file.is_punct(ti, b'(') || file.is_punct(ti, b'[') || file.is_punct(ti, b'{');
+        let end = group.then(|| file.matching(ti).and_then(|c| file.code_pos(c))).flatten();
+        let end = end.unwrap_or(q).min(close - 1);
+        if file.is_punct(ti, b',') {
+            segs.push(Vec::new());
+        } else if let Some(seg) = segs.last_mut() {
+            seg.extend_from_slice(&file.code[q..=end]);
         }
-        push_param(file, &seg, &mut params);
+        q = end + 1;
     }
+    segs.retain(|s| !s.is_empty());
+    segs
+}
 
-    // Return type: guard-returning helpers.
-    let mut returns_guard = false;
-    if let (Some((_, pc)), Some((bo, _))) = (def.params, def.body) {
-        if let (Some(start), Some(end)) = (file.code_pos(pc), file.code_pos(bo)) {
-            for r in start..end {
-                let ti = file.code[r];
-                if file.tokens[ti].kind == TokenKind::Ident
-                    && matches!(
-                        file.text(ti),
-                        "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
-                    )
-                {
-                    returns_guard = true;
-                }
-            }
-        }
-    }
-
-    let mut events = Vec::new();
-    if let Some((bo, bc)) = def.body {
-        let body = (file.tokens[bo].start, file.tokens[bc].end);
-        collect_events(file, body, &params, lock_decls, &mut events);
-    }
-
-    let summary = events
+/// The parameters of `def`: each one's name, and whether its type names
+/// a `Mutex` or `RwLock`.
+fn params_of(file: &SourceFile<'_>, def: &FnDef) -> Vec<(String, bool)> {
+    let Some((open, close)) = def.params else { return Vec::new() };
+    let (Some(op), Some(cp)) = (file.code_pos(open), file.code_pos(close)) else {
+        return Vec::new();
+    };
+    let ident = |ti: usize| file.tokens[ti].kind == TokenKind::Ident;
+    comma_segments(file, op, cp)
         .iter()
-        .filter_map(|ev| match ev {
-            Event::Acquire { lock, .. } => Some(lock.clone()),
-            Event::Call { .. } => None,
+        .filter_map(|seg| {
+            let &name = seg.iter().find(|&&ti| ident(ti) && file.text(ti) != "mut")?;
+            let is_lock =
+                seg.iter().any(|&ti| ident(ti) && matches!(file.text(ti), "Mutex" | "RwLock"));
+            Some((file.text(name).to_string(), is_lock))
         })
-        .collect();
-    FnInfo { name, params, returns_guard, scoring, events, summary }
+        .collect()
 }
 
-fn push_param(file: &SourceFile<'_>, seg: &[usize], params: &mut Vec<(String, bool)>) {
-    let Some(&first_ident) =
-        seg.iter().find(|&&ti| file.tokens[ti].kind == TokenKind::Ident && file.text(ti) != "mut")
-    else {
-        return;
+/// Whether the return type of `def` names a lock guard.
+fn returns_guard(file: &SourceFile<'_>, def: &FnDef) -> bool {
+    let (Some((_, pc)), Some((bo, _))) = (def.params, def.body) else { return false };
+    let (Some(start), Some(end)) = (file.code_pos(pc), file.code_pos(bo)) else { return false };
+    file.code[start..end].iter().any(|&ti| {
+        file.tokens[ti].kind == TokenKind::Ident
+            && matches!(file.text(ti), "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard")
+    })
+}
+
+/// Byte offset at which a guard taken at `at` in `node`'s body stops
+/// being live. A guard the enclosing `let` binds lives to the end of its
+/// block, or to an earlier `drop(name)` of its binding in that same block;
+/// a `chained` guard (`let n = locked(&m).len();`) or one no `let` binds
+/// is a temporary, dropped at the end of its statement.
+fn guard_until(file: &SourceFile<'_>, node: &FnNode, at: usize, chained: bool) -> Option<usize> {
+    let stmt = file.enclosing_statement(at)?;
+    if !stmt.is_let || chained {
+        return Some(stmt.span.1);
+    }
+    let block = file.enclosing_brace(at);
+    let block_end =
+        block.and_then(|open| file.matching(open)).map_or(stmt.span.1, |c| file.tokens[c].end);
+    let Some(name) = let_binding(file, &stmt) else { return Some(block_end) };
+    let drops_name = |offset: usize| {
+        let Some(p) = code_pos_at(file, offset) else { return false };
+        let close = file.matching(file.code[p + 1]).unwrap_or(0);
+        file.code[p + 1..].iter().take_while(|&&ti| ti < close).any(|&ti| file.is_ident(ti, name))
     };
-    let is_lock = seg.iter().any(|&ti| {
-        file.tokens[ti].kind == TokenKind::Ident && matches!(file.text(ti), "Mutex" | "RwLock")
+    let drop = node.calls.iter().find(|c| {
+        (c.callee == "drop" && c.qualifier.is_none() && !c.is_method)
+            && (c.offset > at && c.offset < block_end)
+            && file.enclosing_brace(c.offset) == block
+            && drops_name(c.offset)
     });
-    params.push((file.text(first_ident).to_string(), is_lock));
+    Some(drop.map_or(block_end, |c| c.offset))
 }
 
-/// Collects acquire and call events inside one fn body (byte span).
-fn collect_events(
-    file: &SourceFile<'_>,
-    body: (usize, usize),
-    params: &[(String, bool)],
-    lock_decls: &BTreeMap<String, String>,
-    events: &mut Vec<Event>,
-) {
-    let resolve = |name: &str| -> Option<LockRef> {
-        if let Some(i) = params.iter().position(|(p, is_lock)| *is_lock && p == name) {
-            return Some(LockRef::Param(i));
-        }
-        lock_decls.get(name).map(|id| LockRef::Concrete(id.to_string()))
-    };
-    let block_end = |at: usize| -> usize {
-        file.enclosing_brace(at)
-            .and_then(|open| file.matching(open))
-            .map(|close| file.tokens[close].end)
-            .unwrap_or(body.1)
-    };
+/// The code position of the token starting at byte `offset`.
+fn code_pos_at(file: &SourceFile<'_>, offset: usize) -> Option<usize> {
+    let p = file.code.partition_point(|&ti| file.tokens[ti].start < offset);
+    file.code.get(p).filter(|&&ti| file.tokens[ti].start == offset).map(|_| p)
+}
 
-    // Direct acquisitions: `recv.lock()` / `.read()` / `.write()`.
-    for meth in ["lock", "read", "write"] {
-        for p in file.find_seq(&[".", meth, "(", ")"]) {
-            let at = file.tokens[file.code[p]].start;
-            if at < body.0 || at >= body.1 || p == 0 {
-                continue;
+/// Reads every non-test fn body's lock facts: parameters, guard-returning
+/// shape, direct acquisitions (attributed to the innermost body) and the
+/// non-method call sites [`CallGraph::callees`] resolves. Method calls are
+/// out of scope, as `recv.method(…)` fans out to every same-named method.
+fn lock_bodies(graph: &CallGraph, parsed: &[SourceFile<'_>], facts: &[FileFacts]) -> Vec<LockBody> {
+    let mut bodies: Vec<LockBody> = graph.fns.iter().map(|_| LockBody::default()).collect();
+    // `build_from_sources` pushes one node per `fn_defs()` entry, file by
+    // file in source order, so each file's defs are a contiguous run.
+    let mut runs = Vec::with_capacity(parsed.len());
+    let mut base = 0;
+    for (fi, file) in parsed.iter().enumerate() {
+        let defs = file.fn_defs();
+        for (k, def) in defs.iter().enumerate() {
+            let body = &mut bodies[base + k];
+            body.file = fi;
+            if !graph.fns[base + k].is_test {
+                body.params = params_of(file, def);
+                body.returns_guard = returns_guard(file, def);
             }
-            let recv = file.code[p - 1];
-            if file.tokens[recv].kind != TokenKind::Ident {
-                continue;
-            }
-            let Some(lock) = resolve(file.text(recv)) else { continue };
-            let Some(stmt) = file.enclosing_statement(at) else { continue };
-            let until = if stmt.is_let { block_end(at) } else { stmt.span.1 };
-            events.push(Event::Acquire { lock, offset: at, line: file.line_of(at), until });
         }
+        runs.push((base, base + defs.len()));
+        base += defs.len();
     }
 
-    // Calls: `name(` not preceded by `.` (method calls are out of scope).
-    for p in 0..file.code.len() {
-        let ti = file.code[p];
-        if file.tokens[ti].kind != TokenKind::Ident {
-            continue;
-        }
-        let at = file.tokens[ti].start;
-        if at < body.0 || at >= body.1 {
-            continue;
-        }
-        let Some(&open) = file.code.get(p + 1) else { continue };
-        if !file.is_punct(open, b'(') {
-            continue;
-        }
-        let name = file.text(ti);
-        if CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        if p > 0 && file.is_punct(file.code[p - 1], b'.') {
-            continue;
-        }
-        // `fn name(` is a definition, not a call.
-        if p > 0 && file.is_ident(file.code[p - 1], "fn") {
-            continue;
-        }
-        let Some(close) = file.matching(open) else { continue };
-        // Argument base identifiers, per depth-0 comma segment: the last
-        // ident of the leading `a.b.c` chain (so `&self.stats` -> `stats`).
-        let (Some(op), Some(cp)) = (file.code_pos(open), file.code_pos(close)) else { continue };
-        let mut args: Vec<Option<LockRef>> = Vec::new();
-        let mut seg: Vec<usize> = Vec::new();
-        let mut q = op + 1;
-        while q <= cp {
-            let tj = file.code[q];
-            let end_of_arg = q == cp || file.is_punct(tj, b',');
-            if end_of_arg {
-                if !seg.is_empty() {
-                    args.push(arg_base(file, &seg).and_then(|base| resolve(&base)));
-                }
-                seg.clear();
-            } else if file.is_punct(tj, b'(') || file.is_punct(tj, b'[') || file.is_punct(tj, b'{')
-            {
-                if let Some(mp) = file.matching(tj).and_then(|c| file.code_pos(c)) {
-                    for r in q..=mp {
-                        seg.push(file.code[r]);
-                    }
-                    q = mp + 1;
+    for (fi, file) in parsed.iter().enumerate() {
+        let (first, end) = runs[fi];
+        let resolve = |i: usize, name: &str| -> Option<LockRef> {
+            let params = &bodies[i].params;
+            if let Some(k) = params.iter().position(|(p, is_lock)| *is_lock && p == name) {
+                return Some(LockRef::Param(k));
+            }
+            facts[fi].lock_decls.get(name).map(|id| LockRef::Concrete(id.to_string()))
+        };
+
+        // Direct acquisitions: `recv.lock()` / `.read()` / `.write()`.
+        let mut acquires = Vec::new();
+        for meth in ["lock", "read", "write"] {
+            for p in file.find_seq(&[".", meth, "(", ")"]) {
+                let at = file.tokens[file.code[p]].start;
+                let Some(i) = innermost(&graph.fns, first..end, at) else { continue };
+                let Some(recv) = file.prev_code(p) else { continue };
+                if graph.fns[i].is_test || file.tokens[recv].kind != TokenKind::Ident {
                     continue;
                 }
-                seg.push(tj);
-            } else {
-                seg.push(tj);
+                let Some(lock) = resolve(i, file.text(recv)) else { continue };
+                let Some(until) = guard_until(file, &graph.fns[i], at, false) else { continue };
+                acquires.push((i, Guard { lock, offset: at, line: file.line_of(at), until }));
             }
-            q += 1;
         }
-        let Some(stmt) = file.enclosing_statement(at) else { continue };
-        events.push(Event::Call {
-            name: name.to_string(),
-            offset: at,
-            line: file.line_of(at),
-            args,
-            let_bound: stmt.is_let,
-            until_if_guard: block_end(at),
-            stmt_end: stmt.span.1,
-        });
+
+        // Calls, as the graph resolves them.
+        let mut calls = Vec::new();
+        for i in (first..end).filter(|&i| !graph.fns[i].is_test) {
+            let node = &graph.fns[i];
+            for call in node.calls.iter().filter(|c| !c.is_method) {
+                let targets = graph.callees(i, call);
+                let Some(p) = code_pos_at(file, call.offset).filter(|_| !targets.is_empty()) else {
+                    continue;
+                };
+                let open = file.code[p + 1];
+                let Some(cp) = file.matching(open).and_then(|c| file.code_pos(c)) else { continue };
+                let args = comma_segments(file, p + 1, cp)
+                    .iter()
+                    .map(|seg| arg_base(file, seg).and_then(|base| resolve(i, base)))
+                    .collect();
+                // A helper's guard lives past its statement only when the
+                // `let` binds the call itself (`let g = locked(&m);`); in
+                // `locked(&m).summary()` it is a statement temporary.
+                let chained = file.code.get(cp + 1).is_some_and(|&ti| !file.is_punct(ti, b';'));
+                let helper = targets.iter().any(|&t| bodies[t].returns_guard);
+                let until = helper.then(|| guard_until(file, node, call.offset, chained)).flatten();
+                calls.push((
+                    i,
+                    LockCall {
+                        name: call.callee.to_string(),
+                        offset: call.offset,
+                        line: call.line,
+                        targets,
+                        args,
+                        guard_until: until.unwrap_or(0),
+                    },
+                ));
+            }
+        }
+        for (i, guard) in acquires {
+            bodies[i].acquires.push(guard);
+        }
+        for (i, call) in calls {
+            bodies[i].calls.push(call);
+        }
     }
-    events.sort_by_key(Event::offset);
+    bodies
 }
 
 /// The identifier a call argument resolves locks through: the final ident
 /// of its leading field chain (`&self.stats` -> `stats`, `&m` -> `m`).
-fn arg_base(file: &SourceFile<'_>, seg: &[usize]) -> Option<String> {
+fn arg_base<'a>(file: &SourceFile<'a>, seg: &[usize]) -> Option<&'a str> {
     let mut last: Option<usize> = None;
     for &ti in seg {
         match file.tokens[ti].kind {
@@ -958,7 +846,7 @@ fn arg_base(file: &SourceFile<'_>, seg: &[usize]) -> Option<String> {
             _ => break,
         }
     }
-    last.map(|ti| file.text(ti).to_string())
+    last.map(|ti| file.text(ti))
 }
 
 /// Escapes a string for inclusion in JSON output.
@@ -984,7 +872,19 @@ mod tests {
     use super::*;
 
     fn facts(path: &str, src: &str) -> FileFacts {
-        extract_facts(Path::new(path), src)
+        extract_facts(Path::new(path), &SourceFile::parse(src))
+    }
+
+    /// The call graph and lock bodies of a one-file workspace.
+    fn bodies(path: &str, src: &str) -> (CallGraph, Vec<LockBody>) {
+        let graph = CallGraph::build_from_sources(&[(PathBuf::from(path), src.to_string())]);
+        let parsed = [SourceFile::parse(src)];
+        let bodies = lock_bodies(&graph, &parsed, &[extract_facts(Path::new(path), &parsed[0])]);
+        (graph, bodies)
+    }
+
+    fn body<'b>(g: &CallGraph, bodies: &'b [LockBody], name: &str) -> &'b LockBody {
+        &bodies[g.fns.iter().position(|f| f.name == name).expect("fn present")]
     }
 
     #[test]
@@ -1052,56 +952,48 @@ mod tests {
 
     #[test]
     fn audit_escape_parsing_requires_reason() {
+        // The audit reads escapes through the parser it shares with
+        // audit-hotpath and `lint --fix`.
         let src = "// pup-audit: allow(non-send): telemetry buffers are per-thread by design\nfn a() {}\n// pup-audit: allow(non-send)\nfn b() {}\n// pup-audit: allow(non-send):\nfn c() {}\n";
-        let f = facts("crates/obs/src/lib.rs", src);
-        assert_eq!(f.escapes.len(), 3);
-        assert!(f.escapes[0].2, "reason present");
-        assert!(!f.escapes[1].2, "no colon, no reason");
-        assert!(!f.escapes[2].2, "colon but empty reason");
+        let escapes = escape_comments(&SourceFile::parse(src));
+        assert_eq!(escapes.len(), 3);
+        assert!(escapes[0].has_reason, "reason present");
+        assert!(!escapes[1].has_reason, "no colon, no reason");
+        assert!(!escapes[2].has_reason, "colon but empty reason");
     }
 
     #[test]
     fn events_track_acquisitions_and_guard_liveness() {
         let src = "pub struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn both(&self) {\n        let ga = self.a.lock();\n        self.b.lock();\n    }\n}\n";
-        let f = facts("crates/serve/src/pair.rs", src);
-        let both = f.fns.iter().find(|f| f.name == "both").expect("fn");
-        let acquires: Vec<&Event> =
-            both.events.iter().filter(|e| matches!(e, Event::Acquire { .. })).collect();
-        assert_eq!(acquires.len(), 2, "{:?}", both.events);
+        let (g, bodies) = bodies("crates/serve/src/pair.rs", src);
+        let both = body(&g, &bodies, "both");
+        assert_eq!(both.acquires.len(), 2, "{:?}", both.acquires);
         // The let-bound guard on `a` outlives the statement acquiring `b`.
-        let Event::Acquire { lock, until, .. } = acquires[0] else { unreachable!() };
-        assert_eq!(*lock, LockRef::Concrete("pair::a".to_string()));
-        let Event::Acquire { offset: b_off, .. } = acquires[1] else { unreachable!() };
-        assert!(until > b_off, "let-bound guard must span the next acquisition");
+        let (ga, gb) = (&both.acquires[0], &both.acquires[1]);
+        assert_eq!(ga.lock, LockRef::Concrete("pair::a".to_string()));
+        assert!(ga.until > gb.offset, "let-bound guard must span the next acquisition");
     }
 
     #[test]
     fn param_locks_and_guard_returns_recognised() {
         let src = "fn locked(m: &Mutex<u32>) -> MutexGuard<'_, u32> {\n    m.lock().unwrap_or_else(PoisonError::into_inner)\n}\n";
-        let f = facts("crates/serve/src/util.rs", src);
-        let locked = &f.fns[0];
+        let (g, bodies) = bodies("crates/serve/src/util.rs", src);
+        let locked = body(&g, &bodies, "locked");
         assert_eq!(locked.params, vec![("m".to_string(), true)]);
         assert!(locked.returns_guard);
-        assert_eq!(
-            locked.summary.iter().collect::<Vec<_>>(),
-            vec![&LockRef::Param(0)],
-            "the helper's summary is its parameter"
-        );
+        let locks: Vec<&LockRef> = locked.acquires.iter().map(|g| &g.lock).collect();
+        assert_eq!(locks, [&LockRef::Param(0)], "the helper acquires its parameter");
     }
 
     #[test]
     fn arg_bases_resolve_field_chains() {
-        let src = "pub struct S { stats: Mutex<u32> }\nimpl S {\n    fn f(&self) {\n        helper(&self.stats, 1);\n    }\n}\n";
-        let f = facts("crates/serve/src/args.rs", src);
-        let caller = f.fns.iter().find(|f| f.name == "f").expect("fn");
-        let Some(Event::Call { name, args, .. }) =
-            caller.events.iter().find(|e| matches!(e, Event::Call { .. }))
-        else {
-            panic!("no call event: {:?}", caller.events)
-        };
-        assert_eq!(name, "helper");
-        assert_eq!(args[0], Some(LockRef::Concrete("args::stats".to_string())));
-        assert_eq!(args[1], None);
+        // Only calls the graph resolves are recorded, so `helper` is defined.
+        let src = "pub struct S { stats: Mutex<u32> }\nfn helper(m: &Mutex<u32>, n: u32) {}\nimpl S {\n    fn f(&self) {\n        helper(&self.stats, 1);\n    }\n}\n";
+        let (g, bodies) = bodies("crates/serve/src/args.rs", src);
+        let call = &body(&g, &bodies, "f").calls[0];
+        assert_eq!(call.name, "helper");
+        assert_eq!(call.args[0], Some(LockRef::Concrete("args::stats".to_string())));
+        assert_eq!(call.args[1], None);
     }
 
     #[test]

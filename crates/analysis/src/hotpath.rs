@@ -39,7 +39,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{innermost, CallGraph};
 use crate::lex::TokenKind;
 use crate::lint::workspace_rs_files;
 use crate::syntax::{in_any, SourceFile};
@@ -410,15 +410,7 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         let file = SourceFile::parse(text);
         let sites = extract_sites(&file);
         let owners = fns_by_file.get(path.as_path()).map_or(&[][..], |v| &v[..]);
-        let owner_of = |offset: usize| -> Option<usize> {
-            owners
-                .iter()
-                .copied()
-                .filter_map(|i| graph.fns[i].body.map(|span| (i, span)))
-                .filter(|&(_, span)| offset > span.0 && offset < span.1)
-                .min_by_key(|&(_, span)| span.1 - span.0)
-                .map(|(i, _)| i)
-        };
+        let owner_of = |offset: usize| innermost(&graph.fns, owners.iter().copied(), offset);
         let escape_base = escapes.len();
         for esc in sites.escapes {
             if esc.kind == ESCAPE_KIND {

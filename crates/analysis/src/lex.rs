@@ -71,11 +71,6 @@ impl TokenKind {
             TokenKind::Whitespace | TokenKind::LineComment { .. } | TokenKind::BlockComment { .. }
         )
     }
-
-    /// Whether this kind is a comment (line or block, doc or plain).
-    pub fn is_comment(self) -> bool {
-        matches!(self, TokenKind::LineComment { .. } | TokenKind::BlockComment { .. })
-    }
 }
 
 /// One token: a kind plus the half-open byte span `[start, end)` it covers.

@@ -27,8 +27,8 @@
 //!   rule.
 //! - [`concurrency`] — the Send/Sync shareability audit: no non-Send
 //!   state in the crates shared across worker threads (`serve`, `obs`,
-//!   `ckpt`), a Mutex/RwLock acquisition-order pass over the serving path,
-//!   and an atomic-ordering lint. Run it with
+//!   `ckpt`), a Mutex/RwLock acquisition-order pass over the [`callgraph`]
+//!   call graph, and an atomic-ordering lint. Run it with
 //!   `cargo run -p pup-analysis -- audit-concurrency`.
 //! - [`callgraph`] / [`hotpath`] — the workspace-wide interprocedural call
 //!   graph (free fns, methods with conservative trait fan-out, closures

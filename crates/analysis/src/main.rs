@@ -20,6 +20,8 @@
 //! `audit-concurrency` runs the Send/Sync shareability manifest, the
 //! lock-discipline pass and the atomic-ordering lint (see
 //! `pup_analysis::concurrency`) and exits with the same 0/1/2 protocol.
+//! In text mode it lists each lock-ordering edge (`from -> to at
+//! file:line`) under its lock and edge counts.
 //!
 //! `audit-hotpath` builds the workspace call graph, certifies every
 //! `// pup-hot: <label>` root panic-free (modulo reasoned
@@ -257,6 +259,9 @@ fn run_audit_concurrency(root: &std::path::Path, json: bool) -> ExitCode {
             report.locks.len(),
             report.lock_edges.len(),
         );
+        for (from, to, file, line) in &report.lock_edges {
+            println!("  {from} -> {to} at {}:{line}", file.display());
+        }
         if report.findings.is_empty() {
             println!("audit-concurrency: clean ({} files checked)", report.files_checked);
         } else {

@@ -171,3 +171,91 @@ fn real_workspace_audit_is_clean() {
         report.findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
     );
 }
+
+/// A scoring crate: a free fn, plus methods named like a local closure
+/// (`rank`) and a std constructor (`new`).
+const MODELS: (&str, &str) = (
+    "crates/models/src/lib.rs",
+    "pub fn score_all(user: u32) -> u32 {\n    user\n}\npub struct Shortlist;\nimpl Shortlist {\n    \
+     pub fn new() -> Shortlist {\n        Shortlist\n    }\n    \
+     pub fn rank(self) -> Vec<u32> {\n        Vec::new()\n    }\n}\n",
+);
+
+/// Audits a `crates/serve/src/locks.rs` holding `body` beside [`MODELS`],
+/// after two locks `A`, `B` and a guard-returning helper `locked` (lines 1-6).
+fn audit_serve(tag: &str, body: &str) -> pup_analysis::concurrency::AuditReport {
+    let src = format!(
+        "use std::sync::{{Mutex, MutexGuard, PoisonError}};\n\
+         static A: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
+         static B: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
+         fn locked(m: &Mutex<Vec<u32>>) -> MutexGuard<'_, Vec<u32>> {{\n    \
+         m.lock().unwrap_or_else(PoisonError::into_inner)\n}}\n{body}"
+    );
+    let root = seed(tag, &[MODELS, ("crates/serve/src/locks.rs", &src)]);
+    let report = audit_workspace(&root).expect("seeded tree is readable");
+    fs::remove_dir_all(&root).ok();
+    report
+}
+
+#[test]
+fn guard_across_a_scoring_call_is_flagged() {
+    let report = audit_serve(
+        "scoring",
+        "pub fn hold() -> u32 {\n    let g = locked(&A);\n    let s = score_all(3);\n    \
+         drop(g);\n    s\n}\n",
+    );
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!((f.pass, f.line), (Pass::GuardAcrossScoring, 9), "the `score_all(3)` line");
+    assert!(f.message.contains("score_all"), "{}", f.message);
+}
+
+#[test]
+fn a_local_closure_and_a_std_constructor_under_a_guard_are_not_scoring() {
+    let report = audit_serve(
+        "closure",
+        "pub fn hold() -> Vec<u32> {\n    let g = locked(&A);\n    let rank = |x: u32| x + 1;\n    \
+         let v = vec![rank(1)];\n    let w: Vec<u32> = Vec::new();\n    drop(g);\n    [v, w].concat()\n}\n",
+    );
+    assert!(report.findings.is_empty(), "neither reaches pup-models: {:?}", report.findings);
+}
+
+#[test]
+fn let_bound_helper_guards_in_opposite_orders_form_a_cycle() {
+    let report = audit_serve(
+        "helper-cycle",
+        "pub fn forward() {\n    let ga = locked(&A);\n    let gb = locked(&B);\n    \
+         drop((ga, gb));\n}\n\
+         pub fn backward() {\n    let gb = locked(&B);\n    let ga = locked(&A);\n    \
+         drop((ga, gb));\n}\n",
+    );
+    assert_eq!(report.findings.len(), 1, "one deduped cycle: {:?}", report.findings);
+    assert_eq!(report.findings[0].pass, Pass::LockOrder);
+    assert_eq!(report.lock_edges.len(), 2, "{:?}", report.lock_edges);
+}
+
+#[test]
+fn a_helper_guard_followed_by_a_method_chain_is_a_temporary() {
+    let report = audit_serve(
+        "temporary",
+        "pub fn sizes() -> usize {\n    let n = locked(&A).len();\n    let gb = locked(&B);\n    \
+         n + gb.len()\n}\n",
+    );
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert!(
+        report.lock_edges.is_empty(),
+        "A's guard dies with its statement: {:?}",
+        report.lock_edges
+    );
+}
+
+#[test]
+fn dropping_a_guard_ends_its_liveness() {
+    let report = audit_serve(
+        "dropped",
+        "pub fn handoff() -> usize {\n    let ga = locked(&A);\n    let n = ga.len();\n    \
+         drop(ga);\n    let gb = locked(&B);\n    n + gb.len()\n}\n",
+    );
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert!(report.lock_edges.is_empty(), "A is released before B: {:?}", report.lock_edges);
+}

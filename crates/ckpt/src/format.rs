@@ -112,7 +112,7 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+    fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         let end = self
             .pos
             .checked_add(n)
@@ -133,18 +133,18 @@ impl<'a> Reader<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take_bytes(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, CkptError> {
         let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4)?);
+        b.copy_from_slice(self.take_bytes(4)?);
         Ok(u32::from_le_bytes(b))
     }
 
     fn u64(&mut self) -> Result<u64, CkptError> {
         let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
+        b.copy_from_slice(self.take_bytes(8)?);
         Ok(u64::from_le_bytes(b))
     }
 
@@ -155,7 +155,7 @@ impl<'a> Reader<'a> {
     /// Reads a count that prefixes `elem_size`-byte elements, rejecting
     /// counts the remaining payload cannot possibly hold (so corrupt counts
     /// fail fast instead of triggering huge allocations).
-    fn count(&mut self, elem_size: usize, what: &str) -> Result<usize, CkptError> {
+    fn element_count(&mut self, elem_size: usize, what: &str) -> Result<usize, CkptError> {
         let n = self.u64()?;
         let remaining = (self.bytes.len() - self.pos) as u64;
         let feasible =
@@ -169,7 +169,7 @@ impl<'a> Reader<'a> {
     }
 
     fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, CkptError> {
-        Ok(f64s(self.take(n * 8)?))
+        Ok(f64s(self.take_bytes(n * 8)?))
     }
 
     /// Reads a `rows × cols` table's header and claims its bytes, without
@@ -186,7 +186,7 @@ impl<'a> Reader<'a> {
                 what: format!("{what}: {rows}x{cols} matrix exceeds remaining payload"),
             });
         }
-        Ok(RawTable { rows, cols, bytes: self.take(len * 8)? })
+        Ok(RawTable { rows, cols, bytes: self.take_bytes(len * 8)? })
     }
 }
 
@@ -380,7 +380,7 @@ pub(crate) fn walk(bytes: &[u8], body_hash: Option<u64>) -> Result<Walked<'_>, C
         },
     };
 
-    let n_losses = r.count(8, "epoch_losses")?;
+    let n_losses = r.element_count(8, "epoch_losses")?;
     let epoch_losses = r.f64_vec(n_losses)?;
     if epoch_losses.len() as u64 != epoch {
         return Err(CkptError::Corrupt {
@@ -388,7 +388,7 @@ pub(crate) fn walk(bytes: &[u8], body_hash: Option<u64>) -> Result<Walked<'_>, C
         });
     }
 
-    let n_order = r.count(8, "order")?;
+    let n_order = r.element_count(8, "order")?;
     let mut order = Vec::with_capacity(n_order);
     for _ in 0..n_order {
         order.push(r.u64()?);
@@ -402,11 +402,11 @@ pub(crate) fn walk(bytes: &[u8], body_hash: Option<u64>) -> Result<Walked<'_>, C
         return Err(CkptError::Corrupt { what: "RNG state is all-zero".to_string() });
     }
 
-    let n_params = r.count(8, "params")?;
+    let n_params = r.element_count(8, "params")?;
     let mut params = Vec::with_capacity(n_params);
     for i in 0..n_params {
-        let name_len = r.count(1, "param name")?;
-        let name = std::str::from_utf8(r.take(name_len)?)
+        let name_len = r.element_count(1, "param name")?;
+        let name = std::str::from_utf8(r.take_bytes(name_len)?)
             .map_err(|_| CkptError::Corrupt { what: format!("param {i} name is not UTF-8") })?
             .to_string();
         let value = r.table(&format!("param `{name}`"))?;
@@ -414,7 +414,7 @@ pub(crate) fn walk(bytes: &[u8], body_hash: Option<u64>) -> Result<Walked<'_>, C
     }
 
     let adam_t = r.u64()?;
-    let n_moments = r.count(16, "adam moments")?;
+    let n_moments = r.element_count(16, "adam moments")?;
     if n_moments != params.len() {
         return Err(CkptError::Corrupt {
             what: format!("{n_moments} Adam moment pairs for {} params", params.len()),

@@ -78,11 +78,6 @@ impl Layout {
         (name, *count)
     }
 
-    /// Number of extra families.
-    pub fn n_extra_families(&self) -> usize {
-        self.extras.len()
-    }
-
     /// Total number of nodes across all families.
     pub fn total(&self) -> usize {
         self.n_users

@@ -137,16 +137,6 @@ impl<'a> TrainData<'a> {
             train: &split.train,
         }
     }
-
-    /// Price levels of a batch of items.
-    pub fn price_of(&self, items: &[usize]) -> Vec<usize> {
-        items.iter().map(|&i| self.item_price_level[i]).collect()
-    }
-
-    /// Categories of a batch of items.
-    pub fn category_of(&self, items: &[usize]) -> Vec<usize> {
-        items.iter().map(|&i| self.item_category[i]).collect()
-    }
 }
 
 /// A trainable parameter together with its stable, human-readable name

@@ -529,15 +529,15 @@ impl Pup {
     /// [`PupVariant::CategoryOnly`]) and the `^c` blocks come from the
     /// category branch ([`PupVariant::Full`] only). The bipartite variant
     /// has no attribute node, so it folds to `[e_u] · [e_i]`.
-    fn fold(&self) -> DotScorer {
+    fn fold_scorer(&self) -> DotScorer {
         let global = self.inference_repr(&self.global);
         let category = self.category.as_ref().map(|b| self.inference_repr(b));
-        self.fold_from(global, category)
+        self.fold_scorer_from(global, category)
     }
 
-    /// [`Self::fold`] over the given inference representations of the
+    /// [`Self::fold_scorer`] over the given inference representations of the
     /// global and (for [`PupVariant::Full`]) the category branch.
-    fn fold_from(&self, global: Matrix, category: Option<Matrix>) -> DotScorer {
+    fn fold_scorer_from(&self, global: Matrix, category: Option<Matrix>) -> DotScorer {
         let (lay, alpha, variant) = (&self.global.layout, self.config.alpha, self.config.variant);
         let category = category.zip(self.category.as_ref().map(|b| &b.layout));
         let has_bias = variant != PupVariant::Bipartite;
@@ -642,7 +642,7 @@ impl BprModel for Pup {
     }
 
     fn finalize(&mut self) {
-        self.frozen = Some(self.fold());
+        self.frozen = Some(self.fold_scorer());
         self.global.step = None;
         if let Some(b) = &mut self.category {
             b.step = None;
@@ -1103,8 +1103,8 @@ mod tests {
         }
         let mut oracle = oracle.into_iter();
         let global = oracle.next().expect("a global branch");
-        let want = m.fold_from(global, oracle.next());
-        let got = m.fold();
+        let want = m.fold_scorer_from(global, oracle.next());
+        let got = m.fold_scorer();
         assert_eq!(bits(got.users.as_slice()), bits(want.users.as_slice()), "{label}: users");
         for user in 0..m.n_users() {
             let (g, w) = (got.score_items(user), want.score_items(user));

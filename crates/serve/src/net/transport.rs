@@ -141,11 +141,6 @@ impl MemTransport {
         let write_fail_after = faults.disconnect.then_some(8);
         Self { events: events.into(), pending_virtual_ns: 0, written: Vec::new(), write_fail_after }
     }
-
-    /// The response bytes written so far, as UTF-8 (lossy).
-    pub fn written_str(&self) -> String {
-        String::from_utf8_lossy(&self.written).into_owned()
-    }
 }
 
 fn push_data(events: &mut Vec<MemEvent>, bytes: &[u8], torn: bool) {

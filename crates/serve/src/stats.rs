@@ -191,11 +191,8 @@ impl ServeStats {
             shadow_overlap,
             shadow_delta,
             active_gen: 0,
-            // `vec![]`, not `Vec::new()`: the histogram guards above are
-            // treated as live for the rest of the fn by the lock-discipline
-            // audit, and a call named `new` aliases to scoring constructors.
-            swap_transitions: vec![],
-            slo_events: vec![],
+            swap_transitions: Vec::new(),
+            slo_events: Vec::new(),
             slo_unrecovered_pages: 0,
         }
     }

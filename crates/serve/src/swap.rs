@@ -437,9 +437,7 @@ impl SwapController {
     /// and appends to the trace. Caller holds the lock; `pending` must be
     /// `Some`.
     fn resolve(&self, inner: &mut Inner, faults: &FaultInjector) {
-        // Qualified call: a bare `.take(…)` would alias to the checkpoint
-        // reader's `take` in the token-based call-graph audit.
-        let Some(p) = Option::take(&mut inner.pending) else { return };
+        let Some(p) = inner.pending.take() else { return };
         let from_gen = self.active_gen();
         let outcome = if let Some(reason) = p.failed {
             SwapOutcome::RolledBack(reason)
@@ -571,14 +569,7 @@ fn topk_overlap(served: &[u32], shadow: &[u32]) -> f64 {
     if denom == 0 {
         return 1.0;
     }
-    // Counted by hand: `.count(…)` would alias to the checkpoint reader's
-    // `count` in the token-based call-graph audit.
-    let mut hits = 0usize;
-    for i in served {
-        if shadow.contains(i) {
-            hits += 1;
-        }
-    }
+    let hits = served.iter().filter(|i| shadow.contains(i)).count();
     hits as f64 / denom as f64
 }
 

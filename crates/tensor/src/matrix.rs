@@ -291,13 +291,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise `f(self, rhs)` into a new matrix of the same shape.
     pub(crate) fn zip_with(&self, rhs: &Matrix, op: &str, f: impl Fn(f64, f64) -> f64) -> Matrix {
         // pup-audit: allow(hotpath-panic): fail-fast shape precondition; scoring shapes are fixed by model config
