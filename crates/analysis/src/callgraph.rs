@@ -39,7 +39,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lex::TokenKind;
-use crate::lint::workspace_rs_files;
+use crate::lint::workspace_sources;
 use crate::syntax::{in_any, SourceFile};
 
 /// Keywords that look like calls when followed by `(`.
@@ -109,13 +109,7 @@ impl CallGraph {
     /// forbids (a `serve` fn cannot really call into `analysis`; without
     /// the pruning, bare-name fan-out would manufacture such edges).
     pub fn build(root: &Path) -> io::Result<CallGraph> {
-        let files = workspace_rs_files(root)?;
-        let mut sources = Vec::with_capacity(files.len());
-        for file in files {
-            let text = fs::read_to_string(&file)?;
-            sources.push((file, text));
-        }
-        let mut graph = Self::build_from_sources(&sources);
+        let mut graph = Self::build_from_sources(&workspace_sources(root)?);
         graph.attach_crate_deps(root);
         Ok(graph)
     }

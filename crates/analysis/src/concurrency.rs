@@ -21,6 +21,8 @@
 //!   load/store is flagged: a relaxed flag publishes no happens-before
 //!   edge, so gating a data handoff on it is a race.
 //!
+//! Each pass honours `// pup-audit: allow(<pass>): <reason>` escapes
+//! through [`crate::escape`]; this audit also reports unknown audit kinds.
 //! Everything runs on the same [`crate::lex`]/[`crate::syntax`] token
 //! machinery as the lint driver, so strings, comments and wrapped lines
 //! can never confuse a pass. Run it with
@@ -28,25 +30,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::{crate_of, innermost, CallGraph, FnNode};
-use crate::hotpath::{escape_comments, EscapeComment};
+use crate::escape::{Ledger, Problem, Reader};
 use crate::lex::TokenKind;
-use crate::lint::workspace_rs_files;
+use crate::lint::workspace_sources;
 use crate::syntax::{in_any, FnDef, SourceFile, Stmt};
-
-/// Escape kinds this audit owns (reason + staleness are checked here).
-pub const CONCURRENCY_KINDS: &[&str] =
-    &["non-send", "lock-order", "guard-across-scoring", "relaxed-handoff"];
-
-/// Every valid `// pup-audit: allow(<kind>)` across all audits. This audit
-/// owns unknown-kind detection for the whole family; kinds owned by other
-/// audits (`hotpath-panic` → `audit-hotpath`) are hygiene-checked there.
-pub const ALL_ESCAPE_KINDS: &[&str] =
-    &["non-send", "lock-order", "guard-across-scoring", "relaxed-handoff", "hotpath-panic"];
 
 /// The audit pass a finding came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,22 +97,15 @@ pub struct AuditReport {
     pub lock_edges: Vec<(String, String, PathBuf, usize)>,
     /// Number of `.rs` files scanned.
     pub files_checked: usize,
-    /// Stale escapes (a `lint --fix` run may delete them): file, 1-based
-    /// line of the marker, escape kind.
-    pub stale_escapes: Vec<(PathBuf, usize, String)>,
+    /// Hygiene problems of the escapes this audit owns; `lint --fix`
+    /// deletes the stale ones.
+    pub escapes: Vec<Problem>,
 }
 
 /// Whether a crate's state is shared across worker threads, making its
 /// non-Send constructs violations.
 fn must_be_send(crate_name: &str) -> bool {
     matches!(crate_name, "serve" | "obs" | "ckpt")
-}
-
-/// A `// pup-audit: allow(<kind>): <reason>` escape in file `file`.
-struct AuditEscape {
-    file: usize,
-    comment: EscapeComment,
-    used: bool,
 }
 
 /// A lock (or atomic-flag) reference inside a function: either a concrete
@@ -185,12 +169,7 @@ struct FileFacts {
 
 /// Runs the full audit over `<root>/crates/*/src`.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    let files = workspace_rs_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for file in files {
-        let text = fs::read_to_string(&file)?;
-        sources.push((file, text));
-    }
+    let sources = workspace_sources(root)?;
     let mut graph = CallGraph::build_from_sources(&sources);
     graph.attach_crate_deps(root);
     let parsed: Vec<SourceFile<'_>> =
@@ -203,86 +182,40 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
         locks: Vec::new(),
         lock_edges: Vec::new(),
         files_checked: sources.len(),
-        stale_escapes: Vec::new(),
+        escapes: Vec::new(),
     };
 
-    let mut escapes: Vec<AuditEscape> = parsed
+    let mut ledgers: Vec<Ledger> = sources
         .iter()
-        .enumerate()
-        .flat_map(|(file, parsed)| {
-            escape_comments(parsed).into_iter().map(move |comment| AuditEscape {
-                file,
-                comment,
-                used: false,
-            })
-        })
+        .zip(&parsed)
+        .map(|((path, _), file)| Ledger::parse(path, file, Reader::Concurrency))
         .collect();
 
-    send_sync_pass(&facts, &mut escapes, &mut report);
-    relaxed_pass(&facts, &mut escapes, &mut report);
-    lock_pass(&facts, &graph, &bodies, &mut escapes, &mut report);
+    send_sync_pass(&facts, &mut ledgers, &mut report);
+    relaxed_pass(&facts, &mut ledgers, &mut report);
+    lock_pass(&facts, &graph, &bodies, &mut ledgers, &mut report);
 
-    // Escape hygiene: every escape must name a known pass, carry a reason,
-    // and still suppress something. Kinds owned by other audits are left
-    // to them (only unknown-kind detection is centralised here).
-    for esc in &escapes {
-        let kind = esc.comment.kind.as_str();
-        let message = if !ALL_ESCAPE_KINDS.contains(&kind) {
-            format!("audit escape names unknown pass `{kind}`")
-        } else if !CONCURRENCY_KINDS.contains(&kind) {
-            continue;
-        } else if !esc.comment.has_reason {
-            format!(
-                "audit escape `allow({kind})` has no reason; write \
-                 `// pup-audit: allow({kind}): <why this is safe>`"
-            )
-        } else if !esc.used {
-            report.stale_escapes.push((
-                facts[esc.file].path.to_path_buf(),
-                esc.comment.line,
-                kind.to_string(),
-            ));
-            format!("stale audit escape: `allow({kind})` suppresses nothing; delete it")
-        } else {
-            continue;
-        };
+    for p in ledgers.iter().flat_map(Ledger::hygiene) {
         report.findings.push(Finding {
-            file: facts[esc.file].path.to_path_buf(),
-            line: esc.comment.line,
+            file: p.file.to_path_buf(),
+            line: p.line,
             pass: Pass::Escape,
-            message,
+            message: p.message(),
         });
+        report.escapes.push(p);
     }
 
     report.findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)
 }
 
-/// Marks a matching escape (same line or the line above) used and returns
-/// whether the finding is suppressed.
-fn suppressed(escapes: &mut [AuditEscape], file: usize, line: usize, kind: &str) -> bool {
-    let mut hit = false;
-    for esc in escapes.iter_mut() {
-        let c = &esc.comment;
-        if esc.file == file
-            && c.kind == kind
-            && c.has_reason
-            && (c.line == line || c.line + 1 == line)
-        {
-            esc.used = true;
-            hit = true;
-        }
-    }
-    hit
-}
-
-fn send_sync_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut AuditReport) {
+fn send_sync_pass(facts: &[FileFacts], ledgers: &mut [Ledger], report: &mut AuditReport) {
     for (fi, f) in facts.iter().enumerate() {
         if !must_be_send(&f.crate_name) {
             continue;
         }
         for (line, construct) in &f.non_send_sites {
-            if suppressed(escapes, fi, *line, "non-send") {
+            if ledgers[fi].suppress(*line, "non-send") {
                 continue;
             }
             report.findings.push(Finding {
@@ -300,10 +233,10 @@ fn send_sync_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut
     }
 }
 
-fn relaxed_pass(facts: &[FileFacts], escapes: &mut [AuditEscape], report: &mut AuditReport) {
+fn relaxed_pass(facts: &[FileFacts], ledgers: &mut [Ledger], report: &mut AuditReport) {
     for (fi, f) in facts.iter().enumerate() {
         for (line, name) in &f.relaxed_sites {
-            if suppressed(escapes, fi, *line, "relaxed-handoff") {
+            if ledgers[fi].suppress(*line, "relaxed-handoff") {
                 continue;
             }
             report.findings.push(Finding {
@@ -336,7 +269,7 @@ fn lock_pass(
     facts: &[FileFacts],
     graph: &CallGraph,
     bodies: &[LockBody],
-    escapes: &mut [AuditEscape],
+    ledgers: &mut [Ledger],
     report: &mut AuditReport,
 ) {
     report.locks = facts
@@ -395,10 +328,7 @@ fn lock_pass(
         // Edges: a -> b for every b acquired while a is live.
         for (i, (a_id, a_off, a_until, _)) in held.iter().enumerate() {
             for (b_id, b_off, _, b_line) in held.iter().skip(i + 1) {
-                if b_off < a_until
-                    && a_id != b_id
-                    && !suppressed(escapes, fi, *b_line, "lock-order")
-                {
+                if b_off < a_until && a_id != b_id && !ledgers[fi].suppress(*b_line, "lock-order") {
                     edges
                         .entry((a_id.to_string(), b_id.to_string()))
                         .or_insert_with(|| (path.to_path_buf(), *b_line));
@@ -411,7 +341,7 @@ fn lock_pass(
                     continue;
                 }
                 let scoring = c.targets.iter().any(|&t| graph.fns[t].crate_name == "models");
-                if scoring && !suppressed(escapes, fi, c.line, "guard-across-scoring") {
+                if scoring && !ledgers[fi].suppress(c.line, "guard-across-scoring") {
                     report.findings.push(Finding {
                         file: path.to_path_buf(),
                         line: c.line,
@@ -427,7 +357,7 @@ fn lock_pass(
                 }
                 for &t in &c.targets {
                     for id in summaries[t].iter().filter_map(|l| concrete(l, &c.args)) {
-                        if id != *a_id && !suppressed(escapes, fi, c.line, "lock-order") {
+                        if id != *a_id && !ledgers[fi].suppress(c.line, "lock-order") {
                             edges
                                 .entry((a_id.to_string(), id))
                                 .or_insert_with(|| (path.to_path_buf(), c.line));
@@ -849,24 +779,6 @@ fn arg_base<'a>(file: &SourceFile<'a>, seg: &[usize]) -> Option<&'a str> {
     last.map(|ti| file.text(ti))
 }
 
-/// Escapes a string for inclusion in JSON output.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            // pup-lint: allow(as-cast-truncation) — char to u32 is lossless
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,14 +864,16 @@ mod tests {
 
     #[test]
     fn audit_escape_parsing_requires_reason() {
-        // The audit reads escapes through the parser it shares with
+        // The audit reads escapes through the ledger it shares with the lint,
         // audit-hotpath and `lint --fix`.
         let src = "// pup-audit: allow(non-send): telemetry buffers are per-thread by design\nfn a() {}\n// pup-audit: allow(non-send)\nfn b() {}\n// pup-audit: allow(non-send):\nfn c() {}\n";
-        let escapes = escape_comments(&SourceFile::parse(src));
-        assert_eq!(escapes.len(), 3);
-        assert!(escapes[0].has_reason, "reason present");
-        assert!(!escapes[1].has_reason, "no colon, no reason");
-        assert!(!escapes[2].has_reason, "colon but empty reason");
+        let mut ledger =
+            Ledger::parse(Path::new("lib.rs"), &SourceFile::parse(src), Reader::Concurrency);
+        assert!(ledger.suppress(2, "non-send"), "reason present");
+        assert!(!ledger.suppress(4, "non-send"), "no colon, no reason");
+        assert!(!ledger.suppress(6, "non-send"), "colon but empty reason");
+        let lines: Vec<usize> = ledger.hygiene().iter().map(|p| p.line).collect();
+        assert_eq!(lines, [3, 5], "the reasonless escapes are findings");
     }
 
     #[test]
@@ -994,11 +908,5 @@ mod tests {
         assert_eq!(call.name, "helper");
         assert_eq!(call.args[0], Some(LockRef::Concrete("args::stats".to_string())));
         assert_eq!(call.args[1], None);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

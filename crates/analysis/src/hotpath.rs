@@ -13,8 +13,9 @@
 //!    `x[…]`, and integer `/` `%` (with float-arithmetic excluded by
 //!    heuristic). Facts propagate caller-ward: a root certifies only when
 //!    zero unescaped sources are reachable from it. A legitimate site is
-//!    acknowledged with a mandatory-reason escape on or directly above it:
-//!    `// pup-audit: allow(hotpath-panic): <why this cannot fire>`.
+//!    acknowledged with an escape ([`crate::escape`]) on or directly above
+//!    it: `// pup-audit: allow(hotpath-panic): <why this cannot fire>`. The
+//!    escape is live only if a site it suppresses is in a hot fn.
 //! 2. **Lock budget.** The same reachable set is scanned for lock
 //!    acquisitions (`.lock()` / `.read()` / `.write()`). Budgets are not
 //!    zero — they are **ratcheted**: the per-root counts live in the
@@ -39,9 +40,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use pup_obs::json::Value;
+
 use crate::callgraph::{innermost, CallGraph};
+use crate::escape::{Ledger, Problem, Reader};
 use crate::lex::TokenKind;
-use crate::lint::workspace_rs_files;
+use crate::lint::workspace_sources;
 use crate::syntax::{in_any, SourceFile};
 
 /// Repo-relative path of the committed hot-path budget ratchet.
@@ -122,17 +126,6 @@ pub struct SiteItem {
     pub root: String,
 }
 
-/// A stale escape comment the fixer may delete: file, 1-based line, kind.
-#[derive(Debug, Clone)]
-pub struct StaleEscape {
-    /// File containing the comment.
-    pub file: PathBuf,
-    /// 1-based line of the marker.
-    pub line: usize,
-    /// The escape kind named in `allow(…)`.
-    pub kind: String,
-}
-
 /// The full certifier report.
 #[derive(Debug)]
 pub struct AuditReport {
@@ -149,49 +142,9 @@ pub struct AuditReport {
     pub files_checked: usize,
     /// Number of fn nodes in the call graph.
     pub fn_count: usize,
-    /// Stale `allow(hotpath-panic)` escapes, for `lint --fix`.
-    pub stale_escapes: Vec<StaleEscape>,
-}
-
-/// One audit escape comment found in a file (any kind).
-#[derive(Debug)]
-pub struct EscapeComment {
-    /// Byte span of the whole comment token.
-    pub span: (usize, usize),
-    /// 1-based line of the marker.
-    pub line: usize,
-    /// The kind inside `allow(…)`.
-    pub kind: String,
-    /// Whether a non-empty `: <reason>` follows.
-    pub has_reason: bool,
-}
-
-/// Parses every `// pup-audit: allow(<kind>)[: reason]` comment in a file.
-/// Shared with the fixer, which needs the comment's byte span to delete it.
-pub fn escape_comments(file: &SourceFile<'_>) -> Vec<EscapeComment> {
-    const MARKER: &str = "pup-audit: allow(";
-    let mut out = Vec::new();
-    for t in &file.tokens {
-        let plain = matches!(
-            t.kind,
-            TokenKind::LineComment { doc: false } | TokenKind::BlockComment { doc: false }
-        );
-        if !plain {
-            continue;
-        }
-        let text = t.text(file.src);
-        let Some(at) = text.find(MARKER) else { continue };
-        let rest = &text[at + MARKER.len()..];
-        let Some(close) = rest.find(')') else { continue };
-        let after = rest[close + 1..].trim_start();
-        out.push(EscapeComment {
-            span: (t.start, t.end),
-            line: file.line_of(t.start + at),
-            kind: rest[..close].trim().to_string(),
-            has_reason: after.strip_prefix(':').map(str::trim).is_some_and(|r| !r.is_empty()),
-        });
-    }
-    out
+    /// Hygiene problems of the `allow(hotpath-panic)` escapes; `lint --fix`
+    /// deletes the stale ones.
+    pub escapes: Vec<Problem>,
 }
 
 /// A local panic/lock site before fn attribution.
@@ -201,11 +154,10 @@ struct RawSite {
     construct: String,
 }
 
-/// Per-file local facts: panic sources, lock sites, escapes.
+/// Per-file local facts: panic sources and lock sites.
 struct FileSites {
     panics: Vec<RawSite>,
     locks: Vec<RawSite>,
-    escapes: Vec<EscapeComment>,
 }
 
 /// Macros that unconditionally may panic. `debug_assert*` is absent on
@@ -220,8 +172,7 @@ const NON_INDEX_KEYWORDS: &[&str] =
 /// Extracts all local sites from one parsed file (non-test code only).
 fn extract_sites(file: &SourceFile<'_>) -> FileSites {
     let test_spans = file.test_spans();
-    let mut sites =
-        FileSites { panics: Vec::new(), locks: Vec::new(), escapes: escape_comments(file) };
+    let mut sites = FileSites { panics: Vec::new(), locks: Vec::new() };
 
     for p in 0..file.code.len() {
         let ti = file.code[p];
@@ -361,13 +312,7 @@ fn is_integer_div(file: &SourceFile<'_>, p: usize, at: usize) -> bool {
 
 /// Runs the certifier over `<root>/crates/*/src`.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    let files = workspace_rs_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for file in files {
-        let text = fs::read_to_string(&file)?;
-        sources.push((file, text));
-    }
-    Ok(audit_sources(root, &sources))
+    Ok(audit_sources(root, &workspace_sources(root)?))
 }
 
 /// The panic and lock sites attributed to a fn node.
@@ -390,7 +335,7 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         ratchet: read_ratchet(root),
         files_checked: sources.len(),
         fn_count: graph.fns.len(),
-        stale_escapes: Vec::new(),
+        escapes: Vec::new(),
     };
 
     // Group fn indices by file for site attribution.
@@ -399,46 +344,8 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         fns_by_file.entry(f.file.as_path()).or_default().push(i);
     }
 
-    // Extract local sites per file, attribute each to the innermost
-    // enclosing fn, and apply escapes to panic sites.
-    let mut per_fn: Vec<FnSites> =
-        (0..graph.fns.len()).map(|_| FnSites { panics: Vec::new(), locks: Vec::new() }).collect();
-    // Each escape remembers the owner fns of the sites it suppressed, so
-    // hygiene can check the suppressed code is actually hot.
-    let mut escapes: Vec<(PathBuf, EscapeComment, Vec<usize>)> = Vec::new();
-    for (path, text) in sources {
-        let file = SourceFile::parse(text);
-        let sites = extract_sites(&file);
-        let owners = fns_by_file.get(path.as_path()).map_or(&[][..], |v| &v[..]);
-        let owner_of = |offset: usize| innermost(&graph.fns, owners.iter().copied(), offset);
-        let escape_base = escapes.len();
-        for esc in sites.escapes {
-            if esc.kind == ESCAPE_KIND {
-                escapes.push((path.to_path_buf(), esc, Vec::new()));
-            }
-        }
-        for s in sites.panics {
-            let Some(owner) = owner_of(s.offset) else { continue };
-            let mut suppressed = false;
-            for (_, esc, suppressed_in) in &mut escapes[escape_base..] {
-                if esc.has_reason && (esc.line == s.line || esc.line + 1 == s.line) {
-                    suppressed_in.push(owner);
-                    suppressed = true;
-                }
-            }
-            if !suppressed {
-                per_fn[owner].panics.push((s.line, s.construct));
-            }
-        }
-        for s in sites.locks {
-            if let Some(owner) = owner_of(s.offset) {
-                per_fn[owner].locks.push((s.offset, s.line, s.construct));
-            }
-        }
-    }
-
-    // Per-root reachability fixpoint: BFS with parent pointers so every
-    // finding names its call chain.
+    // Per-root reachability: BFS with parent pointers so every finding
+    // names its call chain.
     let roots = graph.hot_roots();
     if roots.is_empty() {
         report.findings.push(Finding {
@@ -451,14 +358,15 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         });
     }
     let mut hot_reach: Vec<bool> = vec![false; graph.fns.len()];
-    let mut claimed_sites: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
-    for (label, start) in &roots {
+    let mut reach: Vec<(BTreeMap<usize, usize>, BTreeSet<usize>)> = Vec::new();
+    for (_, start) in &roots {
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut seen: BTreeSet<usize> = BTreeSet::new();
         let mut queue = VecDeque::new();
         seen.insert(*start);
         queue.push_back(*start);
         while let Some(i) = queue.pop_front() {
+            hot_reach[i] = true;
             for call in &graph.fns[i].calls {
                 for j in graph.callees(i, call) {
                     if seen.insert(j) {
@@ -468,6 +376,36 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
                 }
             }
         }
+        reach.push((parent, seen));
+    }
+
+    // Extract local sites per file and attribute each to the innermost
+    // enclosing fn. Escapes apply to the panic sites of hot fns only, so an
+    // escape that covers nothing but cold code is stale.
+    let mut per_fn: Vec<FnSites> =
+        (0..graph.fns.len()).map(|_| FnSites { panics: Vec::new(), locks: Vec::new() }).collect();
+    for (path, text) in sources {
+        let file = SourceFile::parse(text);
+        let sites = extract_sites(&file);
+        let mut ledger = Ledger::parse(path, &file, Reader::Hotpath);
+        let owners = fns_by_file.get(path.as_path()).map_or(&[][..], |v| &v[..]);
+        let owner_of = |offset: usize| innermost(&graph.fns, owners.iter().copied(), offset);
+        for s in sites.panics {
+            let Some(owner) = owner_of(s.offset) else { continue };
+            if hot_reach[owner] && !ledger.suppress(s.line, ESCAPE_KIND) {
+                per_fn[owner].panics.push((s.line, s.construct));
+            }
+        }
+        for s in sites.locks {
+            if let Some(owner) = owner_of(s.offset) {
+                per_fn[owner].locks.push((s.offset, s.line, s.construct));
+            }
+        }
+        report.escapes.extend(ledger.hygiene());
+    }
+
+    let mut claimed_sites: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
+    for ((label, start), (parent, seen)) in roots.iter().zip(&reach) {
         let chain = |mut i: usize| -> String {
             let mut names = vec![graph.fns[i].qual.as_str()];
             while let Some(&p) = parent.get(&i) {
@@ -478,8 +416,7 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
             names.join(" -> ")
         };
         let mut locks = 0usize;
-        for &i in &seen {
-            hot_reach[i] = true;
+        for &i in seen {
             let f = &graph.fns[i];
             for (line, construct) in &per_fn[i].panics {
                 if claimed_sites.insert((f.file.to_path_buf(), *line)) {
@@ -515,33 +452,12 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
             locks,
         });
     }
-
-    // Escape hygiene: every `allow(hotpath-panic)` must carry a reason and
-    // suppress a site inside a hot-reachable fn; anything else is stale.
-    // (Unknown kinds are audit-concurrency's to report — it owns the
-    // shared registry.)
-    for (path, esc, suppressed_in) in &escapes {
-        let on_hot_path = suppressed_in.iter().any(|&i| hot_reach[i]);
-        let message = if !esc.has_reason {
-            format!(
-                "audit escape `allow({ESCAPE_KIND})` has no reason; write \
-                 `// pup-audit: allow({ESCAPE_KIND}): <why this cannot fire>`"
-            )
-        } else if !on_hot_path {
-            report.stale_escapes.push(StaleEscape {
-                file: path.to_path_buf(),
-                line: esc.line,
-                kind: esc.kind.to_string(),
-            });
-            format!("stale audit escape: `allow({ESCAPE_KIND})` suppresses nothing; delete it")
-        } else {
-            continue;
-        };
+    for p in &report.escapes {
         report.findings.push(Finding {
-            file: path.to_path_buf(),
-            line: esc.line,
+            file: p.file.to_path_buf(),
+            line: p.line,
             pass: Pass::Escape,
-            message,
+            message: p.message(),
         });
     }
 
@@ -627,29 +543,11 @@ pub fn update_ratchet(root: &Path, roots: &[RootReport]) -> io::Result<()> {
 /// Reads the committed ratchet: label -> (measured allocs per call, lock
 /// sites).
 pub fn read_ratchet(root: &Path) -> Option<BTreeMap<String, (usize, usize)>> {
-    let text = fs::read_to_string(root.join(RATCHET_PATH)).ok()?;
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with('"') || !line.contains("\"allocs\"") {
-            continue;
-        }
-        let mut quotes = line.split('"');
-        quotes.next()?; // before the first quote
-        let label = quotes.next()?.to_string();
-        let allocs = field_value(line, "\"allocs\"")?;
-        let locks = field_value(line, "\"locks\"")?;
-        out.insert(label, (allocs, locks));
-    }
-    Some(out)
-}
-
-/// Parses the integer after `"field":` in `line`.
-fn field_value(line: &str, field: &str) -> Option<usize> {
-    let at = line.find(field)?;
-    let rest = &line[at + field.len()..];
-    let colon = rest.find(':')?;
-    let digits: String =
-        rest[colon + 1..].trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    let doc = Value::parse(&fs::read_to_string(root.join(RATCHET_PATH)).ok()?).ok()?;
+    let Some(Value::Obj(roots)) = doc.get("roots") else { return None };
+    let count = |v: &Value, field: &str| usize::try_from(v.get(field)?.as_u64()?).ok();
+    roots
+        .iter()
+        .map(|(label, v)| Some((label.to_string(), (count(v, "allocs")?, count(v, "locks")?))))
+        .collect()
 }

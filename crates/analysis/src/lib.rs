@@ -8,8 +8,12 @@
 //!   `panic!` inside backward closures, no unguarded logs in loss code, no
 //!   torn in-place writes, no matrix clones inside hot loops). Run it with
 //!   `cargo run -p pup-analysis -- lint`; it exits non-zero when any
-//!   violation is found. Individual sites opt out with a
-//!   `// pup-lint: allow(<rule>)` comment on or directly above the line.
+//!   violation is found.
+//! - [`escape`] — the escape ledger the lint and both audits share: a site
+//!   opts out with `// pup-lint: allow(<rule>)` or
+//!   `// pup-audit: allow(<kind>): <reason>` on or directly above its line;
+//!   the ledger parses them, records which suppressed a finding, reports
+//!   unknown, reasonless and stale ones, and deletes the stale ones.
 //! - [`gradcheck`] — a reusable central-finite-difference gradient checker
 //!   for any scalar-valued function of [`pup_tensor::Var`] inputs. The
 //!   integration tests sweep it over every public op in `pup_tensor::ops`
@@ -34,17 +38,16 @@
 //!   graph (free fns, methods with conservative trait fan-out, closures
 //!   attributed to their enclosing fn) and the hot-path certifier built on
 //!   it: a panic-reachability fixpoint that proves every `// pup-hot:`
-//!   root panic-free modulo reasoned `// pup-audit: allow(hotpath-panic)`
-//!   escapes, plus a ratcheted per-root lock budget (the `locks` fields of
+//!   root panic-free modulo reasoned `hotpath-panic` escapes, plus a ratcheted per-root lock budget (the `locks` fields of
 //!   `results/hotpath_ratchet.json`; the `allocs` fields are measured by a
 //!   counting allocator in `crates/core/tests/hot_allocs.rs`). Run it with
 //!   `cargo run -p pup-analysis -- audit-hotpath`.
-//! - [`fix`] — mechanical cleanup for `lint --fix`: deletes stale
-//!   `// pup-lint: allow(…)` escapes and stale `// pup-audit: allow(…)`
-//!   audit escapes in place, idempotently.
+//! - [`fix`] — `lint --fix`: deletes the stale escapes of the lint and
+//!   both audits in place, idempotently.
 
 pub mod callgraph;
 pub mod concurrency;
+pub mod escape;
 pub mod fix;
 pub mod gradcheck;
 pub mod graph;

@@ -26,18 +26,16 @@
 //! *contains* a guard word (`unclamped`) no longer quiets `unguarded-ln`.
 //!
 //! A site opts out with `// pup-lint: allow(<rule>)` on the offending line
-//! or on the line directly above it; the escape must live in a real plain
-//! `//` comment (an allow spelled inside a string literal or a doc comment
-//! is prose, not an escape). In strict mode every allow escape must still
-//! suppress at least one finding; stale escapes are reported as
-//! `stale-allow` violations so they cannot rot in place — and
-//! [`crate::fix`] can delete them mechanically.
+//! or the line above; [`crate::escape`] parses and matches escapes for the
+//! lint and both audits. In strict mode a name that suppresses nothing or
+//! names no rule is a `stale-allow` violation, and `lint --fix` deletes it.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::escape::{Ledger, Reader};
 use crate::lex::TokenKind;
 use crate::syntax::{in_any, SourceFile, Stmt};
 
@@ -141,14 +139,16 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 /// Lints every `.rs` file under `<root>/crates/*/src`; with `strict`, allow
 /// escapes that suppress nothing are reported as `stale-allow` violations.
 pub fn lint_workspace_with(root: &Path, strict: bool) -> io::Result<LintReport> {
-    let files = workspace_rs_files(root)?;
-    let mut diagnostics = Vec::new();
-    for file in &files {
-        let source = fs::read_to_string(file)?;
-        diagnostics.extend(lint_source_with(file, &source, strict));
-    }
+    let sources = workspace_sources(root)?;
+    let mut diagnostics: Vec<Diagnostic> =
+        sources.iter().flat_map(|(file, text)| lint_source_with(file, text, strict)).collect();
     diagnostics.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(LintReport { diagnostics, files_checked: files.len() })
+    Ok(LintReport { diagnostics, files_checked: sources.len() })
+}
+
+/// Every `.rs` file under `<root>/crates/*/src` with its text, sorted.
+pub fn workspace_sources(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
+    workspace_rs_files(root)?.into_iter().map(|f| fs::read_to_string(&f).map(|t| (f, t))).collect()
 }
 
 /// Every `.rs` file under `<root>/crates/*/src`, sorted.
@@ -193,63 +193,29 @@ struct Candidate {
     message: String,
 }
 
-/// One `// pup-lint: allow(a, b)` escape comment.
-pub struct AllowSite {
-    /// 1-based line of the comment.
-    pub line: usize,
-    /// Byte span of the whole comment token.
-    pub span: (usize, usize),
-    /// The rule names listed in the escape, in order.
-    pub names: Vec<String>,
-}
-
-/// Collects `// pup-lint: allow(…)` escapes from plain (non-doc) comments.
-/// An allow spelled in a string literal or doc comment is prose.
-pub fn parse_allows(file: &SourceFile<'_>) -> Vec<AllowSite> {
-    const MARKER: &str = "pup-lint: allow(";
-    let mut allows = Vec::new();
-    for t in &file.tokens {
-        let plain = matches!(
-            t.kind,
-            TokenKind::LineComment { doc: false } | TokenKind::BlockComment { doc: false }
-        );
-        if !plain {
-            continue;
-        }
-        let text = t.text(file.src);
-        let Some(at) = text.find(MARKER) else { continue };
-        let rest = &text[at + MARKER.len()..];
-        let Some(close) = rest.find(')') else { continue };
-        let names = rest[..close].split(',').map(|s| s.trim().to_string()).collect();
-        allows.push(AllowSite { line: file.line_of(t.start + at), span: (t.start, t.end), names });
-    }
-    allows
-}
-
-/// Lints a single file's source text; with `strict`, stale allow escapes
-/// are reported too.
+/// Lints a single file's source text; with `strict`, the hygiene problems
+/// of its `pup-lint` escapes (stale and unknown names) are reported too.
 pub fn lint_source_with(path: &Path, source: &str, strict: bool) -> Vec<Diagnostic> {
-    analyze_source(path, source, strict).diagnostics
+    let (mut diags, ledger) = analyze_source(path, source);
+    if strict {
+        diags.extend(ledger.hygiene().into_iter().map(|p| Diagnostic {
+            file: p.file.to_path_buf(),
+            line: p.line,
+            span: p.span,
+            rule: Rule::StaleAllow,
+            message: p.message(),
+        }));
+    }
+    diags.sort_by_key(|d| d.line);
+    diags
 }
 
-/// Full single-file analysis: the diagnostics plus, for every allow
-/// escape, which of its names actually suppressed a finding. `fix` uses
-/// the liveness map to delete stale escapes mechanically.
-pub struct Analysis {
-    /// The diagnostics `lint_source_with` would report.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Every `// pup-lint: allow(…)` escape in the file.
-    pub allows: Vec<AllowSite>,
-    /// `live[i][j]`: whether `allows[i].names[j]` suppressed ≥1 finding.
-    /// Unknown rule names are never live.
-    pub live: Vec<Vec<bool>>,
-}
-
-/// Lints a single file and reports allow-escape liveness alongside the
-/// diagnostics.
-pub fn analyze_source(path: &Path, source: &str, strict: bool) -> Analysis {
+/// Lints a single file: the findings no escape suppresses, and the file's
+/// `pup-lint` escape ledger with each name's use recorded. `fix` deletes
+/// the stale names the ledger reports.
+pub fn analyze_source(path: &Path, source: &str) -> (Vec<Diagnostic>, Ledger) {
     let file = SourceFile::parse(source);
-    let allows = parse_allows(&file);
+    let mut ledger = Ledger::parse(path, &file, Reader::Lint);
     let test_spans = file.test_spans();
     let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
     let path_str = path.to_string_lossy().replace('\\', "/");
@@ -278,59 +244,20 @@ pub fn analyze_source(path: &Path, source: &str, strict: bool) -> Analysis {
         blocking_io_without_timeout(&file, &test_spans, &mut candidates);
     }
 
-    // Filter candidates through the allow escapes, tracking which escape
-    // actually earned its keep.
-    let mut used: Vec<Vec<bool>> = allows.iter().map(|a| vec![false; a.names.len()]).collect();
-    let mut diags = Vec::new();
-    for c in candidates {
-        let line = file.line_of(c.offset);
-        let mut suppressed = false;
-        for (si, site) in allows.iter().enumerate() {
-            if site.line != line && site.line + 1 != line {
-                continue;
-            }
-            for (ni, name) in site.names.iter().enumerate() {
-                if name == c.rule.name() {
-                    used[si][ni] = true;
-                    suppressed = true;
-                }
-            }
-        }
-        if !suppressed {
-            diags.push(Diagnostic {
+    let diags = candidates
+        .into_iter()
+        .filter_map(|c| {
+            let line = file.line_of(c.offset);
+            (!ledger.suppress(line, c.rule.name())).then(|| Diagnostic {
                 file: path.to_path_buf(),
                 line,
                 span: (c.offset, c.end),
                 rule: c.rule,
                 message: c.message,
-            });
-        }
-    }
-
-    if strict {
-        for (si, site) in allows.iter().enumerate() {
-            for (ni, name) in site.names.iter().enumerate() {
-                let known = Rule::ALLOWABLE.iter().any(|r| r.name() == name.as_str());
-                let message = if !known {
-                    format!("allow escape names unknown rule `{name}`; delete or fix it")
-                } else if !used[si][ni] {
-                    format!("stale escape: `allow({name})` suppresses nothing; delete it")
-                } else {
-                    continue;
-                };
-                diags.push(Diagnostic {
-                    file: path.to_path_buf(),
-                    line: site.line,
-                    span: site.span,
-                    rule: Rule::StaleAllow,
-                    message,
-                });
-            }
-        }
-    }
-
-    diags.sort_by_key(|d| d.line);
-    Analysis { diagnostics: diags, allows, live: used }
+            })
+        })
+        .collect();
+    (diags, ledger)
 }
 
 /// Which path-scoped rules apply to this file.

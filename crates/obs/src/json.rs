@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn unicode_and_escapes_survive() {
-        let v = Value::str("héllo → wörld\t\u{1}");
+        let v = Value::str("héllo → wörld\t\u{1} \"q\" \\ \n");
         let back = Value::parse(&v.render()).unwrap();
         assert_eq!(back, v);
     }

@@ -165,11 +165,6 @@ impl Histogram {
         bucket_bounds().partition_point(|&b| b < v)
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.sum
@@ -257,7 +252,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), None);
         assert!(h.summary().is_none());
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.count, 0);
     }
 
     #[test]
@@ -298,7 +293,7 @@ mod tests {
         for q in [s.p50, s.p95, s.p99] {
             assert!((-2.5..=0.0).contains(&q), "quantile {q} outside observed range");
         }
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.count, 2);
     }
 
     #[test]
@@ -362,7 +357,7 @@ mod tests {
         let fast = ex.iter().find(|e| e.value == 0.4).expect("fast exemplar");
         assert_eq!(fast.trace, 9);
         assert_eq!(fast.le, Some(0.5));
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.count, 4);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate — identical to what CI runs (.github/workflows/ci.yml).
+# The full gate: CI (.github/workflows/ci.yml) runs this script.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
@@ -40,6 +40,7 @@ step cargo test -q -p pup-graph --test build_differential
 step cargo run -p pup-analysis --quiet -- audit-graph
 if [[ $fast -eq 0 ]]; then
     step cargo test --workspace -q
+    step cargo build --release --workspace
     # The tape auditor's own unit tests in release: cfg(test) compiles its
     # guards in without debug assertions.
     step cargo test --release -q -p pup-tensor
