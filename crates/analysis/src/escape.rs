@@ -55,6 +55,8 @@ fn owner(reader: Reader, name: &str) -> Option<Reader> {
 struct Escape {
     line: usize,
     span: (usize, usize),
+    /// Where the marker (`pup-lint: allow(` or `pup-audit: allow(`) starts.
+    marker: usize,
     list: (usize, usize),
     names: Vec<String>,
     used: Vec<bool>,
@@ -83,9 +85,8 @@ impl Ledger {
                 TokenKind::LineComment { doc: false } | TokenKind::BlockComment { doc: false }
             );
             let text = t.text(file.src);
-            let Some(open) = text.find(needle).filter(|_| plain).map(|at| at + needle.len()) else {
-                continue;
-            };
+            let Some(marker) = text.find(needle).filter(|_| plain) else { continue };
+            let open = marker + needle.len();
             let Some(close) = text[open..].find(')').map(|c| open + c) else { continue };
             let list = text[open..close].trim();
             let names: Vec<String> = if lint {
@@ -97,6 +98,7 @@ impl Ledger {
             escapes.push(Escape {
                 line: file.line_of(t.start + open),
                 span: (t.start, t.end),
+                marker: t.start + marker,
                 list: (t.start + open, t.start + close),
                 used: vec![false; names.len()],
                 names,
@@ -201,14 +203,15 @@ impl Problem {
 /// Deletes the stale names among `problems` (all from the file whose text
 /// is `source`), and unknown `pup-lint` names, which can never suppress; an
 /// unknown audit kind keeps its reviewed reason for a human to re-point.
-/// The whole comment goes when none of its names survive, otherwise just
-/// the dead names of the list. Returns the new text and the number of
-/// names removed, or `None` when there is nothing to delete.
+/// The whole comment goes when none of its names survive. Otherwise a
+/// marker whose names are all dead loses its own text (from its marker to
+/// the next marker or the comment's end), and a partly live list just its
+/// dead names. Returns the new text and the number of names removed, or
+/// `None` when there is nothing to delete.
 pub fn fix(source: &str, problems: &[Problem]) -> Option<(String, usize)> {
     let file = SourceFile::parse(source);
-    // Edits keyed by comment start, applied back to front. A whole-comment
-    // deletion wins over a list rewrite of the same comment.
-    let mut edits: BTreeMap<usize, (usize, usize, String)> = BTreeMap::new();
+    // Each comment's escapes, one per marker.
+    let mut comments: BTreeMap<(usize, usize), Vec<FixPart>> = BTreeMap::new();
     let mut removed = 0;
     // One ledger per marker: `pup-lint`, then `pup-audit`.
     for reader in [Reader::Lint, Reader::Concurrency] {
@@ -222,22 +225,56 @@ pub fn fix(source: &str, problems: &[Problem]) -> Option<(String, usize)> {
                             || (p.fault == Fault::Unknown && p.reader == Reader::Lint))
                 })
             };
-            let live: Vec<&str> =
-                esc.names.iter().map(String::as_str).filter(|n| !dead(n)).collect();
-            removed += esc.names.len() - live.len();
-            if live.is_empty() {
-                let (start, end) = comment_deletion(source, esc.span);
-                edits.insert(esc.span.0, (start, end, String::new()));
-            } else if live.len() < esc.names.len() {
-                edits.entry(esc.span.0).or_insert((esc.list.0, esc.list.1, live.join(", ")));
+            let live: Vec<String> = esc.names.iter().filter(|n| !dead(n)).cloned().collect();
+            let cut = esc.names.len() - live.len();
+            removed += cut;
+            let part = FixPart { marker: esc.marker, list: esc.list, live, cut: cut > 0 };
+            comments.entry(esc.span).or_default().push(part);
+        }
+    }
+    let mut edits: Vec<(usize, usize, String)> = Vec::new();
+    for ((start, end), mut parts) in comments {
+        if parts.iter().all(|p| p.live.is_empty()) {
+            let (from, to) = comment_deletion(source, (start, end));
+            edits.push((from, to, String::new()));
+            continue;
+        }
+        parts.sort_by_key(|p| p.marker);
+        let body = &source[..end];
+        let body_end = body.strip_suffix("*/").unwrap_or(body).trim_end().len();
+        for (k, part) in parts.iter().enumerate() {
+            let next = parts.get(k + 1).map(|p| p.marker);
+            if part.live.is_empty() {
+                // The last marker takes the spaces before it with it, any
+                // other the spaces up to the next marker.
+                let from = match next {
+                    Some(_) => part.marker,
+                    None => body[..part.marker].trim_end().len(),
+                };
+                edits.push((from, next.unwrap_or(body_end), String::new()));
+            } else if part.cut {
+                edits.push((part.list.0, part.list.1, part.live.join(", ")));
             }
         }
     }
     let mut fixed = source.to_string();
-    for (start, end, replacement) in edits.into_values().rev() {
+    edits.sort_by_key(|&(from, ..)| from);
+    for (start, end, replacement) in edits.into_iter().rev() {
         fixed.replace_range(start..end, &replacement);
     }
     (removed > 0).then_some((fixed, removed))
+}
+
+/// One marker's escape in a comment, as [`fix`] sees it.
+struct FixPart {
+    /// Where the marker starts.
+    marker: usize,
+    /// The byte range of its `allow(…)` list.
+    list: (usize, usize),
+    /// The names that stay.
+    live: Vec<String>,
+    /// Whether a name goes.
+    cut: bool,
 }
 
 /// The deletion for a whole escape comment: its line when the comment is
@@ -278,5 +315,31 @@ mod tests {
         let (fixed, removed) = fix(src, &ledger(src, Reader::Lint).hygiene()).expect("unknown");
         assert_eq!((fixed.as_str(), removed), ("// pup-audit: allow(no-such-kind): r\n", 1));
         assert!(fix(&fixed, &ledger(&fixed, Reader::Concurrency).hygiene()).is_none());
+    }
+
+    #[test]
+    fn a_dead_marker_loses_only_its_own_text() {
+        let mixed =
+            "// pup-lint: allow(float-eq, as-cast-truncation) pup-audit: allow(non-send): m";
+        let stale = |src: &str| -> Vec<Problem> {
+            let mut lint = ledger(src, Reader::Lint);
+            lint.suppress(2, "float-eq");
+            let mut problems = lint.hygiene();
+            problems.extend(ledger(src, Reader::Concurrency).hygiene());
+            problems
+        };
+        let src = format!("{mixed}\nfn f(p: f64) -> bool {{ p == 2.5 }}\n");
+        let (fixed, removed) = fix(&src, &stale(&src)).expect("two stale names");
+        assert_eq!(removed, 2);
+        assert_eq!(fixed, "// pup-lint: allow(float-eq)\nfn f(p: f64) -> bool { p == 2.5 }\n");
+        // The dead marker first: its text goes up to the live one.
+        let src = "// pup-audit: allow(non-send): m pup-lint: allow(float-eq)\nfn f() {}\n";
+        let (fixed, _) = fix(src, &stale(src)).expect("a stale audit escape");
+        assert_eq!(fixed, "// pup-lint: allow(float-eq)\nfn f() {}\n");
+        // Both markers dead: the whole comment goes.
+        let src =
+            "/* pup-lint: allow(as-cast-truncation) pup-audit: allow(non-send): m */\nfn f() {}\n";
+        let (fixed, removed) = fix(src, &stale(src)).expect("every name stale");
+        assert_eq!((fixed.as_str(), removed), ("fn f() {}\n", 2));
     }
 }

@@ -41,6 +41,7 @@ pub const SWEPT_OPS: &[&str] = &[
     "softplus",
     "gather_rows",
     "rowwise_dot",
+    "pairwise_rows",
     "row_sums",
     "sum",
     "concat_cols",

@@ -404,7 +404,11 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         report.escapes.extend(ledger.hygiene());
     }
 
-    let mut claimed_sites: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
+    // Panic sites are keyed by line and lock sites by byte offset, so each
+    // kind keeps its own set: a shared one would let a lock whose offset
+    // equals a claimed panic line drop out of the budget.
+    let mut claimed_panics: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
+    let mut claimed_locks: BTreeSet<(PathBuf, usize)> = BTreeSet::new();
     for ((label, start), (parent, seen)) in roots.iter().zip(&reach) {
         let chain = |mut i: usize| -> String {
             let mut names = vec![graph.fns[i].qual.as_str()];
@@ -419,7 +423,7 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
         for &i in seen {
             let f = &graph.fns[i];
             for (line, construct) in &per_fn[i].panics {
-                if claimed_sites.insert((f.file.to_path_buf(), *line)) {
+                if claimed_panics.insert((f.file.to_path_buf(), *line)) {
                     report.findings.push(Finding {
                         file: f.file.to_path_buf(),
                         line: *line,
@@ -434,7 +438,7 @@ pub fn audit_sources(root: &Path, sources: &[(PathBuf, String)]) -> AuditReport 
                 }
             }
             for (offset, line, construct) in &per_fn[i].locks {
-                if claimed_sites.insert((f.file.to_path_buf(), *offset)) {
+                if claimed_locks.insert((f.file.to_path_buf(), *offset)) {
                     locks += 1;
                     report.sites.push(SiteItem {
                         file: f.file.to_path_buf(),

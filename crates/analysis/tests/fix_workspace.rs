@@ -109,3 +109,38 @@ fn one_fix_run_leaves_no_stale_escape_and_a_second_changes_nothing() {
     assert_eq!((twice.escapes_removed, twice.files_changed.len()), (0, 0));
     assert_eq!(tree_twice, (serve_fixed, demo_fixed));
 }
+
+/// A comment holding both markers, where the `pup-audit` escape is stale
+/// and the `pup-lint` list half live: the fix keeps the live `float-eq`
+/// names, so it adds no finding.
+#[test]
+fn a_stale_marker_leaves_the_other_markers_live_names() {
+    let demo = concat!(
+        "pub fn close(p: f64) -> bool {\n",
+        "    p == 2.5 // pup-lint: allow(float-eq, float-eq, as-cast-truncation) \
+         pup-audit: allow(non-send): mixed\n",
+        "}\n",
+    );
+    let root = std::env::temp_dir().join(format!("pup-fix-mixed-{}", std::process::id()));
+    fs::remove_dir_all(&root).ok();
+    fs::create_dir_all(root.join(DEMO).parent().expect("a file path")).expect("mkdir");
+    fs::write(root.join(DEMO), demo).expect("write seed file");
+    let (hygiene_before, before) = findings(&root);
+    let once = fix::fix_workspace(&root).expect("fix run");
+    let fixed = fs::read_to_string(root.join(DEMO)).expect("read the fixed file");
+    let (hygiene_after, after) = findings(&root);
+    fs::remove_dir_all(&root).ok();
+
+    assert_eq!(hygiene_before.len(), 2, "{hygiene_before:?}");
+    assert_eq!(once.escapes_removed, 2);
+    assert_eq!(
+        fixed,
+        concat!(
+            "pub fn close(p: f64) -> bool {\n",
+            "    p == 2.5 // pup-lint: allow(float-eq, float-eq)\n",
+            "}\n",
+        )
+    );
+    assert!(hygiene_after.is_empty(), "{hygiene_after:?}");
+    assert!(after.iter().all(|f| before.contains(f)), "fix added a finding: {after:?}");
+}

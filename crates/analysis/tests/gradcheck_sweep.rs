@@ -80,6 +80,10 @@ fn sweep_gather_and_dots() {
     check(|i| ops::sum(&ops::square(&ops::gather_rows(&i[0], &[0, 2, 2, 4]))), &[param(5, 3, 16)]);
     check(|i| ops::sum(&ops::rowwise_dot(&i[0], &i[1])), &[param(3, 4, 17), param(3, 4, 18)]);
     check(|i| ops::sum(&ops::rowwise_dot(&i[0], &i[0])), &[param(3, 4, 19)]);
+    // Eq. 7 over table rows: repeated rows within a list, and a row two
+    // lists share, so the gradient sums over both.
+    let lists = || [vec![0, 1, 1, 2], vec![3, 3, 4, 2], vec![5, 0, 5, 5]];
+    check(|i| ops::sum(&ops::square(&ops::pairwise_rows(&i[0], lists()))), &[param(6, 3, 24)]);
     check(|i| ops::sum(&ops::square(&ops::row_sums(&i[0]))), &[param(3, 4, 20)]);
 }
 
@@ -256,6 +260,7 @@ fn swept_ops_registry_matches_recorded_reality() {
     absorb(ops::softplus(&a));
     absorb(ops::gather_rows(&a, &[0, 2]));
     absorb(ops::rowwise_dot(&a, &b));
+    absorb(ops::pairwise_rows(&a, [vec![0, 1], vec![2, 2], vec![1, 0]]));
     absorb(ops::row_sums(&a));
     absorb(ops::mean(&a)); // records `scale` + `sum`
     absorb(ops::concat_cols(&a, &b));

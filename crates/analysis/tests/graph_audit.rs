@@ -75,7 +75,7 @@ fn pup_tape_golden_snapshot() {
     assert_eq!(params.len(), 2, "PUP registers global.emb + category.emb");
 
     let tape = record_bpr_step(&mut model, 7);
-    assert_eq!(tape.len(), 69, "PUP training-loss graph node count changed");
+    assert_eq!(tape.len(), 21, "PUP training-loss graph node count changed");
 
     // Both parameters appear as requires-grad leaves on the tape.
     for p in &params {

@@ -131,6 +131,26 @@ fn lock_in_a_helper_lands_in_the_budget() {
     );
 }
 
+/// Panic sites are keyed by line and lock sites by byte offset: a lock
+/// whose offset equals the line of a panic site in the same file still
+/// counts in the budget.
+#[test]
+fn a_lock_at_a_panic_lines_number_keeps_its_budget() {
+    let mut src = String::from("// pup-hot: r\npub fn hh(m: M, x: X) {\nm.lock();\n");
+    src.push_str(&"\n".repeat(35));
+    src.push_str("x.unwrap();\n}\n");
+    assert_eq!(src.find(".lock").expect("a lock"), 39, "the lock's byte offset");
+    assert_eq!(src[..src.find(".unwrap").expect("a panic")].lines().count(), 39);
+    let root = seed("collide", &[("crates/demo/src/lib.rs", &src)]);
+    let report = audit_workspace(&root).expect("seeded tree is readable");
+    fs::remove_dir_all(&root).ok();
+    let r = report.roots.iter().find(|r| r.label == "r").expect("root is discovered");
+    assert_eq!(r.locks, 1, "1 lock site(s): {:?}", report.sites);
+    let panics: Vec<_> = report.findings.iter().filter(|f| f.pass == Pass::PanicReach).collect();
+    assert_eq!(panics.len(), 1, "{:?}", report.findings);
+    assert_eq!(panics[0].line, 39);
+}
+
 #[test]
 fn ratchet_grow_fails_and_shrink_prompts() {
     let clean = concat!(

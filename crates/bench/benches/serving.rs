@@ -13,7 +13,10 @@
 //! (15,255 items × 65, the folded PUP's shape): the exact f64 scan and
 //! the certified pass over the scorer's compact copy of its table, back
 //! to back and paced one scan per 10 ms, as at 100 requests/s over two
-//! workers, when the table is no longer in cache.
+//! workers, when the table is no longer in cache. The dense-scan group
+//! prices `score_items` alone at train-eval's and serve-scan's folded table
+//! shapes: the scorer's blocked scan against the row-major `matmul_t`
+//! pass, which returns the same scores.
 
 #![allow(clippy::expect_used)]
 
@@ -270,7 +273,33 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_serving, bench_swap, bench_net, bench_scan);
+fn bench_dense_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serving_dense_scan");
+    group.sample_size(30);
+    for n_items in [1_412usize, SCAN_ITEMS] {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
+        let users = pup_tensor::init::normal(64, SCAN_WIDTH, 0.3, &mut rng);
+        let items = pup_tensor::init::normal(n_items, SCAN_WIDTH, 0.3, &mut rng);
+        let model = DotScorer::new("scan", users.clone(), items.clone());
+        let shape = format!("{n_items}x{SCAN_WIDTH}");
+        let mut user = 0usize;
+        group.bench_function(format!("matmul_t/{shape}"), |b| {
+            b.iter(|| {
+                user = (user + 1) % 64;
+                black_box(users.gather_rows(&[user]).matmul_t(&items).into_vec())
+            })
+        });
+        group.bench_function(format!("score_items/{shape}"), |b| {
+            b.iter(|| {
+                user = (user + 1) % 64;
+                black_box(model.score_items(user))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_serving, bench_swap, bench_net, bench_scan, bench_dense_scan);
 
 fn main() {
     benches();

@@ -257,6 +257,62 @@ mod tests {
         }
     }
 
+    /// A matrix's entries as bits.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `ops::pairwise_rows` against the chain it replaces in PUP (each
+    /// list gathered, then [`pairwise_interactions`]): the values and the
+    /// source's gradient bit for bit. Two calls feed one source, as a BPR
+    /// step's positive and negative batches do; the lists name disjoint
+    /// row ranges with repeats, and every fifth gradient row is zero (the
+    /// path where a feature's row gradient can be `−0.0`).
+    #[test]
+    fn pairwise_rows_matches_the_chain_bit_for_bit() {
+        for (seed, batch, cols) in [(1, 1, 1), (2, 7, 3), (3, 64, 8), (4, 300, 56), (5, 9, 0)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ranges = [0..20, 20..60, 60..64];
+            let table = Matrix::from_fn(64, cols, |_, _| rng.gen_range(-1.0..1.0));
+            let draw = |rng: &mut StdRng| -> Vec<Vec<usize>> {
+                ranges
+                    .iter()
+                    .map(|r| (0..batch).map(|_| rng.gen_range(r.clone())).collect())
+                    .collect()
+            };
+            let calls = [draw(&mut rng), draw(&mut rng)];
+            let weights: Vec<Var> = (0..2)
+                .map(|_| {
+                    let mut w =
+                        |b: usize| if b.is_multiple_of(5) { 0.0 } else { rng.gen_range(-2.0..2.0) };
+                    Var::constant(Matrix::from_fn(batch, 1, |b, _| w(b)))
+                })
+                .collect();
+            let run = |fused: bool| {
+                let param = Var::param(table.clone());
+                let src = ops::tanh(&param);
+                let scores: Vec<Var> = calls
+                    .iter()
+                    .map(|lists| {
+                        if fused {
+                            ops::pairwise_rows(&src, [0, 1, 2].map(|k| lists[k].clone()))
+                        } else {
+                            let f: Vec<Var> =
+                                lists.iter().map(|l| ops::gather_rows(&src, l)).collect();
+                            pairwise_interactions(&f)
+                        }
+                    })
+                    .collect();
+                let weighted: Vec<Var> =
+                    scores.iter().zip(&weights).map(|(s, w)| ops::sum(&ops::mul(s, w))).collect();
+                ops::add(&weighted[0], &weighted[1]).backward();
+                let values: Vec<Vec<u64>> = scores.iter().map(|s| bits(&s.value())).collect();
+                (values, bits(&param.grad().expect("the table takes a gradient")))
+            };
+            assert_eq!(run(true), run(false), "seed {seed}: {batch} x {cols}");
+        }
+    }
+
     #[test]
     fn two_features_reduce_to_plain_dot() {
         let a = rand_var(3, 4, 1);

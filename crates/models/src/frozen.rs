@@ -9,6 +9,12 @@
 //! BPR-MF, PaDQ, GC-MC, NGCF and PUP (whose eq. 7 `Pup::finalize` folds
 //! into one dot product per item) all freeze into [`DotScorer`].
 //!
+//! [`DotScorer`] keeps two copies of its item table. Dense scoring
+//! (`score_items`) scans a copy blocked 16 items at a time
+//! ([`RowBlocks`]), which sums each score as [`Matrix::matmul_t`] does; the
+//! row-major table serves the certified pass's f64 rescore, which reads a
+//! few survivor rows each (DESIGN.md §17).
+//!
 //! [`DotScorer`] ranks a top-K request from a certified integer pass: it
 //! keeps a per-row-scaled i8 copy of its item table, scores every
 //! candidate exactly in integers against the user's row rounded to i16,
@@ -20,7 +26,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use pup_tensor::Matrix;
+use pup_tensor::{Matrix, RowBlocks};
 
 use crate::common::{Recommender, ScoreError};
 use crate::topk::{total_order_key, Candidates, Shortlist};
@@ -29,8 +35,8 @@ use crate::topk::{total_order_key, Candidates, Shortlist};
 /// interface, shareable across threads.
 pub type Frozen = Box<dyn Recommender + Send + Sync>;
 
-/// `e_u · e_i` for every item — the one decoder routine behind BPR-MF,
-/// PaDQ, GC-MC, NGCF and PUP, live or frozen.
+/// `e_u · e_i` for every item — the live decoder routine behind BPR-MF and
+/// PaDQ; [`DotScorer`]'s blocked scan returns the same scores, bit for bit.
 pub(crate) fn dot_scores(users: &Matrix, items: &Matrix, user: usize) -> Vec<f64> {
     users.gather_rows(&[user]).matmul_t(items).into_vec()
 }
@@ -43,7 +49,11 @@ pub struct DotScorer {
     name: &'static str,
     /// The user representations, one row per user.
     pub(crate) users: Arc<Matrix>,
+    /// The item representations, row-major: the certified pass rescores
+    /// its survivors from these rows.
     items: Arc<Matrix>,
+    /// `items` in blocks of 16 rows, which dense scoring scans.
+    blocks: Arc<RowBlocks>,
     /// The i8 copy of `items` the certified top-K pass reads; `None` when
     /// the table is outside the bound's valid range.
     codes: Option<Arc<ItemCodes>>,
@@ -184,8 +194,8 @@ impl ItemCodes {
     }
 }
 
-/// The f64 score, summed in the order the dense path ([`dot_scores`])
-/// sums it, so the two agree bit for bit.
+/// The f64 score, summed in the order the dense path ([`dot_scores`],
+/// [`RowBlocks::dot_all`]) sums it, so the three agree bit for bit.
 fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (&x, &y) in a.iter().zip(b) {
@@ -215,10 +225,12 @@ fn dot_codes(p: &[i16], q: &[i8]) -> i32 {
 
 impl DotScorer {
     /// A decoder named `name` over `users` (one row per user) and `items`
-    /// (one row per item). Builds the i8 copy of `items` once.
+    /// (one row per item). Builds the blocked and the i8 copy of `items`
+    /// once.
     pub fn new(name: &'static str, users: Matrix, items: Matrix) -> Self {
         let codes = ItemCodes::build(&items).map(Arc::new);
-        Self { name, users: Arc::new(users), items: Arc::new(items), codes }
+        let blocks = Arc::new(RowBlocks::new(&items));
+        Self { name, users: Arc::new(users), items: Arc::new(items), blocks, codes }
     }
 
     /// A decoder over `repr`, which stacks `n_users` user rows on top of
@@ -331,7 +343,7 @@ impl Recommender for DotScorer {
     }
 
     fn score_items(&self, user: usize) -> Vec<f64> {
-        dot_scores(&self.users, &self.items, user)
+        self.blocks.dot_all(self.users.row(user))
     }
 
     fn n_users(&self) -> usize {

@@ -25,9 +25,7 @@ use pup_graph::normalize::row_normalized;
 use pup_graph::{build_pup_graph, GraphSpec, Layout, NodeRef};
 use pup_tensor::{init, ops, CsrMatrix, Matrix, Var};
 
-use crate::common::{
-    pairwise_interactions, NamedParam, ParamRegistry, Recommender, ScoreError, TrainData,
-};
+use crate::common::{NamedParam, ParamRegistry, Recommender, ScoreError, TrainData};
 use crate::frozen::{DotScorer, Frozen};
 use crate::topk::{Candidates, Shortlist};
 use crate::trainer::{check_params, BprModel};
@@ -162,7 +160,7 @@ impl TouchedRows {
     }
 }
 
-/// One branch's step representations, gathered by node.
+/// One branch's step representations, addressed by node.
 struct StepRows<'a> {
     repr: &'a Var,
     touched: &'a TouchedRows,
@@ -170,11 +168,9 @@ struct StepRows<'a> {
 }
 
 impl StepRows<'_> {
-    /// The representations of `nodes`, one row each.
-    fn gather(&self, nodes: impl Iterator<Item = NodeRef>) -> Var {
-        let idx: Vec<usize> =
-            nodes.map(|node| self.touched.position(self.layout.index(node))).collect();
-        ops::gather_rows(self.repr, &idx)
+    /// The rows of `repr` that hold `nodes`, one each.
+    fn indices(&self, nodes: impl Iterator<Item = NodeRef>) -> Vec<usize> {
+        nodes.map(|node| self.touched.position(self.layout.index(node))).collect()
     }
 }
 
@@ -433,33 +429,36 @@ impl Pup {
         items: &[usize],
     ) -> Var {
         let (price, cat) = (&self.item_price_level, &self.item_category);
-        let eu = global.gather(users.iter().map(|&u| NodeRef::User(u)));
-        let ei = global.gather(items.iter().map(|&i| NodeRef::Item(i)));
+        let eu = global.indices(users.iter().map(|&u| NodeRef::User(u)));
+        let ei = global.indices(items.iter().map(|&i| NodeRef::Item(i)));
 
         let s_global = match self.config.variant {
-            PupVariant::Bipartite => ops::rowwise_dot(&eu, &ei),
+            PupVariant::Bipartite => ops::rowwise_dot(
+                &ops::gather_rows(global.repr, &eu),
+                &ops::gather_rows(global.repr, &ei),
+            ),
             PupVariant::CategoryOnly => {
                 // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let ec = global.gather(items.iter().map(|&i| NodeRef::Category(cat[i])));
-                pairwise_interactions(&[eu, ei, ec])
+                let ec = global.indices(items.iter().map(|&i| NodeRef::Category(cat[i])));
+                ops::pairwise_rows(global.repr, [eu, ei, ec])
             }
             PupVariant::Full | PupVariant::PriceOnly => {
                 // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-                let ep = global.gather(items.iter().map(|&i| NodeRef::Price(price[i])));
-                pairwise_interactions(&[eu, ei, ep])
+                let ep = global.indices(items.iter().map(|&i| NodeRef::Price(price[i])));
+                ops::pairwise_rows(global.repr, [eu, ei, ep])
             }
         };
 
         let Some(category) = category else {
             return s_global;
         };
-        let eu_c = category.gather(users.iter().map(|&u| NodeRef::User(u)));
+        let eu_c = category.indices(users.iter().map(|&u| NodeRef::User(u)));
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let ep_c = category.gather(items.iter().map(|&i| NodeRef::Price(price[i])));
+        let ep_c = category.indices(items.iter().map(|&i| NodeRef::Price(price[i])));
         // pup-audit: allow(hotpath-panic): item ids bounds-checked by try_score_items; metadata arrays are catalog-sized
-        let ec_c = category.gather(items.iter().map(|&i| NodeRef::Category(cat[i])));
+        let ec_c = category.indices(items.iter().map(|&i| NodeRef::Category(cat[i])));
         // Item embeddings are deliberately omitted: items only bridge.
-        let s_cat = pairwise_interactions(&[eu_c, ec_c, ep_c]);
+        let s_cat = ops::pairwise_rows(category.repr, [eu_c, ec_c, ep_c]);
         ops::add(&s_global, &ops::scale(&s_cat, self.config.alpha))
     }
 

@@ -63,6 +63,21 @@ impl std::fmt::Debug for Var {
     }
 }
 
+impl VarInner {
+    /// The tape auditor's accumulation discipline: an interior node takes
+    /// gradients only during a `backward()` walk.
+    fn assert_in_walk(&self) {
+        // pup-audit: allow(hotpath-panic): tape auditor fails fast on out-of-walk gradient writes by design
+        assert!(
+            self.backward.is_none() || checks::in_backward(),
+            "tape auditor: gradient accumulated into non-leaf node \
+             (op `{}`, id {}) outside a backward() walk",
+            self.op,
+            self.id
+        );
+    }
+}
+
 impl Var {
     fn new(
         op: &'static str,
@@ -272,19 +287,30 @@ impl Var {
         if checks::ENABLED {
             checks::assert_same_shape(inner.op, inner.value.shape(), g.shape());
             checks::assert_finite(inner.op, "accumulated gradient", &g);
-            // pup-audit: allow(hotpath-panic): tape auditor fails fast on out-of-walk gradient writes by design
-            assert!(
-                inner.backward.is_none() || checks::in_backward(),
-                "tape auditor: gradient accumulated into non-leaf node \
-                 (op `{}`, id {}) outside a backward() walk",
-                inner.op,
-                inner.id
-            );
+            inner.assert_in_walk();
         }
         match &mut inner.grad {
             Some(acc) => acc.add_assign(&g),
             None => inner.grad = Some(g.into_owned()),
         }
+    }
+
+    /// Adds into this node's gradient in place: `add` receives the node's
+    /// value and its gradient buffer, zeros on first use. A backward
+    /// closure that adds into a few rows of a large parent passes here, so
+    /// the rows it leaves alone are neither built nor added.
+    pub(crate) fn accumulate_grad_with(&self, add: impl FnOnce(&Matrix, &mut Matrix)) {
+        let mut inner = self.inner.borrow_mut();
+        if !inner.requires_grad {
+            return;
+        }
+        if checks::ENABLED {
+            inner.assert_in_walk();
+        }
+        let VarInner { op, value, grad, .. } = &mut *inner;
+        let grad = grad.get_or_insert_with(|| Matrix::zeros(value.rows(), value.cols()));
+        add(value, grad);
+        checks::assert_finite(op, "accumulated gradient", grad);
     }
 
     /// Runs reverse-mode differentiation from this scalar node, accumulating

@@ -38,5 +38,5 @@ pub mod sparse;
 pub mod tape;
 
 pub use autograd::Var;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, RowBlocks};
 pub use sparse::CsrMatrix;

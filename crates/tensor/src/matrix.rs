@@ -424,6 +424,76 @@ impl Matrix {
     }
 }
 
+/// Rows per block of a [`RowBlocks`] table: one f64 accumulator each.
+const LANES: usize = 16;
+
+/// A row-blocked copy of a matrix for [`RowBlocks::dot_all`]: rows in
+/// blocks of 16, each block stored dimension-major (entry `d` of its 16
+/// rows side by side), the tail block zero-padded.
+///
+/// `dot_all` then scores 16 rows per pass over `x` with 16 independent
+/// accumulators, where [`Matrix::matmul_t`] sums each row as one serial
+/// chain. Every lane runs `matmul_t`'s own sum (`acc = 0.0; acc += x[d] *
+/// row[d]` in `d` order), so each score is `matmul_t`'s, bit for bit.
+#[derive(Clone)]
+pub struct RowBlocks {
+    rows: usize,
+    cols: usize,
+    /// Block `b`'s entry `d` of lane `l` at `(b * cols + d) * 16 + l`.
+    data: Vec<f64>,
+}
+
+impl fmt::Debug for RowBlocks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RowBlocks({}x{})", self.rows, self.cols)
+    }
+}
+
+impl RowBlocks {
+    /// The blocked copy of `m`.
+    pub fn new(m: &Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        let stride = cols * LANES;
+        let mut data = vec![0.0; rows.div_ceil(LANES) * stride];
+        if cols > 0 {
+            for (block, src) in data.chunks_exact_mut(stride).zip(m.data.chunks(stride)) {
+                for (lane, row) in src.chunks_exact(cols).enumerate() {
+                    for (slot, &v) in block.iter_mut().skip(lane).step_by(LANES).zip(row) {
+                        *slot = v;
+                    }
+                }
+            }
+        }
+        Self { rows, cols, data }
+    }
+
+    /// `x · row` for every row, in row order: the row of
+    /// `Matrix::from_vec(1, cols, x).matmul_t(m)` for the matrix `m` this
+    /// copy was built from, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `x` is not `cols` long.
+    pub fn dot_all(&self, x: &[f64]) -> Vec<f64> {
+        // pup-audit: allow(hotpath-panic): fail-fast shape precondition; scoring shapes are fixed by model config
+        assert_eq!(x.len(), self.cols, "dot_all: {} entries for {} columns", x.len(), self.cols);
+        if self.cols == 0 {
+            return vec![0.0; self.rows];
+        }
+        let mut out = Vec::with_capacity(self.rows);
+        for block in self.data.chunks_exact(self.cols * LANES) {
+            let mut acc = [0.0; LANES];
+            for (&xd, lanes) in x.iter().zip(block.as_chunks::<LANES>().0) {
+                for (a, &v) in acc.iter_mut().zip(lanes) {
+                    *a += xd * v;
+                }
+            }
+            let take = (self.rows - out.len()).min(LANES);
+            out.extend(acc.iter().take(take));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +540,53 @@ mod tests {
         let a = Matrix::from_fn(3, 2, |r, c| (r + 2 * c) as f64 + 0.5);
         let b = Matrix::from_fn(4, 2, |r, c| (r * c) as f64 - 1.0);
         assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+    }
+
+    /// Entries drawn from `seed`: mostly ordinary values, with NaN, ±inf,
+    /// −0.0 and subnormals mixed in at `special` (a share in 0..=1).
+    fn specials(rows: usize, cols: usize, seed: u64, special: f64) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        const ODD: [f64; 7] =
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 5e-324, -2.5e-310];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.gen::<f64>() < special {
+                ODD[rng.gen_range(0..ODD.len())]
+            } else {
+                rng.gen_range(-2.0..2.0)
+            }
+        })
+    }
+
+    /// A score's bits, every NaN as one: where two NaNs meet in an add or
+    /// a multiply, which one's sign and payload survive is the hardware's
+    /// choice (IEEE 754 leaves it open), and a vectorised loop may order
+    /// the operands differently from a scalar one.
+    fn bits(v: &f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    #[test]
+    fn dot_all_matches_matmul_t_bit_for_bit() {
+        for cols in [0, 1, 7, 65] {
+            for rows in [1, 15, 16, 17, 1_412] {
+                for (seed, special) in [(1, 0.0), (2, 0.05), (3, 0.5)] {
+                    let items = specials(rows, cols, seed * 1_000 + (rows * cols) as u64, special);
+                    let blocks = RowBlocks::new(&items);
+                    for u in 0..3 {
+                        let user = specials(1, cols, seed + 10 * u, special);
+                        let want: Vec<u64> =
+                            user.matmul_t(&items).as_slice().iter().map(bits).collect();
+                        let got: Vec<u64> = blocks.dot_all(user.row(0)).iter().map(bits).collect();
+                        assert_eq!(got, want, "{rows} x {cols}, seed {seed}, user {u}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

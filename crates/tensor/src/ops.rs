@@ -4,7 +4,8 @@
 //! closure on the tape. The op set is exactly what the PUP reproduction
 //! needs: embedding lookups ([`gather_rows`]), graph propagation ([`spmm`]),
 //! dense layers ([`matmul`]), activations, dot-product decoders
-//! ([`rowwise_dot`]) and loss reductions.
+//! ([`rowwise_dot`], and eq. 7's pairwise decoder over table rows,
+//! [`pairwise_rows`]) and loss reductions.
 
 use std::sync::Arc;
 
@@ -35,6 +36,7 @@ pub const BUILTIN_OPS: &[&str] = &[
     "softplus",
     "gather_rows",
     "rowwise_dot",
+    "pairwise_rows",
     "row_sums",
     "sum",
     "concat_cols",
@@ -280,24 +282,141 @@ pub fn rowwise_dot(a: &Var, b: &Var) -> Var {
             // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
             let gb = broadcast_col_scale(&parents[0].value(), g);
             // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-            parents[0].accumulate_grad(&ga);
+            parents[0].accumulate_owned_grad(ga);
             // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
-            parents[1].accumulate_grad(&gb);
+            parents[1].accumulate_owned_grad(gb);
         }),
     )
 }
 
+/// `m` with row `r` scaled by `col[r]`, each entry `m[r][c] * col[r]`.
 fn broadcast_col_scale(m: &Matrix, col: &Matrix) -> Matrix {
     debug_assert_eq!(col.cols(), 1);
     debug_assert_eq!(col.rows(), m.rows());
-    let mut out = m.clone();
-    for r in 0..m.rows() {
-        let s = col.get(r, 0);
-        for v in out.row_mut(r) {
-            *v *= s;
+    let mut data = Vec::with_capacity(m.len());
+    for (row, &s) in m.as_slice().chunks(m.cols().max(1)).zip(col.as_slice()) {
+        data.extend(row.iter().map(|&v| v * s));
+    }
+    Matrix::from_vec(m.rows(), m.cols(), data)
+}
+
+/// Eq. 7's pairwise sum over three rows of `src` per batch row: row `b`
+/// of the `batch x 1` result is `f_0·f_1 + f_0·f_2 + f_1·f_2` for the
+/// features `f_k = src[lists[k][b]]`, computed as
+/// `½ (‖f_0 + f_1 + f_2‖² − Σ_k ‖f_k‖²)`. The op keeps `lists` for its
+/// backward pass.
+///
+/// One op for what [`gather_rows`] of each list followed by the op chain
+/// `add`, `rowwise_dot`, `sub`, `scale` computes (`pup_models`'
+/// `pairwise_interactions`), with each value and gradient entry built by
+/// the same operations in the same order, so both agree bit for bit:
+/// - forward: `t = (f_0 + f_1) + f_2`, `ss = Σ t·t`,
+///   `sq = (Σ f_0² + Σ f_1²) + Σ f_2²`, and the result `(ss − sq)·0.5`;
+/// - backward: with `h = g·0.5` and `m = h·(−1)`, a feature's row gradient
+///   is `(f·m + f·m) + (t·h + t·h)`; per list, each distinct row's
+///   gradients sum in batch order from `0.0`, and each such sum is added
+///   into `src`'s gradient (zeros on first use). Rows no list names are
+///   left alone: the chain's `+ 0.0` there changes nothing, since a sum
+///   that starts from `0.0` is never `−0.0`.
+///
+/// The gradient is the chain's bit for bit when no row appears in two
+/// lists (PUP's lists name disjoint node types); otherwise it is exact up
+/// to the order the lists' sums meet in.
+///
+/// # Panics
+/// Panics when the lists differ in length or an index is outside `src`'s
+/// rows.
+pub fn pairwise_rows(src: &Var, lists: [Vec<usize>; 3]) -> Var {
+    let _t = profile::fwd("pairwise_rows");
+    let [first, ..] = &lists;
+    let (n_rows, batch) = (src.shape().0, first.len());
+    // pup-audit: allow(hotpath-panic): fail-fast shape precondition on the index lists
+    assert!(
+        lists.iter().all(|l| l.len() == batch && l.iter().all(|&r| r < n_rows)),
+        "pairwise_rows: every list needs {batch} indices into {n_rows} rows"
+    );
+    let value = {
+        let table = src.value();
+        let out = (0..batch)
+            .map(|b| {
+                let [f0, f1, f2] = features(&table, &lists, b);
+                let (mut ss, mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0, 0.0);
+                // Each sum runs in column order from `0.0`, as
+                // `Matrix::rowwise_dot` sums (its start, `−0.0`, gives the
+                // same sum of squares); in one pass their chains overlap.
+                for ((&x0, &x1), &x2) in f0.iter().zip(f1).zip(f2) {
+                    let t = (x0 + x1) + x2;
+                    ss += t * t;
+                    s0 += x0 * x0;
+                    s1 += x1 * x1;
+                    s2 += x2 * x2;
+                }
+                (ss - ((s0 + s1) + s2)) * 0.5
+            })
+            .collect();
+        Matrix::from_vec(batch, 1, out)
+    };
+    Var::from_op(
+        "pairwise_rows",
+        value,
+        vec![src.clone()],
+        Box::new(move |g, parents| {
+            // pup-audit: allow(hotpath-panic): backward closure: from_op passes exactly the parents captured at construction
+            parents[0].accumulate_grad_with(|table, grad| {
+                pairwise_rows_backward(table, &lists, g.as_slice(), grad);
+            });
+        }),
+    )
+}
+
+/// The three feature rows of batch row `b`.
+fn features<'a>(table: &'a Matrix, lists: &[Vec<usize>; 3], b: usize) -> [&'a [f64]; 3] {
+    // pup-audit: allow(hotpath-panic): b < batch, and every list holds batch rows of the table
+    lists.each_ref().map(|l| table.row(l[b]))
+}
+
+/// [`pairwise_rows`]' backward: adds each list's per-row gradient sums
+/// into `grad`. The rows of one list are visited by first appearance,
+/// each row's batch positions in order through a linked list
+/// (`first[row]`, then `next[b]`), so no batch-sized gradient is stored.
+fn pairwise_rows_backward(table: &Matrix, lists: &[Vec<usize>; 3], g: &[f64], grad: &mut Matrix) {
+    const NONE: usize = usize::MAX;
+    let mut first = vec![NONE; table.rows()];
+    let mut next = vec![NONE; g.len()];
+    let mut partial = vec![0.0; table.cols()];
+    for list in lists {
+        for (b, &r) in list.iter().enumerate().rev() {
+            // pup-audit: allow(hotpath-panic): rows were bounds-checked by the forward pass; b < batch
+            (next[b], first[r]) = (first[r], b);
+        }
+        for &r in list {
+            // pup-audit: allow(hotpath-panic): rows were bounds-checked by the forward pass
+            let mut b = std::mem::replace(&mut first[r], NONE);
+            if b == NONE {
+                continue; // an earlier position of this row took it
+            }
+            partial.fill(0.0);
+            let own = table.row(r);
+            while b != NONE {
+                let [f0, f1, f2] = features(table, lists, b);
+                // pup-audit: allow(hotpath-panic): b < batch, and g holds one entry per batch row
+                let h = g[b] * 0.5;
+                // `h · (−1)` for any h but NaN; the tape's gradients are finite.
+                let m = -h;
+                for ((((p, &f), &x0), &x1), &x2) in
+                    partial.iter_mut().zip(own).zip(f0).zip(f1).zip(f2)
+                {
+                    let t = (x0 + x1) + x2;
+                    *p += (f * m + f * m) + (t * h + t * h);
+                }
+                // pup-audit: allow(hotpath-panic): b < batch
+                b = next[b];
+            }
+            for (acc, &p) in grad.row_mut(r).iter_mut().zip(&partial) {
+                *acc += p;
+            }
         }
     }
-    out
 }
 
 /// Per-row sum, producing a `rows x 1` matrix.

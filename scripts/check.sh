@@ -4,7 +4,8 @@
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # skip the test suite (fmt + clippy + lint + audits, the
 #                               # hot-path allocation count, the certified top-K and
-#                               # inference fold differentials, the training pin and the
+#                               # inference fold differentials, the training pin, the
+#                               # decoder differentials and gradient sweep, and the
 #                               # checkpoint and graph integrity tests only)
 #
 # Exits non-zero on the first failing step.
@@ -31,6 +32,12 @@ step cargo test -q -p pup-models --lib fold_matches_the_tape
 step cargo test -q -p pup-tensor --lib every_split_of_the_rows
 step cargo test -q -p pup-tensor --test spmm_blocks_alloc
 step cargo test -q -p pup-models --test training_pin
+# Eq. 7's decoder both ways: the blocked dense scan against `matmul_t`, the
+# fused training op against the gather-and-chain it replaced (bit for bit),
+# and the fused op's finite-difference gradient check.
+step cargo test -q -p pup-tensor --lib dot_all_matches_matmul_t
+step cargo test -q -p pup-models --lib pairwise_rows_matches_the_chain
+step cargo test -q -p pup-analysis --test gradcheck_sweep
 # Data, checkpoint and graph integrity: the CSV loader and split against
 # their set-based reference, registry error parity on every path, and the
 # graph kernels against their triplet-sort oracle.
